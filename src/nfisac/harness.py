@@ -206,13 +206,23 @@ def build_scenario(cfg, dtk=None, n_u=None, p_max=None, gamma0=None, w1=None):
         geometry.vec3(-3.0 + dtk * math.sin(math.pi / 4), 1.5,
                       dtk * math.cos(math.pi / 4)),
     ]
+    target = geometry.vec3(10.0, 1.5, 10.0)
+    # With G = rho_s f_r f_t^H, unit-modulus responses and unit u, v, the
+    # sensing SINR is at most rho_s^2 n_r n_t / sigma_z^2 (all echo, no
+    # interference); rho_s depends only on the region centres.
+    rho_s = geometry.path_loss_sense(o_t, o_r, target, cfg.lam)
+    echo_max = rho_s**2 * cfg.n_r * cfg.n_t
+    if gamma0 * cfg.noise_radar > echo_max:
+        raise ConfigError(
+            f"gamma0={gamma0:g} is unreachable: the highest reachable gamma0 "
+            f"is {echo_max / cfg.noise_radar:.3g} (rho_s^2 n_r n_t / sigma_z^2)")
     return geometry.Scenario(
         lam=cfg.lam, n_t=cfg.n_t, n_r=cfg.n_r, n_users=cfg.n_users, n_u=n_u,
         tx_region=geometry.SquareRegion(center=o_t, side=cfg.l_t),
         rx_mid=o_r, rx_len=cfg.l_r,
         user_regions=tuple(geometry.SquareRegion(center=c, side=cfg.a_k)
                            for c in centers),
-        target=geometry.vec3(10.0, 1.5, 10.0),
+        target=target,
         noise_user=cfg.noise_user, noise_radar=cfg.noise_radar,
         p_max=p_max, gamma0=gamma0, d_min=cfg.d_min,
         weights=np.array([w1, 1.0 - w1]),
@@ -336,6 +346,8 @@ def run_preset(cfg):
     if cfg.preset == "gradcheck":
         rows, ok = _run_gradcheck(cfg)
         return rows, [], 0 if ok else len(rows)
+    for sweep in cfg.sweep_grid():
+        _scenario_for(cfg, sweep)       # reject unreachable gamma0 before any trial
     specs = [TrialSpec(cfg, scheme, sweep, trial)
              for sweep in cfg.sweep_grid()
              for scheme in cfg.schemes

@@ -73,19 +73,30 @@ def logdet_hpd(m):
     Roundoff can push a theoretically PD argument slightly indefinite; in
     that case a symmetric 1e-14*trace/n jitter is added once and the result
     is flagged.  Returns (value, was_regularized).
+
+    A (..., n, n) stack is factorized in one call and gives an array of
+    values of shape (...), with the flag set if any slice was regularized.
+    If any slice fails the stacked factorization, every slice is redone on
+    its own, so each gets exactly the value and jitter of a 2-D call.
     """
     m = np.asarray(m)
+    regularized = False
     try:
         chol = np.linalg.cholesky(m)
-        return 2.0 * float(np.sum(np.log(np.real(np.diag(chol))))), False
     except np.linalg.LinAlgError:
+        if m.ndim > 2:
+            parts = [logdet_hpd(mi) for mi in m.reshape((-1,) + m.shape[-2:])]
+            vals = np.array([p[0] for p in parts]).reshape(m.shape[:-2])
+            return vals, any(p[1] for p in parts)
         n = m.shape[0]
         jitter = 1e-14 * float(np.real(np.trace(m))) / n
         try:
             chol = np.linalg.cholesky(m + jitter * np.eye(n))
-            return 2.0 * float(np.sum(np.log(np.real(np.diag(chol))))), True
         except np.linalg.LinAlgError as exc:
             raise NumericalError("matrix not positive definite even after jitter") from exc
+        regularized = True
+    ld = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    return (float(ld) if m.ndim == 2 else ld), regularized
 
 
 def _interference_plus_noise(channels, W, v, k, include_self=False):

@@ -365,7 +365,6 @@ class CovarianceSubproblem:
         if mode not in ("lp", "zf"):
             raise ContractViolation(f"unknown covariance mode {mode!r}")
         self.mode = mode
-        self.channels = channels
         self.K = len(channels.H)
         self.V0 = 0.5 * (np.asarray(V0, dtype=complex) + np.asarray(V0, dtype=complex).conj().T)
         ev = np.linalg.eigvalsh(self.V0)
@@ -396,44 +395,46 @@ class CovarianceSubproblem:
                 + float(np.linalg.norm(np.asarray(P).conj().T @ self.g) ** 2)
             )
 
-        # Per-user pieces: a V-independent offset inside the log-det and the
-        # Taylor coefficient of the subtracted term at V0.
-        self.offs = []
-        self.taylor = []
-        self.c0 = np.zeros(self.K)
+        # Per-user pieces, stacked over the users (every user has n_u
+        # antennas): a V-independent offset inside the log-det and the Taylor
+        # coefficient of the subtracted term at V0.
+        self.H = np.stack(channels.H)
+        self.HH = self.H.conj().transpose(0, 2, 1)
+        eye = np.eye(self.H.shape[1], dtype=complex)
+        offs, base = [], []
         for k in range(self.K):
             Hk = channels.H[k]
-            n_u = Hk.shape[0]
             sig = channels.noise_user[k]
-            HVH = Hk @ self.V0 @ Hk.conj().T
             if mode == "lp":
-                C = sig * np.eye(n_u, dtype=complex)
+                C = sig * eye
                 for j in range(self.K):
                     if j != k:
                         S = Hk @ self.W[j]
                         C += S @ S.conj().T
                 Sk = Hk @ self.W[k]
-                self.offs.append(C + Sk @ Sk.conj().T)
-                B0 = C + HVH
+                offs.append(C + Sk @ Sk.conj().T)
+                base.append(C)
             else:
-                self.offs.append((self.gain**2 + sig) * np.eye(n_u, dtype=complex))
-                B0 = sig * np.eye(n_u, dtype=complex) + HVH
-            c0, _ = metrics.logdet_hpd(B0)
-            self.c0[k] = c0
-            self.taylor.append(Hk.conj().T @ np.linalg.solve(B0, Hk))
+                offs.append((self.gain**2 + sig) * eye)
+                base.append(sig * eye)
+        self.offs = np.stack(offs)
+        B0 = np.stack(base) + self.H @ self.V0 @ self.HH
+        self.c0, _ = metrics.logdet_hpd(B0)
+        self.taylor = self.HH @ np.linalg.solve(B0, self.H)
         self._pen_grad = self.zeta * (np.outer(self.lead_vec, self.lead_vec.conj())
                                       - np.eye(self.V0.shape[0], dtype=complex))
         self._kap_grad = -np.outer(self.g, self.g.conj()) / self.sinr_deficit_scale
 
+    def _bounds(self, V):
+        """Per-user bounds and the stacked B_k = offs_k + H_k V H_k^H."""
+        B = self.offs + self.H @ V @ self.HH
+        ld, _ = metrics.logdet_hpd(B)
+        tr = np.real(np.trace(self.taylor @ (V - self.V0), axis1=1, axis2=2))
+        return ld - self.c0 - tr, B
+
     def bound_values(self, V):
         """Per-user rate lower bounds at covariance V."""
-        V = np.asarray(V, dtype=complex)
-        out = np.zeros(self.K)
-        for k in range(self.K):
-            Hk = self.channels.H[k]
-            ld, _ = metrics.logdet_hpd(self.offs[k] + Hk @ V @ Hk.conj().T)
-            out[k] = ld - self.c0[k] - float(np.real(np.trace(self.taylor[k] @ (V - self.V0))))
-        return out
+        return self._bounds(np.asarray(V, dtype=complex))[0]
 
     def penalty(self, V):
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
@@ -443,22 +444,20 @@ class CovarianceSubproblem:
         return float(self.weights @ self.bound_values(V)) + self.zeta * self.penalty(V)
 
     def objective_and_grad(self, V):
-        """Value and conjugate gradient sharing one factorization per user."""
+        """Value and conjugate gradient.
+
+        One stacked Cholesky (the log-dets) and one stacked solve
+        (H_k^H B_k^-1 H_k) cover all users; only the weighted K-term sums
+        run per user, in user order.
+        """
+        bounds, B = self._bounds(V)
+        dgrad = self.HH @ np.linalg.solve(B, self.H) - self.taylor
         val = self.zeta * self.penalty(V)
         grad = np.array(self._pen_grad, copy=True)
         for k in range(self.K):
-            Hk = self.channels.H[k]
-            Bk = self.offs[k] + Hk @ V @ Hk.conj().T
-            ld, _ = metrics.logdet_hpd(Bk)
-            val += self.weights[k] * (
-                ld - self.c0[k]
-                - float(np.real(np.trace(self.taylor[k] @ (V - self.V0)))))
-            grad += self.weights[k] * (Hk.conj().T @ np.linalg.solve(Bk, Hk)
-                                       - self.taylor[k])
+            val += self.weights[k] * bounds[k]
+            grad += self.weights[k] * dgrad[k]
         return val, 0.5 * (grad + grad.conj().T)
-
-    def objective_grad(self, V):
-        return self.objective_and_grad(V)[1]
 
     def deficit(self, V):
         return self._deficit_offset - float(np.real(self.g.conj() @ V @ self.g))

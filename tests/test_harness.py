@@ -34,6 +34,21 @@ class TestBuildScenario:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # highest reachable gamma0 = rho_s^2 n_r n_t / sigma_z^2 at the default
+    # geometry, and whether the profile's own gamma0 lies below it
+    @pytest.mark.parametrize("profile, bound, default_ok", [
+        ("full", 5.7e-13, False), ("trend", 7.13e-5, True), ("desk", 1.43e-4, True)])
+    def test_unreachable_gamma0_rejected(self, profile, bound, default_ok):
+        cfg = harness.apply_profile(harness.ExperimentConfig(), profile)
+        with pytest.raises(ConfigError, match=f"highest reachable gamma0 is {bound:.3g}"):
+            harness.build_scenario(cfg, gamma0=1.01 * bound)
+        harness.build_scenario(cfg, gamma0=0.99 * bound)
+        if default_ok:
+            harness.build_scenario(cfg)
+        else:
+            with pytest.raises(ConfigError):
+                harness.build_scenario(cfg)
+
 
 class TestInitialPlacement:
     def test_seed_repeatability(self, scenario):
@@ -209,6 +224,16 @@ class TestRunPreset:
         assert trace_rows
         assert {"iteration", "block", "wsr_bits"} <= set(trace_rows[0])
 
+    def test_unreachable_sweep_point_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        # trend reaches gamma0 <= 7.1e-5, so the second point of {1e-5, 1e-4} fails
+        def no_trials(spec):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        cfg = _tiny_cfg(tmp_path, preset="gamma0", sweep=(1e-5, 1e-4))
+        with pytest.raises(ConfigError, match="gamma0=0.0001 is unreachable"):
+            harness.run_preset(cfg)
+
     def test_gradcheck_preset_rows(self, tmp_path):
         cfg = _tiny_cfg(tmp_path, preset="gradcheck", gradcheck_configs=1)
         rows, _, n_failed = harness.run_preset(cfg)
@@ -221,6 +246,14 @@ class TestCli:
         rc = cli.main(["--preset", "weights", "--trials", "0",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_full_profile_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "full.csv"
+        rc = cli.main(["--profile", "full", "--preset", "weights", "--trials", "1",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "highest reachable gamma0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_small_run_exit_zero(self, tmp_path):
         out = tmp_path / "cli.csv"

@@ -191,7 +191,7 @@ class TestAlignedGeometryZeros:
         g_bs = lp.grad_bs_rate_lp(sc, pl, ch, st.W, st.v, 0)
         np.testing.assert_allclose(g_bs, -g_user, rtol=1e-12)
 
-    def test_bs_sinr_deficit_zfero_when_unconstrained(self, scenario, placement, channels):
+    def test_bs_sinr_deficit_zero_when_unconstrained(self, scenario, placement, channels):
         st = LpState(W=[np.zeros((scenario.n_t, scenario.n_u), dtype=complex)
                         for _ in range(scenario.n_users)],
                      v=np.zeros(scenario.n_t, dtype=complex),

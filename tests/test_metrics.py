@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfisac import geometry, metrics, verify
-from nfisac.errors import ContractViolation, RankDeficiencyError
+from nfisac.errors import ContractViolation, NumericalError, RankDeficiencyError
 from nfisac.metrics import (
     LpState, sinr_deficit_lp, sinr_deficit_zf, rate_lp, rate_zf, sinr_lp, sinr_zf, wsr,
     zf_precoder,
@@ -21,6 +21,47 @@ def _scalar_channels(h, sigma_user, sigma_radar=1.0):
         f_r=np.array([1.0 + 0j]), rho=np.array([abs(h)]), rho_s=1.0,
         noise_user=np.array([sigma_user]), noise_radar=sigma_radar)
     return base
+
+
+def _random_hpd_stack(rng, shape, n):
+    X = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    return X @ np.swapaxes(X.conj(), -1, -2) + 0.1 * np.eye(n)
+
+
+class TestLogdetHpd:
+    def test_stack_matches_slices_bitwise(self):
+        rng = np.random.Generator(np.random.Philox(key=[41, 0]))
+        for shape, n in (((3,), 2), ((5,), 4), ((2, 3), 8)):
+            M = _random_hpd_stack(rng, shape, n)
+            vals, flag = metrics.logdet_hpd(M)
+            assert vals.shape == shape and not flag
+            for idx in np.ndindex(*shape):
+                ld, f = metrics.logdet_hpd(M[idx])
+                assert isinstance(ld, float) and not f
+                assert vals[idx] == ld
+                assert ld == pytest.approx(np.linalg.slogdet(M[idx])[1], rel=1e-12)
+
+    def test_jitter_only_on_the_failing_slice(self):
+        rng = np.random.Generator(np.random.Philox(key=[41, 1]))
+        M = _random_hpd_stack(rng, (3,), 2)
+        M[1] = np.diag([2.0, 0.0])          # PSD but singular: plain Cholesky fails
+        vals, flag = metrics.logdet_hpd(M)
+        assert flag
+        jittered, f1 = metrics.logdet_hpd(M[1])
+        assert f1 and vals[1] == jittered
+        assert jittered == pytest.approx(math.log(2.0 + 1e-14) + math.log(1e-14), rel=1e-12)
+        for i in (0, 2):
+            ld, f = metrics.logdet_hpd(M[i])
+            assert not f and vals[i] == ld
+
+    def test_indefinite_slice_raises(self):
+        rng = np.random.Generator(np.random.Philox(key=[41, 2]))
+        M = _random_hpd_stack(rng, (2,), 2)
+        M[0] = np.diag([1.0, -1.0])         # jitter is 0 here: still indefinite
+        with pytest.raises(NumericalError):
+            metrics.logdet_hpd(M)
+        with pytest.raises(NumericalError):
+            metrics.logdet_hpd(M[0])
 
 
 class TestRateLp:

@@ -228,6 +228,115 @@ def _cov_sub(scenario, channels, state, V0, zeta=1.0, gamma0=None, mode="lp",
                                 P=zf_state.P)
 
 
+def _scalar_cov_sub():
+    """K = 1, N_t = 1 LP covariance subproblem with hand-picked numbers."""
+    from nfisac import geometry
+    ch = geometry.ChannelSet(
+        H=(np.array([[0.9 + 0.2j]]),), G=np.array([[1.0 + 0j]]),
+        f_t=np.array([1.0 + 0j]), f_r=np.array([1.0 + 0j]),
+        rho=np.array([0.92]), rho_s=1.0,
+        noise_user=np.array([0.4]), noise_radar=1.0)
+    W = [np.array([[1.1 - 0.3j]])]
+    V0 = np.array([[0.5 + 0j]])
+    return CovarianceSubproblem("lp", ch, V0, np.array([1.0]), 0.0,
+                                np.array([1.0 + 0j]), zeta=1.0, W=W), ch, W
+
+
+class _PerUserCovariance:
+    """Per-user loop form of the covariance surrogate, kept as the reference
+    for the stacked CovarianceSubproblem: same arithmetic, one user at a time."""
+
+    def __init__(self, sub, channels, W=None, gain=None):
+        self.sub, self.H = sub, channels.H
+        self.offs, self.taylor, self.c0 = [], [], []
+        for k, Hk in enumerate(self.H):
+            n_u = Hk.shape[0]
+            sig = channels.noise_user[k]
+            HVH = Hk @ sub.V0 @ Hk.conj().T
+            if W is not None:
+                C = sig * np.eye(n_u, dtype=complex)
+                for j in range(len(self.H)):
+                    if j != k:
+                        S = Hk @ W[j]
+                        C += S @ S.conj().T
+                Sk = Hk @ W[k]
+                self.offs.append(C + Sk @ Sk.conj().T)
+                B0 = C + HVH
+            else:
+                self.offs.append((gain**2 + sig) * np.eye(n_u, dtype=complex))
+                B0 = sig * np.eye(n_u, dtype=complex) + HVH
+            self.c0.append(metrics.logdet_hpd(B0)[0])
+            self.taylor.append(Hk.conj().T @ np.linalg.solve(B0, Hk))
+
+    def bound_values(self, V):
+        out = np.zeros(len(self.H))
+        for k, Hk in enumerate(self.H):
+            ld, _ = metrics.logdet_hpd(self.offs[k] + Hk @ V @ Hk.conj().T)
+            out[k] = ld - self.c0[k] - float(np.real(np.trace(self.taylor[k] @ (V - self.sub.V0))))
+        return out
+
+    def objective_and_grad(self, V):
+        sub = self.sub
+        val = sub.zeta * sub.penalty(V)
+        grad = np.array(sub._pen_grad, copy=True)
+        for k, Hk in enumerate(self.H):
+            Bk = self.offs[k] + Hk @ V @ Hk.conj().T
+            ld, _ = metrics.logdet_hpd(Bk)
+            val += sub.weights[k] * (
+                ld - self.c0[k]
+                - float(np.real(np.trace(self.taylor[k] @ (V - sub.V0)))))
+            grad += sub.weights[k] * (Hk.conj().T @ np.linalg.solve(Bk, Hk)
+                                      - self.taylor[k])
+        return val, 0.5 * (grad + grad.conj().T)
+
+
+def _assert_matches_per_user(sub, ref, Vs):
+    assert np.array_equal(sub.offs, np.stack(ref.offs))
+    assert np.array_equal(sub.c0, np.array(ref.c0))
+    assert np.array_equal(sub.taylor, np.stack(ref.taylor))
+    for V in Vs:
+        assert np.array_equal(sub.bound_values(V), ref.bound_values(V))
+        val, grad = sub.objective_and_grad(V)
+        val_ref, grad_ref = ref.objective_and_grad(V)
+        assert val == val_ref
+        assert np.array_equal(grad, grad_ref)
+
+
+def _random_psd(rng, n, count):
+    """Random PSD covariances of rank 1..n with trace in [0, 1]."""
+    out = []
+    for _ in range(count):
+        r = rng.integers(1, n + 1)
+        X = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        V = X @ X.conj().T
+        out.append(V * rng.uniform(0, 1) / np.real(np.trace(V)))
+    return out
+
+
+class TestStackedCovariance:
+    """The stacked evaluation equals the per-user loop bit for bit."""
+
+    def test_lp_matches_per_user_loop(self, scenario, channels, lp_state):
+        V0 = np.outer(lp_state.v, lp_state.v.conj())
+        sub = _cov_sub(scenario, channels, lp_state, V0)
+        ref = _PerUserCovariance(sub, channels, W=lp_state.W)
+        rng = np.random.Generator(np.random.Philox(key=[43, 0]))
+        _assert_matches_per_user(sub, ref, [V0] + _random_psd(rng, scenario.n_t, 50))
+
+    def test_zf_matches_per_user_loop(self, scenario, channels, zf_state):
+        V0 = 0.5 * np.outer(zf_state.v, zf_state.v.conj())
+        sub = _cov_sub(scenario, channels, None, V0, mode="zf", zf_state=zf_state)
+        ref = _PerUserCovariance(sub, channels, gain=zf_state.gain)
+        rng = np.random.Generator(np.random.Philox(key=[43, 1]))
+        _assert_matches_per_user(sub, ref, [V0] + _random_psd(rng, scenario.n_t, 50))
+
+    def test_scalar_channel_matches_per_user_loop(self):
+        sub, ch, W = _scalar_cov_sub()
+        ref = _PerUserCovariance(sub, ch, W=W)
+        _assert_matches_per_user(
+            sub, ref, [np.array([[g + 0j]]) for g in np.linspace(0.0, 1.0, 41)])
+
+
 class TestCovarianceSurrogate:
     def test_lp_bound_tight_and_global(self, scenario, channels, lp_state):
         V0 = np.outer(lp_state.v, lp_state.v.conj())
@@ -279,16 +388,7 @@ class TestCovarianceSolve:
 
     def test_scalar_grid_oracle(self):
         # N_t = 1: V is a scalar in [0, 1]
-        from nfisac import geometry
-        ch = geometry.ChannelSet(
-            H=(np.array([[0.9 + 0.2j]]),), G=np.array([[1.0 + 0j]]),
-            f_t=np.array([1.0 + 0j]), f_r=np.array([1.0 + 0j]),
-            rho=np.array([0.92]), rho_s=1.0,
-            noise_user=np.array([0.4]), noise_radar=1.0)
-        W = [np.array([[1.1 - 0.3j]])]
-        V0 = np.array([[0.5 + 0j]])
-        sub = CovarianceSubproblem("lp", ch, V0, np.array([1.0]), 0.0,
-                                   np.array([1.0 + 0j]), zeta=1.0, W=W)
+        sub, _, _ = _scalar_cov_sub()
         V = solve_covariance_subproblem(sub, SubParams())
         grid = np.linspace(0, 1, 20001)
         vals = [sub.objective(np.array([[g + 0j]])) for g in grid]
