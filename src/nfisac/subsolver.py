@@ -81,17 +81,24 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
                 fw_oracle=None):
     """Projected gradient ascent with an Armijo-Goldstein backtracked step.
 
-    ``value_grad(x)`` returns (objective, conjugate gradient, *aux); the
-    accepted gradient step is doubled for the next iteration, a rejected one
-    halved.  ``accept_ok(x, val)``, when given, can veto a candidate (used
-    to reject constraint-violating polish steps).
+    ``value_grad(x)`` returns (objective, conjugate gradient, *aux).  Each
+    try backtracks by ``tau`` from its start step; an accepted gradient step
+    s starts the next gradient try at 2 s.  ``accept_ok(x, val)``, when
+    given, can veto a candidate (used to reject constraint-violating polish
+    steps).
 
     ``fw_oracle(x, g)``, when given, returns a feasible-direction candidate
-    (an in-set extreme point minus x) that is tried with a unit initial step
-    before the gradient step.  On the PSD trace ball, plain projected steps
-    rotate the leading eigenspace very slowly because eigenvalue clipping
-    absorbs most of the movement; the conditional-gradient direction fixes
-    that.  Returns (x, objective, step).
+    (an in-set extreme point minus x), tried on every other iteration before
+    the gradient step, with at most 16 step sizes.  On the PSD trace ball,
+    plain projected steps rotate the leading eigenspace very slowly because
+    eigenvalue clipping absorbs most of the movement; the conditional-
+    gradient direction fixes that.  Its step is warm-started the same way
+    within one call: the first try starts at 1, and an accepted step s
+    starts the next try at min(1, 2 s).  The cap keeps every candidate
+    x + s d on the segment from x to the extreme point.  The FW step is not
+    carried across calls (ALM rounds, polish): that variant lowered the
+    mean ZF-MA WSR over the mc-trend benchmark pool by about 5%.
+    Returns (x, objective, step).
     """
     x = np.array(x0, copy=True)
     val = value_grad(x)
@@ -99,6 +106,7 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     if on_accept is not None:
         on_accept(x, val)
     step = step0
+    fw_step = 1.0
     for it in range(max_iters):
         accepted = False
         improve = 0.0
@@ -106,7 +114,7 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
         if fw_oracle is not None and it % 2 == 0:
             d_fw = fw_oracle(x, g)
             if d_fw is not None:
-                directions.insert(0, ("fw", d_fw, 1.0, 16))
+                directions.insert(0, ("fw", d_fw, fw_step, 16))
         for kind, d, s, tries in directions:
             for _bt in range(tries):
                 xn = project(x + s * d)
@@ -122,6 +130,8 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
                         on_accept(x, valn)
                     if kind == "grad":
                         step = s * 2.0
+                    else:
+                        fw_step = min(1.0, s * 2.0)
                     accepted = True
                     break
                 s *= tau
@@ -285,12 +295,6 @@ class PrecoderSubproblem:
             val -= float(np.real(np.trace(Ws[j].conj().T @ self.quad_sum @ Ws[j])))
         return val
 
-    def surrogate_grad(self, Ws):
-        g = np.empty_like(Ws)
-        for j in range(self.K):
-            g[j] = self.weights[j] * self.lin[j] - self.quad_sum @ Ws[j]
-        return g
-
     def surrogate_and_grad(self, Ws):
         Ws = np.asarray(Ws)
         val = float(self.weights @ self.base)
@@ -313,11 +317,6 @@ class PrecoderSubproblem:
         for j in range(self.K):
             g[j] = self.gamma0 * np.outer(self.g, self.g.conj() @ Ws[j])
         return g
-
-
-def rhat_lower_bound(sub, W):
-    """Per-user concave lower bounds on the LP rates (tight at the expansion)."""
-    return sub.per_user_bound(W)
 
 
 def solve_precoder_subproblem(sub, params=None):

@@ -7,6 +7,7 @@ N_t=8 desk arrays where the echo-power operating range spans the decade.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -17,7 +18,7 @@ import pytest
 from nfisac import geometry, harness, lp, metrics, verify, zf
 from nfisac.params import AlgoParams
 from nfisac.subsolver import (
-    CovarianceSubproblem, PrecoderSubproblem, rhat_lower_bound,
+    CovarianceSubproblem, PrecoderSubproblem,
     solve_covariance_subproblem, solve_precoder_subproblem,
 )
 from tests.conftest import desk_config
@@ -67,7 +68,7 @@ def _run_case(args):
 
 
 def _pool_map(jobs):
-    with ProcessPoolExecutor(max_workers=8) as ex:
+    with ProcessPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
         return list(ex.map(_run_case, jobs))
 
 
@@ -162,14 +163,14 @@ def test_criterion_3_sca_bound_suite(scenario):
     # precoder bound (expansion = random feasible precoders)
     sub_w = PrecoderSubproblem(ch, st.W, st.v, st.u, scenario.weights,
                                scenario.p_max, scenario.gamma0)
-    vals = rhat_lower_bound(sub_w, st.W)
+    vals = sub_w.per_user_bound(st.W)
     for k in range(scenario.n_users):
         if abs(vals[k] - metrics.rate_lp(ch, st, k)) > 1e-9:
             tight_ok = False
     for _ in range(100):
         cand = verify.random_lp_state(scenario, ch, rng,
                                       power_fraction=rng.uniform(0.05, 1.0))
-        vals = rhat_lower_bound(sub_w, cand.W)
+        vals = sub_w.per_user_bound(cand.W)
         for k in range(scenario.n_users):
             if vals[k] > metrics.rate_lp_w(ch, cand.W, st.v, k) + 1e-9:
                 bound_ok = False

@@ -6,8 +6,9 @@ import pytest
 from nfisac import metrics, verify
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
 from nfisac.subsolver import (
-    CovarianceSubproblem, PrecoderSubproblem, SubParams, leading_eigpair,
-    psd_trace_project, rhat_lower_bound, solve_covariance_subproblem,
+    CovarianceSubproblem, PrecoderSubproblem, SubParams, _pga_ascent,
+    leading_eigpair,
+    psd_trace_project, solve_covariance_subproblem,
     solve_precoder_subproblem,
 )
 
@@ -92,7 +93,7 @@ class TestPsdTraceProject:
 class TestPrecoderSurrogate:
     def test_tight_at_expansion(self, scenario, channels, lp_state):
         sub = _precoder_sub(scenario, channels, lp_state)
-        bounds = rhat_lower_bound(sub, lp_state.W)
+        bounds = sub.per_user_bound(lp_state.W)
         for k in range(scenario.n_users):
             true = metrics.rate_lp(channels, lp_state, k)
             assert bounds[k] == pytest.approx(true, abs=1e-9)
@@ -104,7 +105,7 @@ class TestPrecoderSurrogate:
             cand = verify.random_lp_state(scenario, channels, rng,
                                           power_fraction=rng.uniform(0.1, 1.0))
             cand.v = lp_state.v
-            bounds = rhat_lower_bound(sub, cand.W)
+            bounds = sub.per_user_bound(cand.W)
             for k in range(scenario.n_users):
                 true = metrics.rate_lp_w(channels, cand.W, lp_state.v, k)
                 assert bounds[k] <= true + 1e-9
@@ -112,12 +113,12 @@ class TestPrecoderSurrogate:
     def test_finite_at_zero(self, scenario, channels, lp_state):
         sub = _precoder_sub(scenario, channels, lp_state)
         zeros = [np.zeros_like(Wk) for Wk in lp_state.W]
-        assert np.all(np.isfinite(rhat_lower_bound(sub, zeros)))
+        assert np.all(np.isfinite(sub.per_user_bound(zeros)))
 
     def test_shape_mismatch_rejected(self, scenario, channels, lp_state):
         sub = _precoder_sub(scenario, channels, lp_state)
         with pytest.raises(ContractViolation):
-            rhat_lower_bound(sub, [lp_state.W[0]])
+            sub.per_user_bound([lp_state.W[0]])
 
 
 class TestPrecoderSolve:
@@ -130,7 +131,7 @@ class TestPrecoderSolve:
         power = sum(float(np.sum(np.abs(Wk) ** 2)) for Wk in W)
         assert power == pytest.approx(scenario.p_max, rel=1e-4)
         # KKT: surrogate gradient parallel to the power-constraint gradient
-        g = sub.surrogate_grad(np.stack(W))
+        g = sub.surrogate_and_grad(np.stack(W))[1]
         Ws = np.stack(W)
         mu = float(np.real(np.vdot(Ws, g)) / np.real(np.vdot(Ws, Ws)))
         resid = np.linalg.norm(g - mu * Ws) / np.linalg.norm(g)
@@ -435,3 +436,136 @@ class TestCovarianceSolve:
             pytest.skip("random start happened to be feasible")
         V = solve_covariance_subproblem(sub, SubParams())
         assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
+
+
+class _StepRecorder:
+    """Stubs for `_pga_ascent` on the box [-1, 1]^2 with a concave quadratic.
+
+    ``fw_oracle`` returns the box vertex that maximizes the linearized gain,
+    minus x; every third call returns the reverse, a descent direction whose
+    try must fail.  ``project`` sees each candidate x + s d before clipping,
+    so it recovers s and which direction d (FW or gradient) was tried;
+    ``on_accept`` marks the accepted candidates.
+    """
+
+    center = np.array([0.3, -0.2])
+    curv = np.array([1.0, 4.0])
+
+    def __init__(self):
+        self.events = []
+        self.x = self.g = self.d_fw = None
+        self.fw_calls = 0
+
+    def value_grad(self, x):
+        r = x - self.center
+        return -float(np.sum(self.curv * r * r)), -2.0 * self.curv * r
+
+    def fw_oracle(self, x, g):
+        self.fw_calls += 1
+        self.d_fw = np.where(g >= 0.0, 1.0, -1.0) - x
+        if self.fw_calls % 3 == 0:
+            self.d_fw = -self.d_fw
+        return self.d_fw
+
+    def on_accept(self, x, val):
+        self.x, self.g, self.d_fw = x.copy(), val[1], None
+        if self.events:
+            self.events.append(("accept",))
+
+    def project(self, z):
+        delta = z - self.x
+        kinds = []
+        for kind, d in (("fw", self.d_fw), ("grad", self.g)):
+            if d is None:
+                continue
+            s = float(d @ delta) / float(d @ d)
+            if np.linalg.norm(delta - s * d) <= 1e-8 * np.linalg.norm(delta):
+                kinds.append((kind, s))
+        assert len(kinds) == 1, "candidate direction is ambiguous"
+        self.events.append(kinds[0])
+        return np.clip(z, -1.0, 1.0)
+
+    def tries(self):
+        """Group the candidates into tries: (kind, [steps], accepted)."""
+        out = []
+        for ev in self.events:
+            if ev[0] == "accept":
+                out[-1][2] = True
+            elif out and not out[-1][2] and out[-1][0] == ev[0] \
+                    and ev[1] == pytest.approx(0.5 * out[-1][1][-1], rel=1e-9):
+                out[-1][1].append(ev[1])
+            else:
+                out.append([ev[0], [ev[1]], False])
+        return out
+
+
+class TestPgaStepRule:
+    """`_pga_ascent` warm-starts both the gradient and the FW step."""
+
+    step0 = 0.05
+
+    def _run(self):
+        rec = _StepRecorder()
+        _pga_ascent(np.array([-0.9, 0.8]), rec.value_grad, rec.project,
+                    self.step0, max_iters=20, tau=0.5, armijo=1e-4,
+                    rel_tol=0.0, max_backtracks=80, on_accept=rec.on_accept,
+                    fw_oracle=rec.fw_oracle)
+        return rec.tries()
+
+    def test_fw_step_warm_start(self):
+        fw = [t for t in self._run() if t[0] == "fw"]
+        assert len(fw) >= 5
+        assert fw[0][1][0] == 1.0
+        last = None
+        for _kind, steps, accepted in fw:
+            assert len(steps) <= 16
+            expect = 1.0 if last is None else min(1.0, 2.0 * last)
+            assert steps[0] == pytest.approx(expect, rel=1e-9)
+            assert steps[0] <= 1.0 + 1e-12
+            if accepted:
+                last = steps[-1]
+        # the rule is exercised: some try starts below 1, some is capped,
+        # and some fails after 16 steps without moving the start
+        assert any(t[1][0] < 0.5 for t in fw)
+        assert any(t[2] and t[1][-1] >= 0.5 for t in fw[:-1])
+        assert any(not t[2] and len(t[1]) == 16 for t in fw[:-1])
+
+    def test_grad_step_rule_unchanged(self):
+        grad = [t for t in self._run() if t[0] == "grad"]
+        assert len(grad) >= 5
+        assert grad[0][1][0] == pytest.approx(self.step0, rel=1e-9)
+        for prev, cur in zip(grad, grad[1:]):
+            assert prev[2]
+            assert cur[1][0] == pytest.approx(2.0 * prev[1][-1], rel=1e-9)
+        assert all(len(t[1]) <= 80 for t in grad)
+
+
+class TestCovarianceSolveCost:
+    """One covariance solve on the conftest fixtures stays cheap and feasible."""
+
+    MAX_EVALS = 450
+
+    def _solve_counted(self, sub):
+        calls = [0]
+        inner = sub.objective_and_grad
+
+        def counted(V):
+            calls[0] += 1
+            return inner(V)
+
+        sub.objective_and_grad = counted
+        V = solve_covariance_subproblem(sub, SubParams())
+        assert calls[0] <= self.MAX_EVALS
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
+        vals = np.linalg.eigvalsh(V)
+        assert vals.min() >= -1e-12
+        assert vals.sum() <= 1.0 + 1e-12
+
+    def test_lp_eval_count(self, scenario, channels, lp_state):
+        V0 = np.outer(lp_state.v, lp_state.v.conj())
+        self._solve_counted(_cov_sub(scenario, channels, lp_state, V0))
+
+    def test_zf_eval_count(self, scenario, channels, zf_state):
+        V0 = np.outer(zf_state.v, zf_state.v.conj())
+        self._solve_counted(_cov_sub(scenario, channels, None, V0, mode="zf",
+                                     zf_state=zf_state))
