@@ -1,0 +1,291 @@
+"""Alternating-optimization engine shared by the LP and ZF stacks.
+
+One copy each of the AO loop with its block gate, the SCA sensing-beam loop
+and the ALM/PGM position loop.  A stack supplies only what is
+scheme-specific: its initial state, a snapshot of rates, sensing SINR and
+SINR deficit, its receive combiner, its blocks, and the subproblem,
+deficit and gradient functions the two inner loops call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import geometry, metrics
+from .errors import (
+    InfeasibleSubproblemError, NumericalError, OptimizationAbort,
+    RankDeficiencyError,
+)
+
+
+@dataclass
+class RunResult:
+    state: object
+    placement: geometry.Placement
+    channels: geometry.ChannelSet
+    trace: list
+    outer_iters: int
+    converged: bool
+    wsr: float                       # nats
+    rates: np.ndarray
+    gamma_s: float
+    sinr_deficit_scaled: float
+    rank_flags: int = 0
+    block_rejects: int = 0
+    flags: tuple = ()
+
+
+@dataclass
+class AlmInfo:
+    outer_rounds: int = 0
+    inner_steps: int = 0
+    sinr_deficit_scaled: float = 0.0
+    line_search_exhausted: bool = False
+
+
+def initial_sense_beam(channels, deficit_of_v, tol):
+    """Feasible unit beam with the least user interference.
+
+    Starts from the bottom eigenvector of sum_k H_k^H H_k and blends toward
+    the target response only as far as the sensing constraint requires
+    (bisection on the normalized blend; the deficit decreases monotonically toward
+    the aligned end after phase-matching the two endpoints).  Starting
+    instead fully aligned parks the whole run at maximum echo power whenever
+    the interference incentive per SCA round is small, hiding the
+    sensing/communication trade-off.
+    """
+    gram = sum(Hk.conj().T @ Hk for Hk in channels.H)
+    _, vecs = np.linalg.eigh(gram)
+    v_min = vecs[:, 0]
+    if deficit_of_v(v_min) <= tol:
+        return v_min
+    v_max = channels.f_t / np.linalg.norm(channels.f_t)
+    if deficit_of_v(v_max) > tol:
+        return v_max                      # nothing feasible; caller handles
+    a0 = np.vdot(v_max, v_min)
+    if abs(a0) > 0:
+        v_min = v_min * (np.conj(a0) / abs(a0))
+
+    def blend(alpha):
+        v = (1.0 - alpha) * v_min + alpha * v_max
+        return v / np.linalg.norm(v)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if deficit_of_v(blend(mid)) <= 0.5 * tol:
+            hi = mid
+        else:
+            lo = mid
+    return blend(hi)
+
+
+# ---------------------------------------------------------------------------
+# SCA sensing-beam loop
+
+def sense_beam(channels, v, weights, gamma0, params, make_sub, deficit_of_v,
+               solve, eigpair):
+    """SCA + rank-1 penalty update of the sensing transmit beamformer.
+
+    ``make_sub(V)`` builds the stack's covariance subproblem around V;
+    ``solve`` and ``eigpair`` are the stack's subproblem solver and
+    eigen-extraction.  Returns (v, rank_ratio, flags).  The eigen-extracted
+    vector is renormalized to unit norm, which can only decrease the SINR
+    deficit; if even the renormalized vector is infeasible the scaled vector
+    is returned and flagged for the caller.
+    """
+    V = np.outer(v, v.conj())
+    prev_bar = None
+    for _ in range(params.sca_max):
+        sub = make_sub(V)
+        V = solve(sub, params.sub)
+        bar = float(np.asarray(weights) @ sub.bound_values(V))
+        if prev_bar is not None and bar - prev_bar < params.eps_s:
+            break
+        prev_bar = bar
+    beta_max, chi = eigpair(V)
+    tr = float(np.real(np.trace(V)))
+    ratio = beta_max / tr if tr > 0 else 1.0
+    flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
+    tol = params.tol_feas * metrics.sinr_deficit_scale(channels, gamma0)
+    v_unit = chi / np.linalg.norm(chi)
+    if deficit_of_v(v_unit) <= tol:
+        return v_unit, ratio, flags
+    flags.append("v_not_renormalized")
+    return np.sqrt(max(beta_max, 0.0)) * chi, ratio, flags
+
+
+# ---------------------------------------------------------------------------
+# ALM/PGM position loop
+
+def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
+    """ALM over one antenna array: inner PGM on the penalized objective
+    -WSR + eta*kap + p/2*kap^2, then multiplier/penalty updates, until the
+    WSR stabilizes.
+
+    The array is the BS transmit array, or user ``user``'s antennas.
+    ``start`` is (placement, channels, state, wsr, kap) at the current
+    positions, kap the scaled SINR deficit.  ``evaluate(placement, channels)``
+    gives (channels, state, wsr, kap) at a candidate placement, from the
+    current channels; a RankDeficiencyError counts as a failed line-search
+    trial.  ``descent(placement, channels, state, penalized)`` gives the
+    gradient of -WSR and, when penalized, of the scaled deficit (else None).
+    Returns (placement, channels, state, eta, info); eta persists across
+    calls as warm-start dual information.
+    """
+    pl, ch, st, wsr_c, kap = start
+    if user is None:
+        region, pos, step0 = scenario.tx_region, pl.t, params.nu0
+    else:
+        region, pos, step0 = scenario.user_regions[user], pl.q[user], params.alpha0
+    info = AlmInfo(sinr_deficit_scaled=kap)
+    p0 = params.p0
+    wsr_prev = wsr_c
+    for outer in range(params.alm_max_outer):
+        p = 0.0 if (kap <= 0.0 and eta == 0.0) else p0
+        penalized = eta != 0.0 or p != 0.0
+
+        def lagrangian(w, k):
+            return -w + eta * k + 0.5 * p * k * k
+
+        L_cur = lagrangian(wsr_c, kap)
+        step = step0
+        for _n in range(params.inner_pgm_max):
+            grad, g_def = descent(pl, ch, st, penalized)
+            if penalized:
+                grad = grad + (eta + p * kap) * g_def
+            s = step
+            accepted = False
+            for _ls in range(params.max_ls):
+                cand = pos.copy()
+                cand[:, :2] = pos[:, :2] - s * grad
+                cand = geometry.project_points_to_region(cand, region)
+                delta2 = float(np.sum((cand - pos) ** 2))
+                if delta2 == 0.0:
+                    break
+                if not geometry.min_spacing_ok(cand, scenario.d_min):
+                    s *= params.tau
+                    continue
+                pl_c = pl.with_t(cand) if user is None else pl.with_q(user, cand)
+                try:
+                    ch_c, st_c, wsr_cc, kap_c = evaluate(pl_c, ch)
+                except RankDeficiencyError:
+                    s *= params.tau
+                    continue
+                L_c = lagrangian(wsr_cc, kap_c)
+                if L_cur - L_c >= params.delta * delta2:
+                    pos, pl, ch, st, wsr_c, kap = cand, pl_c, ch_c, st_c, wsr_cc, kap_c
+                    L_prev, L_cur = L_cur, L_c
+                    step = s * 2.0
+                    accepted = True
+                    info.inner_steps += 1
+                    break
+                s *= params.tau
+            if not accepted:
+                info.line_search_exhausted = True
+                break
+            denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
+            if abs(L_prev - L_cur) / denom < params.eps_l:
+                break
+        eta = max(0.0, eta + p0 * kap)
+        p0 = min(p0 * params.theta, params.p_cap)
+        info.outer_rounds = outer + 1
+        if abs(wsr_c - wsr_prev) < params.eps_f and (kap <= params.tol_feas or eta == 0.0):
+            break
+        wsr_prev = wsr_c
+    info.sinr_deficit_scaled = kap
+    return pl, ch, st, eta, info
+
+
+# ---------------------------------------------------------------------------
+# the alternating-optimization loop
+
+def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max, params):
+    """The block gate: the candidate keeps the power budget and the unit
+    combiner and beam norms, does not worsen a violated sensing constraint,
+    and does not lose WSR."""
+    return (cand.power() <= p_max * (1.0 + 1e-6)
+            and abs(np.linalg.norm(cand.u) - 1.0) <= 1e-9
+            and np.linalg.norm(cand.v) <= 1.0 + 1e-9
+            and c_kap <= max(params.tol_feas, kap)
+            and c_wsr >= wsr_cur - params.wsr_slack)
+
+
+def run(scenario, placement, params, initial_state, snapshot, combiner, blocks):
+    """Alternating optimization: the combiner, then each block in turn,
+    until the WSR change across an outer iteration falls below eps_f.
+
+    ``initial_state(scenario, channels, params)`` gives the warm start;
+    ``snapshot(channels, state, gamma0)`` gives (rates, gamma_s, deficit);
+    ``combiner(channels, state)`` gives the new receive combiner, which
+    leaves every rate unchanged.  ``blocks`` lists (name, block) pairs, and
+    ``block(placement, channels, state)`` gives a candidate
+    (placement, channels, state, flags).  A candidate is adopted only if it
+    passes the block gate; otherwise the previous iterate is retained, which
+    makes the recorded WSR trace non-decreasing by construction.  Two
+    consecutive loops with a failed block raise OptimizationAbort.
+    """
+    placement.validate(scenario)
+    channels = geometry.build_channels(scenario, placement)
+    scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
+
+    def measure(ch, st):
+        rates, gam, deficit = snapshot(ch, st, scenario.gamma0)
+        return rates, float(np.asarray(scenario.weights) @ rates), gam, deficit / scale
+
+    state = initial_state(scenario, channels, params)
+    rates, wsr_cur, gam, kap = measure(channels, state)
+    run_flags = set()
+    if kap > params.tol_feas:
+        run_flags.add("initial_sinr_infeasible")
+    trace = [metrics.TraceRecord(0, "init", wsr_cur, gam, kap * scale,
+                                 state.power(), tuple(rates))]
+
+    def record(block):
+        trace.append(metrics.TraceRecord(outer, block, wsr_cur, gam, kap * scale,
+                                         state.power(), tuple(rates)))
+
+    rank_flags = 0
+    rejects = 0
+    fail_streak = 0
+    converged = False
+    outer = 0
+    for outer in range(1, params.max_outer + 1):
+        wsr_start = wsr_cur
+        loop_failed = False
+        state.u = combiner(channels, state)
+        rates, wsr_cur, gam, kap = measure(channels, state)
+        record("u")
+
+        for name, block in blocks:
+            try:
+                pl_c, ch_c, cand, flags = block(placement, channels, state)
+                if "rank1_ratio_low" in flags:
+                    rank_flags += 1
+                c_rates, c_wsr, c_gam, c_kap = measure(ch_c, cand)
+                if _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, scenario.p_max, params):
+                    placement, channels, state = pl_c, ch_c, cand
+                    rates, wsr_cur, gam, kap = c_rates, c_wsr, c_gam, c_kap
+                else:
+                    rejects += 1
+                    flags = [*flags, f"{name}_block_rejected"]
+                run_flags.update(flags)
+            except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
+                loop_failed = True
+            record(name)
+
+        fail_streak = fail_streak + 1 if loop_failed else 0
+        if fail_streak >= 2:
+            raise OptimizationAbort(
+                f"two consecutive failed AO loops at iteration {outer}")
+        if abs(wsr_cur - wsr_start) < params.eps_f:
+            converged = True
+            break
+
+    return RunResult(state=state, placement=placement, channels=channels,
+                     trace=trace, outer_iters=outer, converged=converged,
+                     wsr=wsr_cur, rates=rates, gamma_s=gam, sinr_deficit_scaled=kap,
+                     rank_flags=rank_flags, block_rejects=rejects,
+                     flags=tuple(sorted(run_flags)))

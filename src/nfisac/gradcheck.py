@@ -78,10 +78,6 @@ def check(analytic_fn, scalar_fn, points, h=DEFAULT_H, tol_rel=DEFAULT_TOL_REL,
     return reports
 
 
-def all_pass(reports):
-    return all(r.passed for r in reports)
-
-
 def reports_to_rows(name, reports):
     """Flatten reports into (check, point, coord, analytic, fd, abs, rel, pass) rows."""
     rows = []

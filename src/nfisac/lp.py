@@ -1,20 +1,19 @@
 """Linear-precoding solution stack.
 
-Blocks, in the order the alternating loop visits them: closed-form receive
-combiner, SCA precoder update, SCA sensing-beamformer update (rank-1 via
-eigen-extraction of a penalized covariance), per-user projected gradient
-ascent on the antenna positions, and an augmented-Lagrangian loop on the BS
-transmit positions.  Analytic position gradients live here too.
+The scheme-specific parts of the alternating optimization in ``ao``: the
+closed-form receive combiner, the SCA precoder update, the covariance
+subproblem of the sensing beam, per-user projected gradient ascent on the
+antenna positions (its own loop: it stops on a relative rate gain), the
+BS-position gradients and candidate evaluation for the shared ALM loop,
+and the sensing-aware warm start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import geometry, metrics
-from .errors import InfeasibleSubproblemError, NumericalError, OptimizationAbort, ScenarioError
+from . import ao, geometry, metrics
+from .errors import ScenarioError
 from .params import AlgoParams
 from .subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, leading_eigpair,
@@ -137,33 +136,18 @@ def optimize_precoders(channels, state, weights, p_max, gamma0, params=None):
 def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
     """SCA + rank-1 penalty update of the sensing transmit beamformer.
 
-    Returns (v, rank_ratio, flags).  The eigen-extracted vector is
-    renormalized to unit norm, which can only decrease sinr_deficit_lp; if even the
-    renormalized vector is infeasible the result is flagged for the caller.
+    Returns (v, rank_ratio, flags); see ``ao.sense_beam``.
     """
-    params = params or AlgoParams()
-    V = np.outer(state.v, state.v.conj())
-    prev_bar = None
-    for _ in range(params.sca_max):
-        sub = CovarianceSubproblem("lp", channels, V, weights, gamma0, state.u,
-                                   zeta, W=state.W)
-        V = solve_covariance_subproblem(sub, params.sub)
-        bar = float(np.asarray(weights) @ sub.bound_values(V))
-        if prev_bar is not None and bar - prev_bar < params.eps_s:
-            break
-        prev_bar = bar
-    beta_max, chi = leading_eigpair(V)
-    tr = float(np.real(np.trace(V)))
-    ratio = beta_max / tr if tr > 0 else 1.0
-    flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
-    tol = params.tol_feas * scale
-    v_unit = chi / np.linalg.norm(chi)
-    if metrics.sinr_deficit_lp_w(channels, state.W, v_unit, state.u, gamma0) <= tol:
-        return v_unit, ratio, flags
-    v_scaled = np.sqrt(max(beta_max, 0.0)) * chi
-    flags.append("v_not_renormalized")
-    return v_scaled, ratio, flags
+    def make_sub(V):
+        return CovarianceSubproblem("lp", channels, V, weights, gamma0, state.u,
+                                    zeta, W=state.W)
+
+    def deficit_of_v(v):
+        return metrics.sinr_deficit_lp_w(channels, state.W, v, state.u, gamma0)
+
+    return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
+                         make_sub, deficit_of_v, solve_covariance_subproblem,
+                         leading_eigpair)
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +198,10 @@ def optimize_user_positions(scenario, placement, channels, state, k, params=None
     return placement, channels, steps
 
 
-@dataclass
-class AlmInfo:
-    outer_rounds: int = 0
-    inner_steps: int = 0
-    sinr_deficit_scaled: float = 0.0
-    line_search_exhausted: bool = False
-
-
-def _lp_eval_t(scenario, placement, t, W, v, u, weights, gamma0, scale):
-    pl = placement.with_t(t)
-    ch = geometry.build_channels(scenario, pl)
-    rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
-    kap = metrics.sinr_deficit_lp_w(ch, W, v, u, gamma0) / scale
-    return pl, ch, rates, float(np.asarray(weights) @ rates), kap
-
-
 def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
                               gamma0, params=None, eta=0.0):
-    """ALM over the BS transmit positions: inner PGM on the penalized
-    objective, then multiplier/penalty updates, until the WSR stabilizes.
+    """ALM over the BS transmit positions (``ao.alm_positions``); every
+    candidate rebuilds the channels, the precoders stay fixed.
 
     Returns (placement, channels, eta, info); eta persists across calls as
     warm-start dual information.
@@ -241,122 +209,29 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
     params = params or AlgoParams()
     scale = metrics.sinr_deficit_scale(channels, gamma0)
     W, v, u = state.W, state.v, state.u
-    t = placement.t
-    pl, ch, rates, wsr_c, kap = _lp_eval_t(
-        scenario, placement, t, W, v, u, weights, gamma0, scale)
-    info = AlmInfo(sinr_deficit_scaled=kap)
-    p0 = params.p0
-    wsr_prev = wsr_c
-    for outer in range(params.alm_max_outer):
-        p = 0.0 if (kap <= 0.0 and eta == 0.0) else p0
 
-        def lagrangian(wsr_val, kap_val):
-            return -wsr_val + eta * kap_val + 0.5 * p * kap_val * kap_val
+    def evaluate(pl, _ch):
+        ch = geometry.build_channels(scenario, pl)
+        rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
+        kap = metrics.sinr_deficit_lp_w(ch, W, v, u, gamma0) / scale
+        return ch, state, float(np.asarray(weights) @ rates), kap
 
-        L_cur = lagrangian(wsr_c, kap)
-        nu = params.nu0
-        for _n in range(params.inner_pgm_max):
-            grad = np.zeros((scenario.n_t, 2))
-            for k in range(scenario.n_users):
-                grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, v, k)
-            if eta != 0.0 or p != 0.0:
-                gk = grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0) / scale
-                grad += (eta + p * kap) * gk
-            s = nu
-            accepted = False
-            for _ls in range(params.max_ls):
-                tc = t.copy()
-                tc[:, :2] = t[:, :2] - s * grad
-                tc = geometry.project_points_to_region(tc, scenario.tx_region)
-                delta2 = float(np.sum((tc - t) ** 2))
-                if delta2 == 0.0:
-                    break
-                if not geometry.min_spacing_ok(tc, scenario.d_min):
-                    s *= params.tau
-                    continue
-                pl_c, ch_c, rates_c, wsr_cc, kap_c = _lp_eval_t(
-                    scenario, pl, tc, W, v, u, weights, gamma0, scale)
-                L_c = lagrangian(wsr_cc, kap_c)
-                if L_cur - L_c >= params.delta * delta2:
-                    t, pl, ch, rates, wsr_c, kap = tc, pl_c, ch_c, rates_c, wsr_cc, kap_c
-                    L_prev, L_cur = L_cur, L_c
-                    nu = s * 2.0
-                    accepted = True
-                    info.inner_steps += 1
-                    break
-                s *= params.tau
-            if not accepted:
-                info.line_search_exhausted = True
-                break
-            denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
-            if abs(L_prev - L_cur) / denom < params.eps_l:
-                break
-        eta = max(0.0, eta + p0 * kap)
-        p0 = min(p0 * params.theta, params.p_cap)
-        info.outer_rounds = outer + 1
-        if abs(wsr_c - wsr_prev) < params.eps_f and (kap <= params.tol_feas or eta == 0.0):
-            break
-        wsr_prev = wsr_c
-    info.sinr_deficit_scaled = kap
+    def descent(pl, ch, st, penalized):
+        grad = np.zeros((scenario.n_t, 2))
+        for k in range(scenario.n_users):
+            grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, v, k)
+        if not penalized:
+            return grad, None
+        return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0) / scale
+
+    start = (placement, *evaluate(placement, channels))
+    pl, ch, _, eta, info = ao.alm_positions(scenario, params, eta, start,
+                                            evaluate, descent)
     return pl, ch, eta, info
 
 
 # ---------------------------------------------------------------------------
-# overall alternating optimization
-
-@dataclass
-class RunResult:
-    state: object
-    placement: geometry.Placement
-    channels: geometry.ChannelSet
-    trace: list
-    outer_iters: int
-    converged: bool
-    wsr: float                       # nats
-    rates: np.ndarray
-    gamma_s: float
-    sinr_deficit_scaled: float
-    rank_flags: int = 0
-    block_rejects: int = 0
-    flags: tuple = ()
-
-
-def initial_sense_beam(channels, deficit_of_v, tol):
-    """Feasible unit beam with the least user interference.
-
-    Starts from the bottom eigenvector of sum_k H_k^H H_k and blends toward
-    the target response only as far as the sensing constraint requires
-    (bisection on the normalized blend; the deficit decreases monotonically toward
-    the aligned end after phase-matching the two endpoints).  Starting
-    instead fully aligned parks the whole run at maximum echo power whenever
-    the interference incentive per SCA round is small, hiding the
-    sensing/communication trade-off.
-    """
-    gram = sum(Hk.conj().T @ Hk for Hk in channels.H)
-    _, vecs = np.linalg.eigh(gram)
-    v_min = vecs[:, 0]
-    if deficit_of_v(v_min) <= tol:
-        return v_min
-    v_max = channels.f_t / np.linalg.norm(channels.f_t)
-    if deficit_of_v(v_max) > tol:
-        return v_max                      # nothing feasible; caller handles
-    a0 = np.vdot(v_max, v_min)
-    if abs(a0) > 0:
-        v_min = v_min * (np.conj(a0) / abs(a0))
-
-    def blend(alpha):
-        v = (1.0 - alpha) * v_min + alpha * v_max
-        return v / np.linalg.norm(v)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if deficit_of_v(blend(mid)) <= 0.5 * tol:
-            hi = mid
-        else:
-            lo = mid
-    return blend(hi)
-
+# the stack handed to the AO engine
 
 def initial_lp_state(scenario, channels, params=None):
     """Sensing-aware warm start: conjugate-matched precoders at 90% power,
@@ -364,7 +239,8 @@ def initial_lp_state(scenario, channels, params=None):
     precoders rescaled if the sensing constraint still needs headroom."""
     params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
-    scale0 = metrics.sinr_deficit_scale(channels, scenario.gamma0)
+    scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
+    tol = params.tol_feas * scale
     gram = sum(float(np.sum(np.abs(Hk) ** 2)) for Hk in channels.H)
     c = np.sqrt(0.9 * scenario.p_max / gram)
     W = [c * Hk.conj().T for Hk in channels.H]
@@ -372,10 +248,8 @@ def initial_lp_state(scenario, channels, params=None):
     def deficit_of_v(v):
         return metrics.sinr_deficit_lp_w(channels, W, v, u0, scenario.gamma0)
 
-    v0 = initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
+    v0 = ao.initial_sense_beam(channels, deficit_of_v, tol)
     state = metrics.LpState(W=W, v=v0, u=u0)
-    scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
-    tol = params.tol_feas * scale
     kap = metrics.sinr_deficit_lp(channels, state, scenario.gamma0)
     if kap > tol:
         base = metrics.sinr_deficit_lp_w(channels, [np.zeros_like(Wk) for Wk in W],
@@ -390,142 +264,51 @@ def initial_lp_state(scenario, channels, params=None):
     return state
 
 
-def _lp_snapshot(channels, state, weights, gamma0, scale):
-    rates = metrics.lp_rates(channels, state)
-    return (rates, float(np.asarray(weights) @ rates),
-            metrics.sinr_lp(channels, state),
-            metrics.sinr_deficit_lp(channels, state, gamma0) / scale)
+def _snapshot(channels, state, gamma0):
+    return (metrics.lp_rates(channels, state), metrics.sinr_lp(channels, state),
+            metrics.sinr_deficit_lp(channels, state, gamma0))
 
 
-def _lp_feasible(state, p_max, kap_scaled, tol):
-    if state.power() > p_max * (1.0 + 1e-6):
-        return False
-    if abs(np.linalg.norm(state.u) - 1.0) > 1e-9:
-        return False
-    if np.linalg.norm(state.v) > 1.0 + 1e-9:
-        return False
-    return kap_scaled <= tol
+def _combiner(channels, state):
+    return optimal_combiner_lp(channels, state.W)
+
+
+def _blocks(scenario, params, zeta, fixed_positions):
+    """(name, block) pairs in visiting order: precoders, sensing beam, then
+    unless frozen each user's positions and the BS positions.  Module
+    functions are looked up when a block runs, not when the list is built."""
+    weights, gamma0 = scenario.weights, scenario.gamma0
+    eta = 0.0
+
+    def precoders(pl, ch, st):
+        W, _ = optimize_precoders(ch, st, weights, scenario.p_max, gamma0, params)
+        return pl, ch, metrics.LpState(W=W, v=st.v, u=st.u), ()
+
+    def beam(pl, ch, st):
+        v, _, flags = optimize_sense_beam_lp(ch, st, weights, gamma0, zeta, params)
+        return pl, ch, metrics.LpState(W=st.W, v=v, u=st.u), flags
+
+    def user(k):
+        def block(pl, ch, st):
+            pl, ch, _ = optimize_user_positions(scenario, pl, ch, st, k, params)
+            return pl, ch, st, ()
+        return block
+
+    def bs(pl, ch, st):
+        nonlocal eta
+        pl, ch, eta, _ = optimize_bs_positions_alm(scenario, pl, ch, st, weights,
+                                                   gamma0, params, eta)
+        return pl, ch, st, ()
+
+    blocks = [("W", precoders), ("v", beam)]
+    if not fixed_positions:
+        blocks += [(f"q{k}", user(k)) for k in range(scenario.n_users)] + [("t", bs)]
+    return blocks
 
 
 def run_lp(scenario, placement, params=None, zeta=1.0, fixed_positions=False):
-    """Alternating optimization for the linear-precoding scheme.
-
-    Visits u, {W_k}, v, each user's positions, then the BS positions, until
-    the WSR change across an outer iteration falls below eps_f.  A block's
-    output is only adopted if it keeps the state feasible and does not lose
-    WSR; otherwise the previous iterate is retained, which makes the
-    recorded WSR trace non-decreasing by construction.
-    """
+    """Alternating optimization for the linear-precoding scheme (``ao.run``):
+    u, {W_k}, v, each user's positions, then the BS positions."""
     params = params or AlgoParams()
-    placement.validate(scenario)
-    channels = geometry.build_channels(scenario, placement)
-    weights = scenario.weights
-    gamma0 = scenario.gamma0
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
-    tol = params.tol_feas
-
-    state = initial_lp_state(scenario, channels, params)
-    trace = []
-    rates, wsr_cur, gam, kap = _lp_snapshot(channels, state, weights, gamma0, scale)
-    trace.append(metrics.TraceRecord(0, "init", wsr_cur, gam, kap * scale,
-                                     state.power(), tuple(rates)))
-
-    eta = 0.0
-    rank_flags = 0
-    rejects = 0
-    fail_streak = 0
-    converged = False
-    outer = 0
-    run_flags = set()
-    for outer in range(1, params.max_outer + 1):
-        wsr_start = wsr_cur
-        loop_failed = False
-
-        def record(block, flags=()):
-            trace.append(metrics.TraceRecord(outer, block, wsr_cur, gam,
-                                             kap * scale, state.power(),
-                                             tuple(rates), tuple(flags)))
-
-        # receive combiner: closed form, leaves every rate unchanged
-        state.u = optimal_combiner_lp(channels, state.W)
-        rates, wsr_cur, gam, kap = _lp_snapshot(channels, state, weights, gamma0, scale)
-        record("u")
-
-        # communication precoders
-        try:
-            W_new, _ = optimize_precoders(channels, state, weights,
-                                          scenario.p_max, gamma0, params)
-            cand = metrics.LpState(W=W_new, v=state.v, u=state.u)
-            c_rates, c_wsr, c_gam, c_kap = _lp_snapshot(channels, cand, weights,
-                                                        gamma0, scale)
-            if _lp_feasible(cand, scenario.p_max, c_kap, tol) and \
-                    c_wsr >= wsr_cur - params.wsr_slack:
-                state, rates, wsr_cur, gam, kap = cand, c_rates, c_wsr, c_gam, c_kap
-            else:
-                rejects += 1
-        except (InfeasibleSubproblemError, NumericalError):
-            loop_failed = True
-        record("W")
-
-        # sensing transmit beamformer
-        try:
-            v_new, ratio, v_flags = optimize_sense_beam_lp(
-                channels, state, weights, gamma0, zeta, params)
-            if ratio < 0.99:
-                rank_flags += 1
-            cand = metrics.LpState(W=state.W, v=v_new, u=state.u)
-            c_rates, c_wsr, c_gam, c_kap = _lp_snapshot(channels, cand, weights,
-                                                        gamma0, scale)
-            if _lp_feasible(cand, scenario.p_max, c_kap, tol) and \
-                    c_wsr >= wsr_cur - params.wsr_slack:
-                state, rates, wsr_cur, gam, kap = cand, c_rates, c_wsr, c_gam, c_kap
-            else:
-                rejects += 1
-                v_flags = list(v_flags) + ["v_block_rejected"]
-            run_flags.update(v_flags)
-        except (InfeasibleSubproblemError, NumericalError):
-            loop_failed = True
-        record("v")
-
-        if not fixed_positions:
-            # user antenna positions: affect only the owner's rate, never the
-            # sensing constraint
-            for k in range(scenario.n_users):
-                placement, channels, _ = optimize_user_positions(
-                    scenario, placement, channels, state, k, params)
-                rates, wsr_cur, gam, kap = _lp_snapshot(channels, state, weights,
-                                                        gamma0, scale)
-                record(f"q{k}")
-
-            # BS transmit positions
-            try:
-                pl_c, ch_c, eta_c, info = optimize_bs_positions_alm(
-                    scenario, placement, channels, state, weights, gamma0,
-                    params, eta)
-                eta = eta_c
-                cand_rates = metrics.lp_rates(ch_c, state)
-                cand_wsr = float(weights @ cand_rates)
-                cand_kap = metrics.sinr_deficit_lp(ch_c, state, gamma0) / scale
-                if cand_kap <= tol and cand_wsr >= wsr_cur - params.wsr_slack:
-                    placement, channels = pl_c, ch_c
-                    rates, wsr_cur, gam, kap = _lp_snapshot(
-                        channels, state, weights, gamma0, scale)
-                else:
-                    rejects += 1
-            except (InfeasibleSubproblemError, NumericalError):
-                loop_failed = True
-            record("t")
-
-        fail_streak = fail_streak + 1 if loop_failed else 0
-        if fail_streak >= 2:
-            raise OptimizationAbort(
-                f"two consecutive failed AO loops at iteration {outer}")
-        if abs(wsr_cur - wsr_start) < params.eps_f:
-            converged = True
-            break
-
-    return RunResult(state=state, placement=placement, channels=channels,
-                     trace=trace, outer_iters=outer, converged=converged,
-                     wsr=wsr_cur, rates=rates, gamma_s=gam, sinr_deficit_scaled=kap,
-                     rank_flags=rank_flags, block_rejects=rejects,
-                     flags=tuple(sorted(run_flags)))
+    return ao.run(scenario, placement, params, initial_lp_state, _snapshot,
+                  _combiner, _blocks(scenario, params, zeta, fixed_positions))

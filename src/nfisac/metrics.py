@@ -48,6 +48,9 @@ class ZfState:
     gain: float
     channel_tag: int
 
+    def power(self):
+        return float(np.sum(np.abs(self.P) ** 2))
+
     def copy(self):
         return ZfState(self.v.copy(), self.u.copy(), self.P.copy(),
                        self.gain, self.channel_tag)

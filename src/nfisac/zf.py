@@ -1,22 +1,19 @@
 """Zero-forcing solution stack.
 
-Mirrors the LP loop with two structural differences: the zero-forcing
-precoder is a deterministic function of the channels (so every antenna move
-rebuilds it and its gain), and a user's positions affect all users'
-rates plus the sensing SINR, so the user position block is an augmented
-Lagrangian loop rather than plain gradient ascent.
+The scheme-specific parts of the alternating optimization in ``ao``.  The
+zero-forcing precoder is a deterministic function of the channels, so every
+antenna move rebuilds it and its gain, and there is no precoder block.  A
+user's positions affect all users' rates plus the sensing SINR, so both
+position blocks run the shared ALM loop; this module gives them their
+candidate evaluation and the analytic gradients, with ``ZfWorkspace``
+holding what the gradients share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import geometry, metrics
-from .errors import (
-    InfeasibleSubproblemError, NumericalError, OptimizationAbort,
-    RankDeficiencyError,
-)
-from .lp import AlmInfo, RunResult
+from . import ao, geometry, metrics
 from .params import AlgoParams
 from .subsolver import (
     CovarianceSubproblem, leading_eigpair, solve_covariance_subproblem,
@@ -202,154 +199,73 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws):
 # blocks
 
 def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
-    """SCA + rank-1 penalty update of v for the ZF scheme."""
-    params = params or AlgoParams()
-    V = np.outer(state.v, state.v.conj())
-    prev_bar = None
-    for _ in range(params.sca_max):
-        sub = CovarianceSubproblem("zf", channels, V, weights, gamma0, state.u,
-                                   zeta, gain=state.gain, P=state.P)
-        V = solve_covariance_subproblem(sub, params.sub)
-        bar = float(np.asarray(weights) @ sub.bound_values(V))
-        if prev_bar is not None and bar - prev_bar < params.eps_s:
-            break
-        prev_bar = bar
-    beta_max, chi = leading_eigpair(V)
-    tr = float(np.real(np.trace(V)))
-    ratio = beta_max / tr if tr > 0 else 1.0
-    flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
-    tol = params.tol_feas * scale
-    v_unit = chi / np.linalg.norm(chi)
-    if metrics.sinr_deficit_zf_p(channels, state.P, v_unit, state.u, gamma0) <= tol:
-        return v_unit, ratio, flags
-    flags.append("v_not_renormalized")
-    return np.sqrt(max(beta_max, 0.0)) * chi, ratio, flags
+    """SCA + rank-1 penalty update of v for the ZF scheme; see ``ao.sense_beam``."""
+    def make_sub(V):
+        return CovarianceSubproblem("zf", channels, V, weights, gamma0, state.u,
+                                    zeta, gain=state.gain, P=state.P)
 
+    def deficit_of_v(v):
+        return metrics.sinr_deficit_zf_p(channels, state.P, v, state.u, gamma0)
 
-def _zf_eval(scenario, placement, state, weights, gamma0, scale,
-             base_channels=None, user=None):
-    """Rates / WSR / scaled SINR deficit at a placement, precoder rebuilt fresh."""
-    if base_channels is not None and user is not None:
-        ch = geometry.rebuild_user_channel(scenario, base_channels, placement, user)
-    else:
-        ch = geometry.build_channels(scenario, placement)
-    st = metrics.make_zf_state(ch, state.v, state.u, scenario.p_max)
-    rates = metrics.zf_rates(ch, st)
-    kap = metrics.sinr_deficit_zf(ch, st, gamma0) / scale
-    return ch, st, rates, float(np.asarray(weights) @ rates), kap
+    return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
+                         make_sub, deficit_of_v, solve_covariance_subproblem,
+                         leading_eigpair)
 
 
 def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
-                      params, eta, which, user=None):
-    """Shared ALM/PGM engine for the ZF position blocks.
-
-    ``which`` selects the moving array ("user" or "bs"); every accepted step
-    recomputes the stacked channel and the ZF precoder.  A rank-deficient
-    candidate counts as a failed line-search trial.
+                      params, eta, user=None):
+    """ZF position block on ``ao.alm_positions``: user ``user``'s antennas,
+    or the BS array when ``user`` is None.  Every candidate rebuilds the
+    channels and the ZF precoder; the sensing beam and combiner stay fixed.
     """
     scale = metrics.sinr_deficit_scale(channels, gamma0)
-    pl = placement
-    ch = channels
-    st = metrics.refresh_zf_state(state, ch, scenario.p_max)
-    rates = metrics.zf_rates(ch, st)
-    wsr_c = float(np.asarray(weights) @ rates)
-    kap = metrics.sinr_deficit_zf(ch, st, gamma0) / scale
-    info = AlmInfo(sinr_deficit_scaled=kap)
-    p0 = params.p0
-    step0 = params.alpha0 if which == "user" else params.nu0
-    wsr_prev = wsr_c
-    if which == "user":
-        region = scenario.user_regions[user]
-        pos = pl.q[user]
-    else:
-        region = scenario.tx_region
-        pos = pl.t
-    for outer in range(params.alm_max_outer):
-        p = 0.0 if (kap <= 0.0 and eta == 0.0) else p0
 
-        def lagrangian(w, k):
-            return -w + eta * k + 0.5 * p * k * k
+    def measure(ch, st):
+        rates = metrics.zf_rates(ch, st)
+        kap = metrics.sinr_deficit_zf(ch, st, gamma0) / scale
+        return float(np.asarray(weights) @ rates), kap
 
-        L_cur = lagrangian(wsr_c, kap)
-        step = step0
-        for _n in range(params.inner_pgm_max):
-            ws = ZfWorkspace(ch, st.v, st.u, scenario.p_max, gamma0)
-            if which == "user":
-                grad = -grad_user_wsr_zf(scenario, pl, ch, ws, weights, user)
-                gk = grad_user_sinr_deficit_zf(scenario, pl, ch, ws, user)
-            else:
-                grad = -grad_bs_wsr_zf(scenario, pl, ch, ws, weights)
-                gk = grad_bs_sinr_deficit_zf(scenario, pl, ch, ws)
-            if eta != 0.0 or p != 0.0:
-                grad = grad + (eta + p * kap) * (gk / scale)
-            s = step
-            accepted = False
-            for _ls in range(params.max_ls):
-                cand = pos.copy()
-                cand[:, :2] = pos[:, :2] - s * grad
-                cand = geometry.project_points_to_region(cand, region)
-                delta2 = float(np.sum((cand - pos) ** 2))
-                if delta2 == 0.0:
-                    break
-                if not geometry.min_spacing_ok(cand, scenario.d_min):
-                    s *= params.tau
-                    continue
-                pl_c = pl.with_q(user, cand) if which == "user" else pl.with_t(cand)
-                try:
-                    ch_c, st_c, rates_c, wsr_cc, kap_c = _zf_eval(
-                        scenario, pl_c, st, weights, gamma0, scale,
-                        base_channels=ch if which == "user" else None,
-                        user=user if which == "user" else None)
-                except RankDeficiencyError:
-                    s *= params.tau
-                    continue
-                L_c = lagrangian(wsr_cc, kap_c)
-                if L_cur - L_c >= params.delta * delta2:
-                    pos, pl, ch, st = cand, pl_c, ch_c, st_c
-                    rates, wsr_c, kap = rates_c, wsr_cc, kap_c
-                    L_prev, L_cur = L_cur, L_c
-                    step = s * 2.0
-                    accepted = True
-                    info.inner_steps += 1
-                    break
-                s *= params.tau
-            if not accepted:
-                info.line_search_exhausted = True
-                break
-            denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
-            if abs(L_prev - L_cur) / denom < params.eps_l:
-                break
-        eta = max(0.0, eta + p0 * kap)
-        p0 = min(p0 * params.theta, params.p_cap)
-        info.outer_rounds = outer + 1
-        if abs(wsr_c - wsr_prev) < params.eps_f and (kap <= params.tol_feas or eta == 0.0):
-            break
-        wsr_prev = wsr_c
-    info.sinr_deficit_scaled = kap
-    return pl, ch, st, eta, info
+    def evaluate(pl, ch):
+        if user is None:
+            ch = geometry.build_channels(scenario, pl)
+        else:
+            ch = geometry.rebuild_user_channel(scenario, ch, pl, user)
+        st = metrics.make_zf_state(ch, state.v, state.u, scenario.p_max)
+        return (ch, st, *measure(ch, st))
+
+    def descent(pl, ch, st, penalized):
+        ws = ZfWorkspace(ch, st.v, st.u, scenario.p_max, gamma0)
+        if user is None:
+            grad = -grad_bs_wsr_zf(scenario, pl, ch, ws, weights)
+        else:
+            grad = -grad_user_wsr_zf(scenario, pl, ch, ws, weights, user)
+        if not penalized:
+            return grad, None
+        if user is None:
+            return grad, grad_bs_sinr_deficit_zf(scenario, pl, ch, ws) / scale
+        return grad, grad_user_sinr_deficit_zf(scenario, pl, ch, ws, user) / scale
+
+    st = metrics.refresh_zf_state(state, channels, scenario.p_max)
+    start = (placement, channels, st, *measure(channels, st))
+    return ao.alm_positions(scenario, params, eta, start, evaluate, descent, user)
 
 
 def optimize_user_positions_alm_zf(scenario, placement, channels, state,
                                    weights, gamma0, k, params=None, eta=0.0):
-    params = params or AlgoParams()
     return _alm_positions_zf(scenario, placement, channels, state, weights,
-                             gamma0, params, eta, "user", user=k)
+                             gamma0, params or AlgoParams(), eta, user=k)
 
 
 def optimize_bs_positions_alm_zf(scenario, placement, channels, state,
                                  weights, gamma0, params=None, eta=0.0):
-    params = params or AlgoParams()
     return _alm_positions_zf(scenario, placement, channels, state, weights,
-                             gamma0, params, eta, "bs")
+                             gamma0, params or AlgoParams(), eta)
 
 
 # ---------------------------------------------------------------------------
-# overall alternating optimization
+# the stack handed to the AO engine
 
 def initial_zf_state(scenario, channels, params=None):
-    from .lp import initial_sense_beam
-
     params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
     P, gain = metrics.zf_precoder(channels, scenario.p_max)
@@ -358,128 +274,57 @@ def initial_zf_state(scenario, channels, params=None):
     def deficit_of_v(v):
         return metrics.sinr_deficit_zf_p(channels, P, v, u0, scenario.gamma0)
 
-    v0 = initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
+    v0 = ao.initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
     return metrics.ZfState(v=v0, u=u0, P=P, gain=gain,
                            channel_tag=channels.tag)
 
 
-def _zf_snapshot(channels, state, weights, gamma0, scale):
-    rates = metrics.zf_rates(channels, state)
-    return (rates, float(np.asarray(weights) @ rates),
-            metrics.sinr_zf(channels, state),
-            metrics.sinr_deficit_zf(channels, state, gamma0) / scale)
+def _snapshot(channels, state, gamma0):
+    return (metrics.zf_rates(channels, state), metrics.sinr_zf(channels, state),
+            metrics.sinr_deficit_zf(channels, state, gamma0))
+
+
+def _blocks(scenario, params, zeta, fixed_positions):
+    """(name, block) pairs in visiting order: sensing beam, then unless
+    frozen each user's positions and the BS positions, each position block
+    with its own ALM multiplier.  Module functions are looked up when a
+    block runs, not when the list is built."""
+    weights, gamma0 = scenario.weights, scenario.gamma0
+
+    def beam(pl, ch, st):
+        v, _, flags = optimize_sense_beam_zf(ch, st, weights, gamma0, zeta, params)
+        cand = st.copy()
+        cand.v = v
+        return pl, ch, cand, flags
+
+    def user(k):
+        eta = 0.0
+
+        def block(pl, ch, st):
+            nonlocal eta
+            pl, ch, st, eta, _ = optimize_user_positions_alm_zf(
+                scenario, pl, ch, st, weights, gamma0, k, params, eta)
+            return pl, ch, st, ()
+        return block
+
+    eta_t = 0.0
+
+    def bs(pl, ch, st):
+        nonlocal eta_t
+        pl, ch, st, eta_t, _ = optimize_bs_positions_alm_zf(
+            scenario, pl, ch, st, weights, gamma0, params, eta_t)
+        return pl, ch, st, ()
+
+    blocks = [("v", beam)]
+    if not fixed_positions:
+        blocks += [(f"q{k}", user(k)) for k in range(scenario.n_users)] + [("t", bs)]
+    return blocks
 
 
 def run_zf(scenario, placement, params=None, zeta=1.0, fixed_positions=False):
-    """Alternating optimization for the ZF scheme.
-
-    Same acceptance discipline as run_lp: a block's candidate is adopted
-    only if it is feasible and does not lose WSR, so the recorded trace is
-    non-decreasing and the precoder is always fresh for the channels in hand.
-    """
+    """Alternating optimization for the ZF scheme (``ao.run``): u, v, each
+    user's positions, then the BS positions; the precoder is always fresh
+    for the channels in hand."""
     params = params or AlgoParams()
-    placement.validate(scenario)
-    channels = geometry.build_channels(scenario, placement)
-    weights = scenario.weights
-    gamma0 = scenario.gamma0
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
-    tol = params.tol_feas
-
-    state = initial_zf_state(scenario, channels, params)
-    trace = []
-    rates, wsr_cur, gam, kap = _zf_snapshot(channels, state, weights, gamma0, scale)
-    run_flags = set()
-    if kap > tol:
-        run_flags.add("initial_sinr_infeasible")
-    trace.append(metrics.TraceRecord(0, "init", wsr_cur, gam, kap * scale,
-                                     float(np.sum(np.abs(state.P) ** 2)),
-                                     tuple(rates)))
-
-    eta_q = [0.0] * scenario.n_users
-    eta_t = 0.0
-    rank_flags = 0
-    rejects = 0
-    fail_streak = 0
-    converged = False
-    outer = 0
-    for outer in range(1, params.max_outer + 1):
-        wsr_start = wsr_cur
-        loop_failed = False
-
-        def record(block, flags=()):
-            trace.append(metrics.TraceRecord(
-                outer, block, wsr_cur, gam, kap * scale,
-                float(np.sum(np.abs(state.P) ** 2)), tuple(rates),
-                tuple(flags)))
-
-        # receive combiner: leaves the rates untouched, never hurts feasibility
-        state.u = optimal_combiner_zf(channels, state)
-        rates, wsr_cur, gam, kap = _zf_snapshot(channels, state, weights, gamma0, scale)
-        record("u")
-
-        # sensing transmit beamformer
-        try:
-            v_new, ratio, v_flags = optimize_sense_beam_zf(
-                channels, state, weights, gamma0, zeta, params)
-            if ratio < 0.99:
-                rank_flags += 1
-            cand = state.copy()
-            cand.v = v_new
-            c_rates, c_wsr, c_gam, c_kap = _zf_snapshot(channels, cand, weights,
-                                                        gamma0, scale)
-            if c_kap <= max(tol, kap) and c_wsr >= wsr_cur - params.wsr_slack \
-                    and np.linalg.norm(v_new) <= 1.0 + 1e-9:
-                state, rates, wsr_cur, gam, kap = cand, c_rates, c_wsr, c_gam, c_kap
-            else:
-                rejects += 1
-                v_flags = list(v_flags) + ["v_block_rejected"]
-            run_flags.update(v_flags)
-        except (InfeasibleSubproblemError, NumericalError):
-            loop_failed = True
-        record("v")
-
-        if not fixed_positions:
-            for k in range(scenario.n_users):
-                try:
-                    pl_c, ch_c, st_c, eta_q[k], _ = optimize_user_positions_alm_zf(
-                        scenario, placement, channels, state, weights, gamma0,
-                        k, params, eta_q[k])
-                    c_rates, c_wsr, c_gam, c_kap = _zf_snapshot(
-                        ch_c, st_c, weights, gamma0, scale)
-                    if c_kap <= max(tol, kap) and c_wsr >= wsr_cur - params.wsr_slack:
-                        placement, channels, state = pl_c, ch_c, st_c
-                        rates, wsr_cur, gam, kap = c_rates, c_wsr, c_gam, c_kap
-                    else:
-                        rejects += 1
-                except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
-                    loop_failed = True
-                record(f"q{k}")
-
-            try:
-                pl_c, ch_c, st_c, eta_t, _ = optimize_bs_positions_alm_zf(
-                    scenario, placement, channels, state, weights, gamma0,
-                    params, eta_t)
-                c_rates, c_wsr, c_gam, c_kap = _zf_snapshot(ch_c, st_c, weights,
-                                                            gamma0, scale)
-                if c_kap <= max(tol, kap) and c_wsr >= wsr_cur - params.wsr_slack:
-                    placement, channels, state = pl_c, ch_c, st_c
-                    rates, wsr_cur, gam, kap = c_rates, c_wsr, c_gam, c_kap
-                else:
-                    rejects += 1
-            except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
-                loop_failed = True
-            record("t")
-
-        fail_streak = fail_streak + 1 if loop_failed else 0
-        if fail_streak >= 2:
-            raise OptimizationAbort(
-                f"two consecutive failed AO loops at iteration {outer}")
-        if abs(wsr_cur - wsr_start) < params.eps_f:
-            converged = True
-            break
-
-    return RunResult(state=state, placement=placement, channels=channels,
-                     trace=trace, outer_iters=outer, converged=converged,
-                     wsr=wsr_cur, rates=rates, gamma_s=gam, sinr_deficit_scaled=kap,
-                     rank_flags=rank_flags, block_rejects=rejects,
-                     flags=tuple(sorted(run_flags)))
+    return ao.run(scenario, placement, params, initial_zf_state, _snapshot,
+                  optimal_combiner_zf, _blocks(scenario, params, zeta, fixed_positions))

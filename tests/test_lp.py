@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfisac import geometry, lp, metrics, verify
+from nfisac import ao, geometry, lp, metrics, verify
 from nfisac.metrics import LpState
 from nfisac.params import AlgoParams
 
@@ -41,7 +41,7 @@ def _feasible_state(scenario, channels, lp_state):
     params = AlgoParams()
     st = lp_state.copy()
     st.u = channels.f_r / math.sqrt(scenario.n_r)
-    st.v = lp.initial_sense_beam(
+    st.v = ao.initial_sense_beam(
         channels,
         lambda v: metrics.sinr_deficit_lp_w(channels, st.W, v, st.u, scenario.gamma0),
         params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0))
@@ -225,7 +225,7 @@ class TestBsAlm:
         # deficit <= 0 and eta = 0 at start: the first round optimizes -WSR only
         params = AlgoParams(alm_max_outer=2, inner_pgm_max=25)
         state = lp_state.copy()
-        state.v = lp.initial_sense_beam(
+        state.v = ao.initial_sense_beam(
             channels,
             lambda v: metrics.sinr_deficit_lp_w(channels, state.W, v, state.u,
                                         scenario.gamma0),

@@ -168,6 +168,7 @@ class TestRunZf:
         np.testing.assert_array_equal(res.placement.t, pl.t)
         for k in range(sc.n_users):
             np.testing.assert_array_equal(res.placement.q[k], pl.q[k])
+        assert not any(rec.block.startswith(("q", "t")) for rec in res.trace)
 
 
 class TestZfWorkspaceConsistency:
