@@ -18,8 +18,8 @@ from .geometry import (
     receive_ula_positions, vec3,
 )
 from .metrics import (
-    LpState, TraceRecord, ZfState, sinr_deficit_lp, sinr_deficit_zf, make_zf_state, rate_lp,
-    rate_zf, sinr_lp, sinr_zf, wsr, zf_precoder,
+    LpState, TraceRecord, ZfState, make_zf_state, rate_lp, rate_zf, sinr,
+    sinr_deficit, wsr, zf_precoder,
 )
 from .params import AlgoParams
 from .lp import run_lp

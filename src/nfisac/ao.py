@@ -243,9 +243,9 @@ def run(scenario, placement, params, initial_state, snapshot, combiner, blocks):
     trace = [metrics.TraceRecord(0, "init", wsr_cur, gam, kap * scale,
                                  state.power(), tuple(rates))]
 
-    def record(block):
+    def record(block, flags=()):
         trace.append(metrics.TraceRecord(outer, block, wsr_cur, gam, kap * scale,
-                                         state.power(), tuple(rates)))
+                                         state.power(), tuple(rates), tuple(flags)))
 
     rank_flags = 0
     rejects = 0
@@ -274,7 +274,8 @@ def run(scenario, placement, params, initial_state, snapshot, combiner, blocks):
                 run_flags.update(flags)
             except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
                 loop_failed = True
-            record(name)
+                flags = ()
+            record(name, flags)
 
         fail_streak = fail_streak + 1 if loop_failed else 0
         if fail_streak >= 2:

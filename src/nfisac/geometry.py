@@ -56,6 +56,18 @@ def pairwise_distances(a, b):
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
 
 
+def chain_xy(core, diff):
+    """Chain-rule tail of a position gradient: Im sum_j core[i, j] * diff[i, j, a]
+    for a = x, y, shape (n, 2).
+
+    ``core`` (n, m) is the complex sensitivity to each distance divided by
+    it, ``diff`` (n, m, 2) the xy offsets of the moving points from their
+    counterparts.
+    """
+    return np.stack([np.imag(np.sum(core * diff[:, :, a], axis=1)) for a in range(2)],
+                    axis=1)
+
+
 @dataclass(frozen=True)
 class SquareRegion:
     """Axis-aligned square movement region parallel to the xy-plane.

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,17 +46,6 @@ PROFILES = {
     "trend": dict(n_t=4, n_r=4, n_users=2, n_u=2, noise_user=1e-19,
                   noise_radar=1e-19, gamma0=1e-5, trials=20),
 }
-
-_CONFIG_FIELDS = {
-    "profile": str, "preset": str, "schemes": list, "trials": int,
-    "seed": int, "out": str, "format": str, "workers": int,
-    "n_t": int, "n_r": int, "n_users": int, "n_u": int,
-    "lam": float, "dtk": float, "l_t": float, "l_r": float, "a_k": float,
-    "d_min": float, "p_max": float, "gamma0": float,
-    "noise_user": float, "noise_radar": float, "w1": float, "zeta": float,
-    "sweep": list, "gradcheck_configs": int,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -131,6 +120,10 @@ class ExperimentConfig:
         return [0.0]  # gradcheck
 
 
+# config-file key -> type of its value, read off the ExperimentConfig defaults
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+
+
 def apply_profile(cfg, profile):
     values = PROFILES[profile]
     return replace(cfg, profile=profile, **values)
@@ -149,7 +142,7 @@ def parse_config_text(text):
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         kind = _CONFIG_FIELDS[key]
-        if kind is list:
+        if kind is tuple:
             items = [v.strip() for v in value.split(",") if v.strip()]
             if key == "sweep":
                 out[key] = tuple(float(v) for v in items)

@@ -74,9 +74,7 @@ def grad_user_rate_lp(scenario, placement, channels, W, v, k):
     core = (coef_rest - coef_all).T * phases / dist  # indexed [b, m]
     diff = q[:, None, :2] - t[None, :, :2]           # x_{k,b} - x_m
     pref = FOUR_PI * channels.rho[k] / scenario.lam
-    gx = pref * np.imag(np.sum(core * diff[:, :, 0], axis=1))
-    gy = pref * np.imag(np.sum(core * diff[:, :, 1], axis=1))
-    return np.stack([gx, gy], axis=1)
+    return pref * geometry.chain_xy(core, diff)
 
 
 def grad_bs_rate_lp(scenario, placement, channels, W, v, k):
@@ -90,14 +88,12 @@ def grad_bs_rate_lp(scenario, placement, channels, W, v, k):
     core = (coef_rest - coef_all) * phases.T / dist.T   # indexed [m, b]
     diff = t[:, None, :2] - q[None, :, :2]           # x_m - x_{k,b}
     pref = FOUR_PI * channels.rho[k] / scenario.lam
-    gx = pref * np.imag(np.sum(core * diff[:, :, 0], axis=1))
-    gy = pref * np.imag(np.sum(core * diff[:, :, 1], axis=1))
-    return np.stack([gx, gy], axis=1)
+    return pref * geometry.chain_xy(core, diff)
 
 
 def grad_bs_sinr_deficit_lp(scenario, placement, channels, W, v, u, gamma0):
-    """d sinr_deficit_lp / d(x,y) of the BS transmit antennas, shape (n_t, 2)."""
-    n_t = placement.t.shape[0]
+    """d sinr_deficit / d(x,y) of the BS transmit antennas under precoders W,
+    shape (n_t, 2)."""
     M = -np.outer(v, v.conj())
     for Wu in W:
         M += gamma0 * (Wu @ Wu.conj().T)
@@ -108,9 +104,7 @@ def grad_bs_sinr_deficit_lp(scenario, placement, channels, W, v, u, gamma0):
     diff = t[:, :2] - s[None, :2]
     core = e * channels.f_t / d_s
     pref = -FOUR_PI * channels.rho_s / scenario.lam
-    gx = pref * np.imag(core * diff[:, 0])
-    gy = pref * np.imag(core * diff[:, 1])
-    return np.stack([gx, gy], axis=1)
+    return pref * np.imag(core[:, None] * diff)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
                                     zeta, W=state.W)
 
     def deficit_of_v(v):
-        return metrics.sinr_deficit_lp_w(channels, state.W, v, state.u, gamma0)
+        return metrics.sinr_deficit(channels, state.W, v, state.u, gamma0)
 
     return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
                          make_sub, deficit_of_v, solve_covariance_subproblem,
@@ -210,11 +204,14 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
     scale = metrics.sinr_deficit_scale(channels, gamma0)
     W, v, u = state.W, state.v, state.u
 
+    def measure(ch):
+        rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
+        kap = metrics.sinr_deficit(ch, W, v, u, gamma0) / scale
+        return float(np.asarray(weights) @ rates), kap
+
     def evaluate(pl, _ch):
         ch = geometry.build_channels(scenario, pl)
-        rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
-        kap = metrics.sinr_deficit_lp_w(ch, W, v, u, gamma0) / scale
-        return ch, state, float(np.asarray(weights) @ rates), kap
+        return (ch, state, *measure(ch))
 
     def descent(pl, ch, st, penalized):
         grad = np.zeros((scenario.n_t, 2))
@@ -224,7 +221,7 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
             return grad, None
         return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0) / scale
 
-    start = (placement, *evaluate(placement, channels))
+    start = (placement, channels, state, *measure(channels))
     pl, ch, _, eta, info = ao.alm_positions(scenario, params, eta, start,
                                             evaluate, descent)
     return pl, ch, eta, info
@@ -246,14 +243,14 @@ def initial_lp_state(scenario, channels, params=None):
     W = [c * Hk.conj().T for Hk in channels.H]
 
     def deficit_of_v(v):
-        return metrics.sinr_deficit_lp_w(channels, W, v, u0, scenario.gamma0)
+        return metrics.sinr_deficit(channels, W, v, u0, scenario.gamma0)
 
     v0 = ao.initial_sense_beam(channels, deficit_of_v, tol)
     state = metrics.LpState(W=W, v=v0, u=u0)
-    kap = metrics.sinr_deficit_lp(channels, state, scenario.gamma0)
+    kap = metrics.sinr_deficit(channels, W, v0, u0, scenario.gamma0)
     if kap > tol:
-        base = metrics.sinr_deficit_lp_w(channels, [np.zeros_like(Wk) for Wk in W],
-                                 v0, u0, scenario.gamma0)
+        base = metrics.sinr_deficit(channels, [np.zeros_like(Wk) for Wk in W],
+                                    v0, u0, scenario.gamma0)
         if base > tol:
             raise ScenarioError(
                 "sensing constraint infeasible even with zero transmit power")
@@ -265,8 +262,9 @@ def initial_lp_state(scenario, channels, params=None):
 
 
 def _snapshot(channels, state, gamma0):
-    return (metrics.lp_rates(channels, state), metrics.sinr_lp(channels, state),
-            metrics.sinr_deficit_lp(channels, state, gamma0))
+    args = (channels, state.W, state.v, state.u)
+    return (metrics.lp_rates(channels, state), metrics.sinr(*args),
+            metrics.sinr_deficit(*args, gamma0))
 
 
 def _combiner(channels, state):

@@ -102,25 +102,17 @@ def logdet_hpd(m):
     return (float(ld) if m.ndim == 2 else ld), regularized
 
 
-def _interference_plus_noise(channels, W, v, k, include_self=False):
-    """H_k-projected interference covariance (+ sensing beam + noise)."""
+def rate_lp_w(channels, W, v, k):
+    """Achievable rate (nats) of user k under linear precoding."""
     Hk = channels.H[k]
     n_u = Hk.shape[0]
     C = channels.noise_user[k] * np.eye(n_u, dtype=complex)
     for u_idx, Wu in enumerate(W):
-        if include_self or u_idx != k:
+        if u_idx != k:
             S = Hk @ Wu
             C += S @ S.conj().T
-    if v is not None:
-        hv = Hk @ v
-        C += np.outer(hv, hv.conj())
-    return C
-
-
-def rate_lp_w(channels, W, v, k):
-    """Achievable rate (nats) of user k under linear precoding."""
-    Hk = channels.H[k]
-    C = _interference_plus_noise(channels, W, v, k)
+    hv = Hk @ v
+    C += np.outer(hv, hv.conj())
     S = Hk @ W[k]
     num, _ = logdet_hpd(C + S @ S.conj().T)
     den, _ = logdet_hpd(C)
@@ -150,19 +142,23 @@ def rate_lp_cov(channels, W, V, k):
     return num - den
 
 
-def sinr_lp_parts(channels, W, v, u):
-    """(numerator, denominator) of the LP sensing SINR."""
+def sinr_parts(channels, precoders, v, u):
+    """(numerator, denominator) of the sensing SINR.
+
+    ``precoders`` is the LP list W or the ZF (P,); each precoder adds its
+    echo leakage ||P^H G^H u||^2 to the denominator.
+    """
     g = channels.G.conj().T @ u          # G^H u
     num = float(np.abs(np.vdot(g, v)) ** 2)
     den = channels.noise_radar * float(np.real(np.vdot(u, u)))
-    for Wu in W:
+    for Wu in precoders:
         den += float(np.linalg.norm(Wu.conj().T @ g) ** 2)
     return num, den
 
 
-def sinr_lp(channels, lp_state):
-    """Sensing SINR after receive combining, LP scheme."""
-    num, den = sinr_lp_parts(channels, lp_state.W, lp_state.v, lp_state.u)
+def sinr(channels, precoders, v, u):
+    """Sensing SINR after receive combining (``sinr_parts``)."""
+    num, den = sinr_parts(channels, precoders, v, u)
     val = num / den
     if not np.isfinite(val):
         raise NumericalError("non-finite sensing SINR")
@@ -225,24 +221,20 @@ def refresh_zf_state(state, channels, p_max):
                    channel_tag=channels.tag)
 
 
-def rate_zf_v(channels, gain, v, k):
+def rate_zf(channels, zf_state, k):
     """ZF rate of user k: a function of its own channel, the common
     zero-forcing gain, the sensing beam, and its noise power only."""
     Hk = channels.H[k]
     n_u = Hk.shape[0]
     sigma = channels.noise_user[k]
-    hv = Hk @ v if v is not None else np.zeros(n_u, dtype=complex)
+    hv = Hk @ zf_state.v
     E = np.outer(hv, hv.conj()) + sigma * np.eye(n_u, dtype=complex)
-    num, _ = logdet_hpd(E + gain**2 * np.eye(n_u, dtype=complex))
+    num, _ = logdet_hpd(E + zf_state.gain**2 * np.eye(n_u, dtype=complex))
     den, _ = logdet_hpd(E)
     rate = num - den
     if not np.isfinite(rate):
         raise NumericalError(f"non-finite ZF rate for user {k}")
     return rate
-
-
-def rate_zf(channels, zf_state, k):
-    return rate_zf_v(channels, zf_state.gain, zf_state.v, k)
 
 
 def rate_zf_cov(channels, gain, V, k):
@@ -256,56 +248,19 @@ def rate_zf_cov(channels, gain, V, k):
     return num - den
 
 
-def sinr_zf_parts(channels, P, v, u):
-    g = channels.G.conj().T @ u
-    num = float(np.abs(np.vdot(g, v)) ** 2)
-    den = channels.noise_radar * float(np.real(np.vdot(u, u)))
-    den += float(np.linalg.norm(P.conj().T @ g) ** 2)
-    return num, den
-
-
-def sinr_zf(channels, zf_state):
-    """Sensing SINR after receive combining, ZF scheme."""
-    num, den = sinr_zf_parts(channels, zf_state.P, zf_state.v, zf_state.u)
-    val = num / den
-    if not np.isfinite(val):
-        raise NumericalError("non-finite sensing SINR")
-    return val
-
-
-def sinr_deficit_lp_w(channels, W, v, u, gamma0):
-    """Reformulated LP sensing constraint; sinr_deficit_lp <= 0 iff gamma_s >= gamma0."""
-    num, den = sinr_lp_parts(channels, W, v, u)
+def sinr_deficit(channels, precoders, v, u, gamma0):
+    """Reformulated sensing constraint gamma0 * den - num; it is <= 0 iff
+    the sensing SINR is >= gamma0."""
+    num, den = sinr_parts(channels, precoders, v, u)
     return gamma0 * den - num
 
 
-def sinr_deficit_lp(channels, lp_state, gamma0):
-    return sinr_deficit_lp_w(channels, lp_state.W, lp_state.v, lp_state.u, gamma0)
-
-
-def sinr_deficit_lp_cov(channels, W, V, u, gamma0):
-    """sinr_deficit_lp with covariance V replacing v v^H (linear in V)."""
+def sinr_deficit_cov(channels, precoders, V, u, gamma0):
+    """sinr_deficit with covariance V replacing v v^H (linear in V)."""
     g = channels.G.conj().T @ u
     val = gamma0 * channels.noise_radar * float(np.real(np.vdot(u, u)))
-    for Wu in W:
+    for Wu in precoders:
         val += gamma0 * float(np.linalg.norm(Wu.conj().T @ g) ** 2)
-    return val - float(np.real(g.conj() @ V @ g))
-
-
-def sinr_deficit_zf_p(channels, P, v, u, gamma0):
-    """Reformulated ZF sensing constraint."""
-    num, den = sinr_zf_parts(channels, P, v, u)
-    return gamma0 * den - num
-
-
-def sinr_deficit_zf(channels, zf_state, gamma0):
-    return sinr_deficit_zf_p(channels, zf_state.P, zf_state.v, zf_state.u, gamma0)
-
-
-def sinr_deficit_zf_cov(channels, P, V, u, gamma0):
-    g = channels.G.conj().T @ u
-    val = gamma0 * channels.noise_radar * float(np.real(np.vdot(u, u)))
-    val += gamma0 * float(np.linalg.norm(P.conj().T @ g) ** 2)
     return val - float(np.real(g.conj() @ V @ g))
 
 

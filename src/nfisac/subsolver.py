@@ -230,7 +230,6 @@ class PrecoderSubproblem:
     """
 
     def __init__(self, channels, W0, v, u, weights, p_max, gamma0):
-        self.channels = channels
         self.K = len(channels.H)
         if len(W0) != self.K:
             raise ContractViolation("one expansion precoder per user required")

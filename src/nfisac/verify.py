@@ -85,7 +85,7 @@ def precise_rate_zf(scenario, placement, channels, v, k):
 
 
 def precise_sinr_deficit_zf_scaled(scenario, placement, channels, v, u, gamma0):
-    """Scaled sinr_deficit_zf with the precoder re-derived in extended precision."""
+    """Scaled ZF sinr_deficit with the precoder re-derived in extended precision."""
     He, Ai, beta2 = _zf_core_extended(scenario, placement, channels)
     f_t = _ft_extended(scenario, placement)
     f_r = channels.f_r.astype(np.clongdouble)
@@ -169,7 +169,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         def scalar(xy):
             pl = _with_bs_xy(placement, xy)
             ch = geometry.build_channels(scenario, pl)
-            return metrics.sinr_deficit_lp_w(ch, W, v, u, gamma0) / scale
+            return metrics.sinr_deficit(ch, W, v, u, gamma0) / scale
 
         def analytic(xy):
             pl = _with_bs_xy(placement, xy)
@@ -180,6 +180,8 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         return analytic, scalar, placement.t[:, :2].ravel()
 
     def zf_user_rate_pair(k, user):
+        one_hot = np.eye(scenario.n_users)[user]
+
         def scalar(xy):
             pl = _with_user_xy(placement, k, xy)
             return precise_rate_zf(scenario, pl, channels, zv, user)
@@ -188,7 +190,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
             pl = _with_user_xy(placement, k, xy)
             ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
             ws = zf.ZfWorkspace(ch, zv, zu, scenario.p_max, gamma0)
-            return zf.grad_user_rate_zf(scenario, pl, ch, ws, k, user).ravel()
+            return zf.grad_user_wsr_zf(scenario, pl, ch, ws, one_hot, k).ravel()
 
         return analytic, scalar, placement.q[k][:, :2].ravel()
 

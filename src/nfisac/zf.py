@@ -44,7 +44,6 @@ class ZfWorkspace:
     """
 
     def __init__(self, channels, v, u, p_max, gamma0):
-        self.channels = channels
         self.v = v
         self.u = u
         self.p_max = float(p_max)
@@ -82,22 +81,6 @@ def _user_geometry(scenario, placement, channels, k):
     return phases, dist, diff_user
 
 
-def grad_user_rate_zf(scenario, placement, channels, ws, k, user):
-    """d R_{Z,user} / d(x,y) of user k's antennas, shape (n_u, 2)."""
-    n_u = channels.H[k].shape[0]
-    s_u = ws.p_max * ws.tr_gram_inv ** -2 * ws.tr_f_inv[user]
-    cols = slice(k * n_u, (k + 1) * n_u)
-    coef = s_u * ws.tr_sens[:, cols]
-    if user == k:
-        coef = coef + ws.beam_sens[k]
-    phases, dist, diff = _user_geometry(scenario, placement, channels, k)
-    core = coef.T * phases / dist                     # (n_u, n_t)
-    pref = -FOUR_PI * channels.rho[k] / scenario.lam
-    gx = pref * np.imag(np.sum(core * diff[:, :, 0], axis=1))
-    gy = pref * np.imag(np.sum(core * diff[:, :, 1], axis=1))
-    return np.stack([gx, gy], axis=1)
-
-
 def grad_user_wsr_zf(scenario, placement, channels, ws, weights, k):
     """Weighted sum over users of the per-user ZF rate gradients."""
     n_u = channels.H[k].shape[0]
@@ -108,13 +91,12 @@ def grad_user_wsr_zf(scenario, placement, channels, ws, weights, k):
     phases, dist, diff = _user_geometry(scenario, placement, channels, k)
     core = coef.T * phases / dist
     pref = -FOUR_PI * channels.rho[k] / scenario.lam
-    gx = pref * np.imag(np.sum(core * diff[:, :, 0], axis=1))
-    gy = pref * np.imag(np.sum(core * diff[:, :, 1], axis=1))
-    return np.stack([gx, gy], axis=1)
+    return pref * geometry.chain_xy(core, diff)
 
 
 def grad_user_sinr_deficit_zf(scenario, placement, channels, ws, k):
-    """d sinr_deficit_zf / d(x,y) of user k's antennas, shape (n_u, 2)."""
+    """d sinr_deficit / d(x,y) of user k's antennas under the ZF precoder,
+    shape (n_u, 2)."""
     n_u = channels.H[k].shape[0]
     cols = slice(k * n_u, (k + 1) * n_u)
     phases, dist, diff = _user_geometry(scenario, placement, channels, k)
@@ -122,13 +104,8 @@ def grad_user_sinr_deficit_zf(scenario, placement, channels, ws, k):
     core1 = ws.tr_sens[:, cols].T * phases / dist
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
     core2 = (ws.quad_sens[:, cols].T * phases + ws.quad_sens_ct[:, cols].T * phases.conj()) / dist
-    out = np.empty((n_u, 2))
-    for axis in range(2):
-        d_ax = diff[:, :, axis]
-        out[:, axis] = (-c_beta * pref * np.imag(np.sum(core1 * d_ax, axis=1))
-                        + ws.gamma0 * ws.beta2 * pref
-                        * np.imag(np.sum(core2 * d_ax, axis=1)))
-    return out
+    return (-c_beta * pref * geometry.chain_xy(core1, diff)
+            + ws.gamma0 * ws.beta2 * pref * geometry.chain_xy(core2, diff))
 
 
 def grad_bs_rate_zf(scenario, placement, channels, ws, user):
@@ -146,9 +123,7 @@ def grad_bs_rate_zf(scenario, placement, channels, ws, user):
         if k == user:
             coef = coef + channels.rho[user] * ws.beam_sens[user]
         core = coef * phases.T / dist.T               # (n_t, n_u)
-        for axis in range(2):
-            out[:, axis] -= (FOUR_PI / scenario.lam) * np.imag(
-                np.sum(core * diff[:, :, axis], axis=1))
+        out -= (FOUR_PI / scenario.lam) * geometry.chain_xy(core, diff)
     return out
 
 
@@ -162,9 +137,9 @@ def grad_bs_wsr_zf(scenario, placement, channels, ws, weights):
 
 
 def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws):
-    """d sinr_deficit_zf / d(x,y) of the BS transmit antennas, shape (n_t, 2)."""
+    """d sinr_deficit / d(x,y) of the BS transmit antennas under the ZF
+    precoder, shape (n_t, 2)."""
     t = placement.t
-    n_t = t.shape[0]
     # sensing-channel term through f_t, weighted by the precoder covariance
     # minus the beam covariance
     M = ws.gamma0 * ws.beta2 * (ws.pinv @ ws.pinv.conj().T) - np.outer(ws.v, ws.v.conj())
@@ -173,10 +148,7 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws):
     d_s = np.linalg.norm(t - s[None, :], axis=1)
     diff_s = t[:, :2] - s[None, :2]
     core_s = e * channels.f_t / d_s
-    out = np.empty((n_t, 2))
-    for axis in range(2):
-        out[:, axis] = -(FOUR_PI * channels.rho_s / scenario.lam) * np.imag(
-            core_s * diff_s[:, axis])
+    out = -(FOUR_PI * channels.rho_s / scenario.lam) * np.imag(core_s[:, None] * diff_s)
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
     for k, Hk in enumerate(channels.H):
         n_u = Hk.shape[0]
@@ -187,11 +159,8 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws):
         core1 = ws.tr_sens[:, cols] * phases.T / dist.T
         core2 = (ws.quad_sens[:, cols] * phases.T + ws.quad_sens_ct[:, cols] * phases.conj().T) / dist.T
         pref = FOUR_PI * channels.rho[k] / scenario.lam
-        for axis in range(2):
-            d_ax = diff[:, :, axis]
-            out[:, axis] += (-c_beta * pref * np.imag(np.sum(core1 * d_ax, axis=1))
-                             + ws.gamma0 * ws.beta2 * pref
-                             * np.imag(np.sum(core2 * d_ax, axis=1)))
+        out += (-c_beta * pref * geometry.chain_xy(core1, diff)
+                + ws.gamma0 * ws.beta2 * pref * geometry.chain_xy(core2, diff))
     return out
 
 
@@ -205,7 +174,7 @@ def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
                                     zeta, gain=state.gain, P=state.P)
 
     def deficit_of_v(v):
-        return metrics.sinr_deficit_zf_p(channels, state.P, v, state.u, gamma0)
+        return metrics.sinr_deficit(channels, (state.P,), v, state.u, gamma0)
 
     return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
                          make_sub, deficit_of_v, solve_covariance_subproblem,
@@ -222,7 +191,7 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
 
     def measure(ch, st):
         rates = metrics.zf_rates(ch, st)
-        kap = metrics.sinr_deficit_zf(ch, st, gamma0) / scale
+        kap = metrics.sinr_deficit(ch, (st.P,), st.v, st.u, gamma0) / scale
         return float(np.asarray(weights) @ rates), kap
 
     def evaluate(pl, ch):
@@ -272,7 +241,7 @@ def initial_zf_state(scenario, channels, params=None):
     scale0 = metrics.sinr_deficit_scale(channels, scenario.gamma0)
 
     def deficit_of_v(v):
-        return metrics.sinr_deficit_zf_p(channels, P, v, u0, scenario.gamma0)
+        return metrics.sinr_deficit(channels, (P,), v, u0, scenario.gamma0)
 
     v0 = ao.initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
     return metrics.ZfState(v=v0, u=u0, P=P, gain=gain,
@@ -280,8 +249,9 @@ def initial_zf_state(scenario, channels, params=None):
 
 
 def _snapshot(channels, state, gamma0):
-    return (metrics.zf_rates(channels, state), metrics.sinr_zf(channels, state),
-            metrics.sinr_deficit_zf(channels, state, gamma0))
+    args = (channels, (state.P,), state.v, state.u)
+    return (metrics.zf_rates(channels, state), metrics.sinr(*args),
+            metrics.sinr_deficit(*args, gamma0))
 
 
 def _blocks(scenario, params, zeta, fixed_positions):

@@ -133,17 +133,15 @@ def test_criterion_2_combiner_optimality(scenario):
         ch = geometry.build_channels(scenario, pl)
         st = verify.random_lp_state(scenario, ch, rng)
         u_lp = lp.optimal_combiner_lp(ch, st.W)
-        best_lp = metrics.sinr_lp(ch, metrics.LpState(st.W, st.v, u_lp))
+        best_lp = metrics.sinr(ch, st.W, st.v, u_lp)
         zst = metrics.make_zf_state(ch, st.v, u_lp, scenario.p_max)
         u_zf = zf.optimal_combiner_zf(ch, zst)
         zst.u = u_zf
-        best_zf = metrics.sinr_zf(ch, zst)
+        best_zf = metrics.sinr(ch, (zst.P,), zst.v, zst.u)
         for _ in range(10_000):
             u = verify._random_unit(rng, scenario.n_r)
-            s_lp = metrics.sinr_lp(ch, metrics.LpState(st.W, st.v, u))
-            zst_rand = zst.copy()
-            zst_rand.u = u
-            s_zf = metrics.sinr_zf(ch, zst_rand)
+            s_lp = metrics.sinr(ch, st.W, st.v, u)
+            s_zf = metrics.sinr(ch, (zst.P,), zst.v, u)
             worst_margin = min(worst_margin, best_lp - s_lp, best_zf - s_zf)
             if s_lp > best_lp * (1 + 1e-12) or s_zf > best_zf * (1 + 1e-12):
                 ok = False

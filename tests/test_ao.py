@@ -37,6 +37,8 @@ class TestGate:
         assert np.linalg.norm(res.state.v) <= 1.0 + 1e-9
         assert res.block_rejects >= res.outer_iters
         assert "v_block_rejected" in res.flags
+        v_recs = [rec for rec in res.trace if rec.block == "v"]
+        assert v_recs and all("v_block_rejected" in rec.flags for rec in v_recs)
         ws = [rec.wsr for rec in res.trace]
         assert all(b >= a for a, b in zip(ws, ws[1:]))
 

@@ -104,6 +104,19 @@ class TestConfig:
         assert values["gamma0"] == 2e-5
         assert values["schemes"] == ("LP-MA", "ZF-MA")
 
+    def test_every_config_field_parses_to_its_type(self):
+        from dataclasses import fields
+        samples = {str: "json", int: "7", float: "2.5", tuple: "1, 2"}
+        cfg_fields = fields(harness.ExperimentConfig)
+        text = "\n".join(f"{f.name} = {samples[type(f.default)]}" for f in cfg_fields)
+        values = harness.parse_config_text(text)
+        expect = {str: "json", int: 7, float: 2.5, tuple: ("1", "2")}
+        for f in cfg_fields:
+            kind = type(f.default)
+            assert type(values[f.name]) is kind, f.name
+            want = (1.0, 2.0) if f.name == "sweep" else expect[kind]
+            assert values[f.name] == want, f.name
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             harness.parse_config_text("bogus_key = 1")

@@ -19,11 +19,11 @@ class TestCombiner:
 
     def test_beats_random_search(self, scenario, channels, lp_state):
         u_star = lp.optimal_combiner_lp(channels, lp_state.W)
-        best = metrics.sinr_lp(channels, LpState(lp_state.W, lp_state.v, u_star))
+        best = metrics.sinr(channels, lp_state.W, lp_state.v, u_star)
         rng = np.random.Generator(np.random.Philox(key=[31, 0]))
         for _ in range(10_000):
             u = verify._random_unit(rng, scenario.n_r)
-            val = metrics.sinr_lp(channels, LpState(lp_state.W, lp_state.v, u))
+            val = metrics.sinr(channels, lp_state.W, lp_state.v, u)
             assert val <= best * (1 + 1e-12)
 
     def test_noise_scale_invariance_without_precoders(self, scenario, channels):
@@ -43,7 +43,7 @@ def _feasible_state(scenario, channels, lp_state):
     st.u = channels.f_r / math.sqrt(scenario.n_r)
     st.v = ao.initial_sense_beam(
         channels,
-        lambda v: metrics.sinr_deficit_lp_w(channels, st.W, v, st.u, scenario.gamma0),
+        lambda v: metrics.sinr_deficit(channels, st.W, v, st.u, scenario.gamma0),
         params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0))
     return st
 
@@ -96,8 +96,8 @@ class TestSenseBeamBlock:
         assert np.linalg.norm(v_new) <= 1.0 + 1e-9
         scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
         if "v_not_renormalized" not in flags:
-            kap = metrics.sinr_deficit_lp_w(channels, state.W, v_new, state.u,
-                                    scenario.gamma0)
+            kap = metrics.sinr_deficit(channels, state.W, v_new, state.u,
+                                       scenario.gamma0)
             assert kap <= params.tol_feas * scale
 
     def test_constraint_forces_alignment(self, scenario, channels):
@@ -227,8 +227,8 @@ class TestBsAlm:
         state = lp_state.copy()
         state.v = ao.initial_sense_beam(
             channels,
-            lambda v: metrics.sinr_deficit_lp_w(channels, state.W, v, state.u,
-                                        scenario.gamma0),
+            lambda v: metrics.sinr_deficit(channels, state.W, v, state.u,
+                                           scenario.gamma0),
             params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0))
         before = float(scenario.weights @ metrics.lp_rates(channels, state))
         pl2, ch2, eta, info = lp.optimize_bs_positions_alm(

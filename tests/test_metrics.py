@@ -6,8 +6,7 @@ import pytest
 from nfisac import geometry, metrics, verify
 from nfisac.errors import ContractViolation, NumericalError, RankDeficiencyError
 from nfisac.metrics import (
-    LpState, sinr_deficit_lp, sinr_deficit_zf, rate_lp, rate_zf, sinr_lp, sinr_zf, wsr,
-    zf_precoder,
+    LpState, rate_lp, rate_zf, sinr, sinr_deficit, wsr, zf_precoder,
 )
 
 
@@ -107,7 +106,7 @@ class TestSinrLp:
                      u=channels.f_r / math.sqrt(scenario.n_r))
         expect = (channels.rho_s**2 * scenario.n_t * scenario.n_r
                   / channels.noise_radar)
-        assert sinr_lp(channels, st) == pytest.approx(expect, rel=1e-9)
+        assert sinr(channels, st.W, st.v, st.u) == pytest.approx(expect, rel=1e-9)
 
     def test_orthogonal_beam_zero(self, scenario, channels, lp_state):
         g = channels.G.conj().T @ lp_state.u
@@ -115,7 +114,7 @@ class TestSinrLp:
         v[0], v[1] = -np.conj(g[1]), np.conj(g[0])
         v /= np.linalg.norm(v)
         st = LpState(W=lp_state.W, v=v, u=lp_state.u)
-        assert sinr_lp(channels, st) <= 1e-18
+        assert sinr(channels, st.W, st.v, st.u) <= 1e-18
 
     def test_matches_bruteforce_quadratic_forms(self, channels, lp_state):
         u, v = lp_state.u, lp_state.v
@@ -126,7 +125,7 @@ class TestSinrLp:
             GW = G @ Wu
             D += GW @ GW.conj().T
         oracle = num / float(np.real(u.conj() @ D @ u))
-        assert sinr_lp(channels, lp_state) == pytest.approx(oracle, rel=1e-12)
+        assert sinr(channels, lp_state.W, v, u) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestZfPrecoder:
@@ -218,7 +217,7 @@ class TestSinrZf:
             gain=0.0, channel_tag=channels.tag)
         expect = (channels.rho_s**2 * scenario.n_t * scenario.n_r
                   / channels.noise_radar)
-        assert sinr_zf(channels, st) == pytest.approx(expect, rel=1e-9)
+        assert sinr(channels, (st.P,), st.v, st.u) == pytest.approx(expect, rel=1e-9)
 
     def test_matches_bruteforce(self, channels, zf_state):
         u, v, P = zf_state.u, zf_state.v, zf_state.P
@@ -227,7 +226,7 @@ class TestSinrZf:
         GP = G @ P
         D = GP @ GP.conj().T + channels.noise_radar * np.eye(G.shape[0])
         oracle = num / float(np.real(u.conj() @ D @ u))
-        assert sinr_zf(channels, zf_state) == pytest.approx(oracle, rel=1e-12)
+        assert sinr(channels, (P,), v, u) == pytest.approx(oracle, rel=1e-12)
 
     def test_orthogonal_beam_zero(self, scenario, channels, zf_state):
         g = channels.G.conj().T @ zf_state.u
@@ -235,7 +234,7 @@ class TestSinrZf:
         v[0], v[1] = -np.conj(g[1]), np.conj(g[0])
         st = zf_state.copy()
         st.v = v / np.linalg.norm(v)
-        assert sinr_zf(channels, st) <= 1e-18
+        assert sinr(channels, (st.P,), st.v, st.u) <= 1e-18
 
 
 class TestKappa:
@@ -247,10 +246,11 @@ class TestKappa:
         gamma0 = 1e-5
         p_s = metrics.sensing_power(channels, st.v, st.u)
         expect = gamma0 * channels.noise_radar - p_s
-        assert sinr_deficit_lp(channels, st, gamma0) == pytest.approx(expect, rel=1e-12)
+        assert sinr_deficit(channels, st.W, st.v, st.u, gamma0) == pytest.approx(
+            expect, rel=1e-12)
 
     def test_gamma0_zero_nonpositive(self, channels, lp_state):
-        assert sinr_deficit_lp(channels, lp_state, 0.0) <= 0.0
+        assert sinr_deficit(channels, lp_state.W, lp_state.v, lp_state.u, 0.0) <= 0.0
 
     def test_sign_consistency_lp_and_zf(self, scenario, channels):
         # deficit <= 0 exactly when gamma_s >= gamma0, checked on random states
@@ -258,9 +258,9 @@ class TestKappa:
         checked_lp = checked_zf = 0
         for _ in range(1000):
             st = verify.random_lp_state(scenario, channels, rng)
-            gam = sinr_lp(channels, st)
+            gam = sinr(channels, st.W, st.v, st.u)
             gamma0 = gam * rng.uniform(0.2, 5.0)
-            kap = sinr_deficit_lp(channels, st, gamma0)
+            kap = sinr_deficit(channels, st.W, st.v, st.u, gamma0)
             assert (kap <= 0) == (gam >= gamma0) or math.isclose(gam, gamma0, rel_tol=1e-12)
             checked_lp += 1
         zst = metrics.make_zf_state(channels, verify._random_unit(rng, scenario.n_t),
@@ -269,9 +269,9 @@ class TestKappa:
         for _ in range(200):
             zst.v = verify._random_unit(rng, scenario.n_t)
             zst.u = verify._random_unit(rng, scenario.n_r)
-            gam = sinr_zf(channels, zst)
+            gam = sinr(channels, (zst.P,), zst.v, zst.u)
             gamma0 = gam * rng.uniform(0.2, 5.0)
-            kap = sinr_deficit_zf(channels, zst, gamma0)
+            kap = sinr_deficit(channels, (zst.P,), zst.v, zst.u, gamma0)
             assert (kap <= 0) == (gam >= gamma0) or math.isclose(gam, gamma0, rel_tol=1e-12)
             checked_zf += 1
         assert checked_lp == 1000 and checked_zf == 200
@@ -284,20 +284,20 @@ class TestKappa:
                              P=zeros, gain=0.0, channel_tag=channels.tag)
         gamma0 = 3e-5
         p_s = metrics.sensing_power(channels, st.v, st.u)
-        assert sinr_deficit_zf(channels, st, gamma0) == pytest.approx(
+        assert sinr_deficit(channels, (st.P,), st.v, st.u, gamma0) == pytest.approx(
             gamma0 * channels.noise_radar - p_s, rel=1e-12)
 
     def test_zf_gamma0_zero_nonpositive(self, channels, zf_state):
-        assert sinr_deficit_zf(channels, zf_state, 0.0) <= 0.0
+        assert sinr_deficit(channels, (zf_state.P,), zf_state.v, zf_state.u, 0.0) <= 0.0
 
     def test_cov_forms_agree_on_rank_one(self, channels, lp_state, zf_state):
         V = np.outer(lp_state.v, lp_state.v.conj())
-        a = metrics.sinr_deficit_lp_cov(channels, lp_state.W, V, lp_state.u, 2e-5)
-        b = sinr_deficit_lp(channels, lp_state, 2e-5)
+        a = metrics.sinr_deficit_cov(channels, lp_state.W, V, lp_state.u, 2e-5)
+        b = sinr_deficit(channels, lp_state.W, lp_state.v, lp_state.u, 2e-5)
         assert a == pytest.approx(b, rel=1e-10)
         Vz = np.outer(zf_state.v, zf_state.v.conj())
-        az = metrics.sinr_deficit_zf_cov(channels, zf_state.P, Vz, zf_state.u, 2e-5)
-        bz = sinr_deficit_zf(channels, zf_state, 2e-5)
+        az = metrics.sinr_deficit_cov(channels, (zf_state.P,), Vz, zf_state.u, 2e-5)
+        bz = sinr_deficit(channels, (zf_state.P,), zf_state.v, zf_state.u, 2e-5)
         assert az == pytest.approx(bz, rel=1e-10)
 
 

@@ -20,11 +20,11 @@ class TestCombinerZf:
         u_star = zf.optimal_combiner_zf(channels, zf_state)
         st = zf_state.copy()
         st.u = u_star
-        best = metrics.sinr_zf(channels, st)
+        best = metrics.sinr(channels, (st.P,), st.v, st.u)
         rng = np.random.Generator(np.random.Philox(key=[43, 0]))
         for _ in range(10_000):
             st.u = verify._random_unit(rng, scenario.n_r)
-            assert metrics.sinr_zf(channels, st) <= best * (1 + 1e-12)
+            assert metrics.sinr(channels, (st.P,), st.v, st.u) <= best * (1 + 1e-12)
 
     def test_global_phase_equivariance(self, scenario, channels, zf_state):
         from dataclasses import replace
@@ -46,8 +46,8 @@ class TestSenseBeamZf:
             channels, state, scenario.weights, scenario.gamma0, 1.0, params)
         assert np.linalg.norm(v_new) <= 1.0 + 1e-9
         if "v_not_renormalized" not in flags:
-            kap = metrics.sinr_deficit_zf_p(channels, state.P, v_new, state.u,
-                                     scenario.gamma0)
+            kap = metrics.sinr_deficit(channels, (state.P,), v_new, state.u,
+                                       scenario.gamma0)
             scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
             assert kap <= params.tol_feas * scale
 
@@ -181,6 +181,7 @@ class TestZfWorkspaceConsistency:
         # the own-user gradient includes the G_k term, the cross gradient does not
         ws = zf.ZfWorkspace(channels, zf_state.v, zf_state.u, scenario.p_max,
                             scenario.gamma0)
-        g_own = zf.grad_user_rate_zf(scenario, placement, channels, ws, 0, 0)
-        g_cross = zf.grad_user_rate_zf(scenario, placement, channels, ws, 0, 1)
+        one_hot = np.eye(scenario.n_users)
+        g_own = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[0], 0)
+        g_cross = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[1], 0)
         assert not np.allclose(g_own, g_cross)
