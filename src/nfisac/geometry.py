@@ -332,5 +332,7 @@ def min_spacing_ok(positions, d_min):
     if n < 2:
         return True
     d = pairwise_distances(pos, pos)
-    iu = np.triu_indices(n, k=1)
-    return bool(np.all(d[iu] >= d_min))
+    # d is exactly symmetric (|a - b| and |b - a| round alike), so the
+    # off-diagonal minimum is the minimum over the pairs
+    np.fill_diagonal(d, np.inf)
+    return bool(d.min() >= d_min)

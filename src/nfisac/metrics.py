@@ -39,7 +39,9 @@ class ZfState:
     """Zero-forcing optimization variables plus the derived precoder.
 
     ``channel_tag`` records which ChannelSet the precoder and gain were derived
-    from; any antenna move invalidates them.
+    from; any antenna move invalidates them.  ``gram_inv`` is the refined
+    inverse of the stacked Gram matrix H_e H_e^H they were built from, which
+    the position gradients reuse.
     """
 
     v: np.ndarray
@@ -47,13 +49,14 @@ class ZfState:
     P: np.ndarray
     gain: float
     channel_tag: int
+    gram_inv: np.ndarray
 
     def power(self):
         return float(np.sum(np.abs(self.P) ** 2))
 
     def copy(self):
         return ZfState(self.v.copy(), self.u.copy(), self.P.copy(),
-                       self.gain, self.channel_tag)
+                       self.gain, self.channel_tag, self.gram_inv)
 
 
 @dataclass
@@ -186,7 +189,8 @@ def refined_hermitian_inverse(A):
 
 
 def zf_precoder(channels, p_max):
-    """Zero-forcing precoder and its power-normalizing gain.
+    """Zero-forcing precoder, its power-normalizing gain, and the refined
+    inverse of the stacked Gram matrix H_e H_e^H both are built from.
 
     Raises RankDeficiencyError when cond(H_e H_e^H) exceeds 1e12; beyond
     that the gain is meaningless and silent regularization would hide it.
@@ -203,22 +207,22 @@ def zf_precoder(channels, p_max):
     T = float(np.real(np.trace(A_inv)))
     gain = float(np.sqrt(p_max / T))
     P = gain * (H_e.conj().T @ A_inv)
-    return P, gain
+    return P, gain, A_inv
 
 
 def make_zf_state(channels, v, u, p_max):
-    P, gain = zf_precoder(channels, p_max)
+    P, gain, gram_inv = zf_precoder(channels, p_max)
     return ZfState(v=np.asarray(v, dtype=complex), u=np.asarray(u, dtype=complex),
-                   P=P, gain=gain, channel_tag=channels.tag)
+                   P=P, gain=gain, channel_tag=channels.tag, gram_inv=gram_inv)
 
 
 def refresh_zf_state(state, channels, p_max):
     """Rebuild the precoder and gain if the state is stale for these channels."""
     if state.channel_tag == channels.tag:
         return state
-    P, gain = zf_precoder(channels, p_max)
+    P, gain, gram_inv = zf_precoder(channels, p_max)
     return ZfState(v=state.v, u=state.u, P=P, gain=gain,
-                   channel_tag=channels.tag)
+                   channel_tag=channels.tag, gram_inv=gram_inv)
 
 
 def rate_zf(channels, zf_state, k):

@@ -57,23 +57,72 @@ def psd_trace_project(V):
 
     This two-step map is not the exact Euclidean projection onto the
     intersection, but it always lands inside the set and is the identity on
-    it, which is all the backtracked ascent needs.
+    it, which is all the backtracked ascent needs.  A stack of matrices
+    (leading axes) is projected matrix by matrix with one stacked ``eigh``.
     """
-    V = 0.5 * (V + V.conj().T)
+    V = 0.5 * (V + V.conj().swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(V)
     vals = np.maximum(vals, 0.0)
-    tr = float(vals.sum())
-    if tr > 1.0:
-        vals *= 1.0 / tr
-    return (vecs * vals) @ vecs.conj().T
+    # 1 / max(Tr, 1) is exactly 1 where Tr <= 1, so those matrices keep
+    # their clipped eigenvalues unscaled
+    vals = vals * (1.0 / np.maximum(vals.sum(axis=-1, keepdims=True), 1.0))
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def power_project(Ws, p_max):
-    """Radial scaling onto the total-power ball (exact Euclidean projection)."""
-    tr = float(np.sum(np.abs(Ws) ** 2))
-    if tr > p_max:
-        return Ws * np.sqrt(p_max / tr)
-    return Ws
+    """Radial scaling onto the total-power ball (exact Euclidean projection).
+
+    ``Ws`` is one (K, n_t, n_u) precoder set or a stack of them (leading
+    axes); each set is scaled on its own.
+    """
+    tr = np.sum(np.abs(Ws).reshape(Ws.shape[:-3] + (-1,)) ** 2, axis=-1)
+    scale = np.sqrt(p_max / np.maximum(tr, p_max))[..., None, None, None]
+    return np.where((tr > p_max)[..., None, None, None], Ws * scale, Ws)
+
+
+def _per_row(fn, rows):
+    """fn of one vector, or an array of fn over the rows of a stack.
+
+    The subproblems' scalar products and norms run one 1-D call per row:
+    a stacked matrix-vector product can round differently from the 1-D
+    call one matrix gets, and a stack must give each matrix its own value.
+    """
+    if rows.ndim == 1:
+        return fn(rows)
+    return np.array([fn(r) for r in rows])
+
+
+def _line_search(x, L, d, s, tries, tau, armijo, value_grad, project, accept_ok):
+    """One backtracking try along d from x: candidates project(x + s_j d)
+    with s_j = s tau^j, j < tries, evaluated in stacks of 2, 4, 8, ...
+
+    Returns the first candidate, in step order, that passes the Armijo test
+    and ``accept_ok``, as (x_new, s_j, entries, grad) with ``entries`` its
+    (objective, *aux) values and ``grad`` its conjugate gradient; None if
+    no step passes or a candidate equals x.
+    """
+    lo, size = 0, 2
+    while lo < tries:
+        chunk = []
+        for _ in range(min(size, tries - lo)):
+            chunk.append(s)
+            s *= tau
+        lo += size
+        size *= 2
+        S = np.array(chunk).reshape((-1,) + (1,) * d.ndim)
+        Xn = project(x + S * d)
+        dn2 = (np.abs(Xn - x).reshape(len(chunk), -1) ** 2).sum(axis=1)
+        moved = dn2.all()
+        n = len(chunk) if moved else int(np.argmin(dn2 != 0.0))
+        if n:
+            vals, grad, *aux = value_grad(Xn[:n])
+            for i in (vals - L >= armijo * dn2[:n]).nonzero()[0]:
+                entries = (vals[i], *(a[i] for a in aux))
+                if accept_ok is None or accept_ok(Xn[i], entries):
+                    return Xn[i], chunk[i], entries, grad(i)
+        if not moved:
+            return None
+    return None
 
 
 def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
@@ -81,11 +130,23 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
                 fw_oracle=None):
     """Projected gradient ascent with an Armijo-Goldstein backtracked step.
 
-    ``value_grad(x)`` returns (objective, conjugate gradient, *aux).  Each
-    try backtracks by ``tau`` from its start step; an accepted gradient step
-    s starts the next gradient try at 2 s.  ``accept_ok(x, val)``, when
-    given, can veto a candidate (used to reject constraint-violating polish
-    steps).
+    ``value_grad(X)`` evaluates a stack X of points (one per leading index)
+    and returns (objectives, grad, *aux): the objectives and each aux hold
+    one entry per point, and ``grad(i)`` gives the conjugate gradient at
+    point i.  ``project`` maps a stack of points to a stack.
+    ``accept_ok(x, entries)``, when given, can veto a candidate (used to
+    reject constraint-violating polish steps); it and ``on_accept(x,
+    entries)`` receive one point with its (objective, *aux) entries.
+
+    Each try backtracks by ``tau`` from its start step; an accepted gradient
+    step s starts the next gradient try at 2 s.  A try's step sizes are
+    fixed before it starts, so its candidates are projected and evaluated
+    in stacks of 2, then 4, 8, ... up to the try's step limit, and the
+    first one in step order that passes the Armijo test (and
+    ``accept_ok``) is adopted: the iterates and steps are those of trying
+    one candidate at a time, while most tries (the doubled step rejected,
+    the next accepted) cost one stacked evaluation.  The gradient is taken
+    only at the adopted candidate.  A candidate equal to x ends its try.
 
     ``fw_oracle(x, g)``, when given, returns a feasible-direction candidate
     (an in-set extreme point minus x), tried on every other iteration before
@@ -101,44 +162,34 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     Returns (x, objective, step).
     """
     x = np.array(x0, copy=True)
-    val = value_grad(x)
-    L, g = val[0], val[1]
+    vals, grad, *aux = value_grad(x[None])
+    L, g = vals[0], grad(0)
     if on_accept is not None:
-        on_accept(x, val)
+        on_accept(x, (L, *(a[0] for a in aux)))
     step = step0
     fw_step = 1.0
     for it in range(max_iters):
-        accepted = False
-        improve = 0.0
         directions = [("grad", g, step, max_backtracks)]
         if fw_oracle is not None and it % 2 == 0:
             d_fw = fw_oracle(x, g)
             if d_fw is not None:
                 directions.insert(0, ("fw", d_fw, fw_step, 16))
         for kind, d, s, tries in directions:
-            for _bt in range(tries):
-                xn = project(x + s * d)
-                dn2 = float(np.sum(np.abs(xn - x) ** 2))
-                if dn2 == 0.0:
-                    break
-                valn = value_grad(xn)
-                if valn[0] - L >= armijo * dn2 and (
-                        accept_ok is None or accept_ok(xn, valn)):
-                    improve = valn[0] - L
-                    x, L, g = xn, valn[0], valn[1]
-                    if on_accept is not None:
-                        on_accept(x, valn)
-                    if kind == "grad":
-                        step = s * 2.0
-                    else:
-                        fw_step = min(1.0, s * 2.0)
-                    accepted = True
-                    break
-                s *= tau
-            if accepted:
+            found = _line_search(x, L, d, s, tries, tau, armijo, value_grad,
+                                 project, accept_ok)
+            if found is not None:
                 break
-        if not accepted:
+        else:
             break
+        xn, s, entries, g = found
+        improve = entries[0] - L
+        x, L = xn, entries[0]
+        if on_accept is not None:
+            on_accept(x, entries)
+        if kind == "grad":
+            step = s * 2.0
+        else:
+            fw_step = min(1.0, s * 2.0)
         if improve <= rel_tol * (1.0 + abs(L)):
             break
     return x, L, step
@@ -151,6 +202,9 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
     ALM on the scaled constraint with the paper-style penalty rule
     (p = 0 while feasible with zero multiplier), then a feasibility-
     preserving polish.  Returns the best feasible point encountered.
+    ``f_grad`` and ``kap`` take one point or a stack of them and return
+    per-point values, ``f_grad`` with the lazy gradient of ``_pga_ascent``;
+    ``kap_grad`` takes one point.
     """
     tol = params.tol_feas
     best = [None, None]
@@ -179,15 +233,17 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
         p = 0.0 if (kcur <= 0.0 and eta == 0.0) else p0
 
         def vg(z, eta=eta, p=p):
-            f, gf = f_grad(z)
+            f, grad_f = f_grad(z)
             kv = kap(z)
             if eta == 0.0 and p == 0.0:
-                return f, gf, f, kv
-            gL = gf - (eta + p * kv) * kap_grad(z)
-            return f - eta * kv - 0.5 * p * kv * kv, gL, f, kv
+                return f, grad_f, f, kv
+
+            def grad(i):
+                return grad_f(i) - (eta + p * kv[i]) * kap_grad(z[i])
+            return f - eta * kv - 0.5 * p * kv * kv, grad, f, kv
 
         def on_acc(z, val):
-            consider(z, val[2], val[3])
+            consider(z, val[1], val[2])
 
         x, _, step = _pga_ascent(
             x, vg, project, step, params.pga_iters, params.tau, params.armijo,
@@ -205,14 +261,14 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
     x = best[1].copy()
 
     def vg2(z):
-        f, gf = f_grad(z)
-        return f, gf, f, kap(z)
+        f, grad_f = f_grad(z)
+        return f, grad_f, f, kap(z)
 
     def ok(z, val):
-        return val[3] <= tol
+        return val[2] <= tol
 
     def on_acc2(z, val):
-        consider(z, val[2], val[3])
+        consider(z, val[1], val[2])
 
     _pga_ascent(
         x, vg2, project, step, params.polish_iters, params.tau, params.armijo,
@@ -272,6 +328,11 @@ class PrecoderSubproblem:
             self.quad.append(Hk.conj().T @ A @ Hk)
             self.base[k] = c0 - d
         self.quad_sum = sum(w * Qk for w, Qk in zip(self.weights, self.quad))
+        # lin_k^H of every user, kept as transposed views (the layout of
+        # lin[k].conj().T) so a stacked product rounds like each user's 2-D
+        # one, and the weighted linear term of the gradient
+        self._lin_h = np.stack([Lk.conj() for Lk in self.lin]).swapaxes(-1, -2)
+        self._grad_lin = np.stack([w * Lk for w, Lk in zip(self.weights, self.lin)])
 
     def per_user_bound(self, W):
         """Surrogate rate of every user at the candidate precoders W."""
@@ -295,20 +356,33 @@ class PrecoderSubproblem:
         return val
 
     def surrogate_and_grad(self, Ws):
+        """Surrogate WSR at one precoder set (K, n_t, n_u) or a stack of
+        them (leading axes), and the conjugate gradient of one on demand.
+
+        Returns (value, grad): value has the leading shape (a scalar for
+        one set), and grad(i) is the gradient at Ws[i] (grad() for one set).
+        """
         Ws = np.asarray(Ws)
+        QW = self.quad_sum @ Ws
+        lin = np.real(np.trace(self._lin_h @ Ws, axis1=-2, axis2=-1))
+        quad = np.real(np.trace(Ws.conj().swapaxes(-1, -2) @ QW, axis1=-2, axis2=-1))
         val = float(self.weights @ self.base)
-        g = np.empty_like(Ws)
         for j in range(self.K):
-            QW = self.quad_sum @ Ws[j]
-            val += 2.0 * self.weights[j] * float(np.real(np.trace(self.lin[j].conj().T @ Ws[j])))
-            val -= float(np.real(np.trace(Ws[j].conj().T @ QW)))
-            g[j] = self.weights[j] * self.lin[j] - QW
-        return val, g
+            val = val + 2.0 * self.weights[j] * lin[..., j]
+            val = val - quad[..., j]
+
+        def grad(i=()):
+            return self._grad_lin - QW[i]
+        return val, grad
 
     def deficit(self, Ws):
+        """SINR deficit at one precoder set or at each set of a stack."""
+        Wg = Ws.conj().swapaxes(-1, -2) @ self.g          # W_j^H g per set and user
+        sq = _per_row(lambda r: np.linalg.norm(r) ** 2, Wg.reshape(-1, Wg.shape[-1]))
+        sq = sq.reshape(Wg.shape[:-1])
         val = self._deficit_offset
         for j in range(self.K):
-            val += self.gamma0 * float(np.linalg.norm(Ws[j].conj().T @ self.g) ** 2)
+            val = val + self.gamma0 * sq[..., j]
         return val
 
     def deficit_grad(self, Ws):
@@ -424,10 +498,12 @@ class CovarianceSubproblem:
         self._kap_grad = -np.outer(self.g, self.g.conj()) / self.sinr_deficit_scale
 
     def _bounds(self, V):
-        """Per-user bounds and the stacked B_k = offs_k + H_k V H_k^H."""
-        B = self.offs + self.H @ V @ self.HH
+        """Per-user bounds and the stacked B_k = offs_k + H_k V H_k^H, with
+        the users on the last axis before the matrices; V may be a stack."""
+        Vk = V[..., None, :, :]
+        B = self.offs + self.H @ Vk @ self.HH
         ld, _ = metrics.logdet_hpd(B)
-        tr = np.real(np.trace(self.taylor @ (V - self.V0), axis1=1, axis2=2))
+        tr = np.real(np.trace(self.taylor @ (Vk - self.V0), axis1=-2, axis2=-1))
         return ld - self.c0 - tr, B
 
     def bound_values(self, V):
@@ -436,29 +512,40 @@ class CovarianceSubproblem:
 
     def penalty(self, V):
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
-        return float(np.real(self.lead_vec.conj() @ V @ self.lead_vec)) - float(np.real(np.trace(V)))
+        lead = _per_row(lambda r: r @ self.lead_vec, self.lead_vec.conj() @ V)
+        return np.real(lead) - np.real(np.trace(V, axis1=-2, axis2=-1))
 
     def objective(self, V):
         return float(self.weights @ self.bound_values(V)) + self.zeta * self.penalty(V)
 
     def objective_and_grad(self, V):
-        """Value and conjugate gradient.
+        """Value at a covariance or a stack of them (leading axes), and the
+        conjugate gradient of one on demand.
 
-        One stacked Cholesky (the log-dets) and one stacked solve
-        (H_k^H B_k^-1 H_k) cover all users; only the weighted K-term sums
-        run per user, in user order.
+        Returns (value, grad): value has the leading shape (a scalar for
+        one matrix), and grad(i) is the gradient at V[i] (grad() for one
+        matrix).  One stacked Cholesky (the log-dets) covers every matrix
+        and user; the stacked solve (H_k^H B_k^-1 H_k) over the users runs
+        only when a gradient is asked for.  The weighted K-term sums run
+        per user, in user order.
         """
         bounds, B = self._bounds(V)
-        dgrad = self.HH @ np.linalg.solve(B, self.H) - self.taylor
         val = self.zeta * self.penalty(V)
-        grad = np.array(self._pen_grad, copy=True)
         for k in range(self.K):
-            val += self.weights[k] * bounds[k]
-            grad += self.weights[k] * dgrad[k]
-        return val, 0.5 * (grad + grad.conj().T)
+            val = val + self.weights[k] * bounds[..., k]
+
+        def grad(i=()):
+            dgrad = self.HH @ np.linalg.solve(B[i], self.H) - self.taylor
+            g = np.array(self._pen_grad, copy=True)
+            for k in range(self.K):
+                g += self.weights[k] * dgrad[k]
+            return 0.5 * (g + g.conj().T)
+        return val, grad
 
     def deficit(self, V):
-        return self._deficit_offset - float(np.real(self.g.conj() @ V @ self.g))
+        """SINR deficit at one covariance or at each matrix of a stack."""
+        gVg = _per_row(lambda r: r @ self.g, self.g.conj() @ V)
+        return self._deficit_offset - np.real(gVg)
 
 
 def solve_covariance_subproblem(sub, params=None):

@@ -124,7 +124,7 @@ def _with_bs_xy(placement, xy):
     return placement.with_t(t)
 
 
-def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H):
+def gradient_checks(scenario, placement, lp_state, zf_uv):
     """Closure pairs (analytic_fn, scalar_fn, point) for every analytic
     position gradient (LP/ZF rates and SINR deficits, user and BS arrays).
 
@@ -138,6 +138,10 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
     W, v, u = lp_state.W, lp_state.v, lp_state.u
     zv, zu = zf_uv
     out = {}
+
+    def zf_workspace(ch):
+        st = metrics.make_zf_state(ch, zv, zu, scenario.p_max)
+        return zf.ZfWorkspace(ch, st, scenario.p_max, gamma0)
 
     def lp_user_pair(k):
         def scalar(xy):
@@ -189,7 +193,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         def analytic(xy):
             pl = _with_user_xy(placement, k, xy)
             ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            ws = zf.ZfWorkspace(ch, zv, zu, scenario.p_max, gamma0)
+            ws = zf_workspace(ch)
             return zf.grad_user_wsr_zf(scenario, pl, ch, ws, one_hot, k).ravel()
 
         return analytic, scalar, placement.q[k][:, :2].ravel()
@@ -202,7 +206,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         def analytic(xy):
             pl = _with_user_xy(placement, k, xy)
             ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            ws = zf.ZfWorkspace(ch, zv, zu, scenario.p_max, gamma0)
+            ws = zf_workspace(ch)
             return (zf.grad_user_sinr_deficit_zf(scenario, pl, ch, ws, k) / scale).ravel()
 
         return analytic, scalar, placement.q[k][:, :2].ravel()
@@ -215,7 +219,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         def analytic(xy):
             pl = _with_bs_xy(placement, xy)
             ch = geometry.build_channels(scenario, pl)
-            ws = zf.ZfWorkspace(ch, zv, zu, scenario.p_max, gamma0)
+            ws = zf_workspace(ch)
             return zf.grad_bs_rate_zf(scenario, pl, ch, ws, user).ravel()
 
         return analytic, scalar, placement.t[:, :2].ravel()
@@ -228,7 +232,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv, h=gradcheck.DEFAULT_H)
         def analytic(xy):
             pl = _with_bs_xy(placement, xy)
             ch = geometry.build_channels(scenario, pl)
-            ws = zf.ZfWorkspace(ch, zv, zu, scenario.p_max, gamma0)
+            ws = zf_workspace(ch)
             return (zf.grad_bs_sinr_deficit_zf(scenario, pl, ch, ws) / scale).ravel()
 
         return analytic, scalar, placement.t[:, :2].ravel()
@@ -266,7 +270,7 @@ def gradient_suite(scenario_factory, n_configs=20, seed=12345,
         lp_state = random_lp_state(scenario, channels, rng)
         zf_uv = (_random_unit(rng, scenario.n_t), _random_unit(rng, scenario.n_r))
         for name, (analytic, scalar, point) in gradient_checks(
-                scenario, placement, lp_state, zf_uv, h).items():
+                scenario, placement, lp_state, zf_uv).items():
             reports = gradcheck.check(analytic, scalar, [point], h=h,
                                       tol_rel=tol_rel, tol_abs=tol_abs)
             reports[0].point_index = cfg_idx

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ao, geometry, metrics
+from .errors import ContractViolation
 from .params import AlgoParams
 from .subsolver import (
     CovarianceSubproblem, leading_eigpair, solve_covariance_subproblem,
@@ -37,20 +38,22 @@ def optimal_combiner_zf(channels, state):
 class ZfWorkspace:
     """Quantities shared by every ZF position gradient at one evaluation point.
 
-    Built from fresh channels; n_u is assumed common to all users so the
-    stacked-channel row block of user k starts at k * n_u. ``beta2`` is the
-    squared ZF gain p_max / tr_gram_inv, equal to ``ZfState.gain ** 2`` from
-    ``metrics.zf_precoder``.
+    Built from fresh channels and the ZF state derived from them, whose
+    beam, combiner and Gram inverse it uses; n_u is assumed common to all
+    users so the stacked-channel row block of user k starts at k * n_u.
+    ``beta2`` is the squared ZF gain p_max / tr_gram_inv, equal to
+    ``ZfState.gain ** 2`` from ``metrics.zf_precoder``.
     """
 
-    def __init__(self, channels, v, u, p_max, gamma0):
-        self.v = v
-        self.u = u
+    def __init__(self, channels, state, p_max, gamma0):
+        if state.channel_tag != channels.tag:
+            raise ContractViolation("ZF workspace needs the state of these channels")
+        v = self.v = state.v
+        u = self.u = state.u
         self.p_max = float(p_max)
         self.gamma0 = float(gamma0)
         H_stack = np.vstack(channels.H)
-        A = H_stack @ H_stack.conj().T
-        Ai = metrics.refined_hermitian_inverse(A)
+        Ai = state.gram_inv
         Ai2 = Ai @ Ai
         self.tr_gram_inv = float(np.real(np.trace(Ai)))
         self.beta2 = self.p_max / self.tr_gram_inv
@@ -203,7 +206,7 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
         return (ch, st, *measure(ch, st))
 
     def descent(pl, ch, st, penalized):
-        ws = ZfWorkspace(ch, st.v, st.u, scenario.p_max, gamma0)
+        ws = ZfWorkspace(ch, st, scenario.p_max, gamma0)
         if user is None:
             grad = -grad_bs_wsr_zf(scenario, pl, ch, ws, weights)
         else:
@@ -237,7 +240,7 @@ def optimize_bs_positions_alm_zf(scenario, placement, channels, state,
 def initial_zf_state(scenario, channels, params=None):
     params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
-    P, gain = metrics.zf_precoder(channels, scenario.p_max)
+    P, gain, gram_inv = metrics.zf_precoder(channels, scenario.p_max)
     scale0 = metrics.sinr_deficit_scale(channels, scenario.gamma0)
 
     def deficit_of_v(v):
@@ -245,7 +248,7 @@ def initial_zf_state(scenario, channels, params=None):
 
     v0 = ao.initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
     return metrics.ZfState(v=v0, u=u0, P=P, gain=gain,
-                           channel_tag=channels.tag)
+                           channel_tag=channels.tag, gram_inv=gram_inv)
 
 
 def _snapshot(channels, state, gamma0):

@@ -234,7 +234,7 @@ def test_criterion_6_zf_identity(convergence_runs, scenario):
     for t in range(20):
         pl = harness.initial_placement(scenario, harness.trial_rng(MASTER_SEED, 100 + t))
         ch = geometry.build_channels(scenario, pl)
-        P, gain = metrics.zf_precoder(ch, scenario.p_max)
+        P, gain, _ = metrics.zf_precoder(ch, scenario.p_max)
         H_e = np.vstack(ch.H)
         off = H_e @ P - gain * np.eye(H_e.shape[0])
         worst = max(worst, float(np.max(np.abs(off)) / gain))

@@ -194,6 +194,23 @@ class TestSpacing:
     def test_single_point_vacuous(self):
         assert min_spacing_ok(np.array([[0.0, 0, 0]]), 10.0)
 
+    def test_matches_upper_triangle_rule(self):
+        # the rule as first written: every pair i < j at least d_min apart;
+        # d_min is drawn at, just below and just above a pair's exact distance
+        rng = np.random.Generator(np.random.Philox(key=[71, 0]))
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            pts = rng.uniform(-0.05, 0.05, size=(n, 3))
+            pts[:, 2] = rng.choice([0.0, 1.5])
+            if rng.uniform() < 0.2:
+                pts[-1] = pts[0]
+            d = geometry.pairwise_distances(pts, pts)
+            iu = np.triu_indices(n, k=1)
+            pair = d[iu][rng.integers(len(iu[0]))]
+            for d_min in (pair, np.nextafter(pair, 0.0), np.nextafter(pair, 1.0),
+                          rng.uniform(0.0, 0.05)):
+                assert min_spacing_ok(pts, d_min) == bool(np.all(d[iu] >= d_min))
+
 
 class TestChannelSetInvariants:
     def test_unit_modulus_invariant(self, channels):

@@ -137,12 +137,12 @@ class TestZfPrecoder:
             G=np.eye(2, n, dtype=complex), f_t=np.ones(n, dtype=complex),
             f_r=np.ones(2, dtype=complex), rho=np.array([3.0, 3.0]), rho_s=1.0,
             noise_user=np.array([1.0, 1.0]), noise_radar=1.0)
-        P, gain = zf_precoder(ch, p_max=4.0)
+        P, gain, _ = zf_precoder(ch, p_max=4.0)
         assert gain == pytest.approx(3.0 * math.sqrt(4.0 / 2), rel=1e-12)
         np.testing.assert_allclose(P, math.sqrt(2.0) * np.eye(n), atol=1e-12)
 
     def test_power_and_zero_forcing_identity(self, channels, scenario):
-        P, gain = zf_precoder(channels, scenario.p_max)
+        P, gain, _ = zf_precoder(channels, scenario.p_max)
         assert float(np.sum(np.abs(P) ** 2)) == pytest.approx(scenario.p_max, rel=1e-9)
         H_e = np.vstack(channels.H)
         prod = H_e @ P
@@ -214,7 +214,7 @@ class TestSinrZf:
             u=channels.f_r / math.sqrt(scenario.n_r),
             P=np.zeros((scenario.n_t, scenario.n_users * scenario.n_u),
                        dtype=complex),
-            gain=0.0, channel_tag=channels.tag)
+            gain=0.0, channel_tag=channels.tag, gram_inv=None)
         expect = (channels.rho_s**2 * scenario.n_t * scenario.n_r
                   / channels.noise_radar)
         assert sinr(channels, (st.P,), st.v, st.u) == pytest.approx(expect, rel=1e-9)
@@ -281,7 +281,8 @@ class TestKappa:
                          dtype=complex)
         st = metrics.ZfState(v=channels.f_t / math.sqrt(scenario.n_t),
                              u=channels.f_r / math.sqrt(scenario.n_r),
-                             P=zeros, gain=0.0, channel_tag=channels.tag)
+                             P=zeros, gain=0.0, channel_tag=channels.tag,
+                             gram_inv=None)
         gamma0 = 3e-5
         p_s = metrics.sensing_power(channels, st.v, st.u)
         assert sinr_deficit(channels, (st.P,), st.v, st.u, gamma0) == pytest.approx(

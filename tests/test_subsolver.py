@@ -7,9 +7,8 @@ from nfisac import metrics, verify
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
 from nfisac.subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, SubParams, _pga_ascent,
-    leading_eigpair,
-    psd_trace_project, solve_covariance_subproblem,
-    solve_precoder_subproblem,
+    leading_eigpair, power_project, psd_trace_project,
+    solve_covariance_subproblem, solve_precoder_subproblem,
 )
 
 
@@ -131,7 +130,7 @@ class TestPrecoderSolve:
         power = sum(float(np.sum(np.abs(Wk) ** 2)) for Wk in W)
         assert power == pytest.approx(scenario.p_max, rel=1e-4)
         # KKT: surrogate gradient parallel to the power-constraint gradient
-        g = sub.surrogate_and_grad(np.stack(W))[1]
+        g = sub.surrogate_and_grad(np.stack(W))[1]()
         Ws = np.stack(W)
         mu = float(np.real(np.vdot(Ws, g)) / np.real(np.vdot(Ws, Ws)))
         resid = np.linalg.norm(g - mu * Ws) / np.linalg.norm(g)
@@ -300,7 +299,7 @@ def _assert_matches_per_user(sub, ref, Vs):
         val, grad = sub.objective_and_grad(V)
         val_ref, grad_ref = ref.objective_and_grad(V)
         assert val == val_ref
-        assert np.array_equal(grad, grad_ref)
+        assert np.array_equal(grad(), grad_ref)
 
 
 def _random_psd(rng, n, count):
@@ -438,65 +437,162 @@ class TestCovarianceSolve:
         assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
 
 
-class _StepRecorder:
-    """Stubs for `_pga_ascent` on the box [-1, 1]^2 with a concave quadratic.
+def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
+                           armijo, rel_tol, max_backtracks, accept_ok=None,
+                           on_accept=None, fw_oracle=None):
+    """Reference for `_pga_ascent`: the same step rules, one candidate at a
+    time.  ``value_grad(x)`` returns (objective, gradient, *aux) of one
+    point; ``accept_ok`` and ``on_accept`` see that whole tuple."""
+    x = np.array(x0, copy=True)
+    val = value_grad(x)
+    L, g = val[0], val[1]
+    if on_accept is not None:
+        on_accept(x, val)
+    step = step0
+    fw_step = 1.0
+    for it in range(max_iters):
+        accepted = False
+        improve = 0.0
+        directions = [("grad", g, step, max_backtracks)]
+        if fw_oracle is not None and it % 2 == 0:
+            d_fw = fw_oracle(x, g)
+            if d_fw is not None:
+                directions.insert(0, ("fw", d_fw, fw_step, 16))
+        for kind, d, s, tries in directions:
+            for _bt in range(tries):
+                xn = project(x + s * d)
+                dn2 = float(np.sum(np.abs(xn - x) ** 2))
+                if dn2 == 0.0:
+                    break
+                valn = value_grad(xn)
+                if valn[0] - L >= armijo * dn2 and (
+                        accept_ok is None or accept_ok(xn, valn)):
+                    improve = valn[0] - L
+                    x, L, g = xn, valn[0], valn[1]
+                    if on_accept is not None:
+                        on_accept(x, valn)
+                    if kind == "grad":
+                        step = s * 2.0
+                    else:
+                        fw_step = min(1.0, s * 2.0)
+                    accepted = True
+                    break
+                s *= tau
+            if accepted:
+                break
+        if not accepted:
+            break
+        if improve <= rel_tol * (1.0 + abs(L)):
+            break
+    return x, L, step
+
+
+def _sequential_with_stacked_callbacks(x0, value_grad, project, *args,
+                                       accept_ok=None, on_accept=None,
+                                       fw_oracle=None):
+    """Run the sequential reference on `_pga_ascent`'s stacked callbacks,
+    each called with a stack of one point."""
+    def vg(x):
+        vals, grad, *aux = value_grad(x[None])
+        return (vals[0], grad(0), *(a[0] for a in aux))
+
+    def entries(fn):
+        if fn is None:
+            return None
+        return lambda x, val: fn(x, (val[0], *val[2:]))
+
+    return _sequential_pga_ascent(
+        x0, vg, lambda z: project(z[None])[0], *args,
+        accept_ok=entries(accept_ok), on_accept=entries(on_accept),
+        fw_oracle=fw_oracle)
+
+
+class _BoxQuadratic:
+    """A concave quadratic on the box [-1, 1]^2, with `_pga_ascent`'s
+    stacked callbacks.
 
     ``fw_oracle`` returns the box vertex that maximizes the linearized gain,
     minus x; every third call returns the reverse, a descent direction whose
-    try must fail.  ``project`` sees each candidate x + s d before clipping,
-    so it recovers s and which direction d (FW or gradient) was tried;
-    ``on_accept`` marks the accepted candidates.
+    try must fail.
     """
 
     center = np.array([0.3, -0.2])
     curv = np.array([1.0, 4.0])
 
     def __init__(self):
-        self.events = []
-        self.x = self.g = self.d_fw = None
         self.fw_calls = 0
 
-    def value_grad(self, x):
-        r = x - self.center
-        return -float(np.sum(self.curv * r * r)), -2.0 * self.curv * r
+    def gradient(self, x):
+        return -2.0 * self.curv * (x - self.center)
+
+    def value_grad(self, X):
+        R = X - self.center
+        vals = np.array([-float(np.sum(self.curv * r * r)) for r in R])
+        return vals, lambda i: self.gradient(X[i])
 
     def fw_oracle(self, x, g):
         self.fw_calls += 1
-        self.d_fw = np.where(g >= 0.0, 1.0, -1.0) - x
-        if self.fw_calls % 3 == 0:
-            self.d_fw = -self.d_fw
+        d = np.where(g >= 0.0, 1.0, -1.0) - x
+        return -d if self.fw_calls % 3 == 0 else d
+
+    def project(self, Z):
+        return np.clip(Z, -1.0, 1.0)
+
+
+class _StepRecorder(_BoxQuadratic):
+    """The box quadratic, recording every step size tried.
+
+    ``project`` sees each candidate x + s d before clipping, so it recovers
+    s and which direction d (FW or gradient) was tried; ``on_accept`` names
+    the adopted candidate, which need not be the last one projected: a try
+    evaluates its candidates in stacks.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+        self.x = self.g = self.d_fw = None
+
+    def fw_oracle(self, x, g):
+        self.d_fw = super().fw_oracle(x, g)
         return self.d_fw
 
-    def on_accept(self, x, val):
-        self.x, self.g, self.d_fw = x.copy(), val[1], None
+    def on_accept(self, x, entries):
+        self.x, self.g, self.d_fw = x.copy(), self.gradient(x), None
         if self.events:
-            self.events.append(("accept",))
+            self.events.append(("accept", x.copy()))
 
-    def project(self, z):
-        delta = z - self.x
-        kinds = []
-        for kind, d in (("fw", self.d_fw), ("grad", self.g)):
-            if d is None:
-                continue
-            s = float(d @ delta) / float(d @ d)
-            if np.linalg.norm(delta - s * d) <= 1e-8 * np.linalg.norm(delta):
-                kinds.append((kind, s))
-        assert len(kinds) == 1, "candidate direction is ambiguous"
-        self.events.append(kinds[0])
-        return np.clip(z, -1.0, 1.0)
+    def project(self, Z):
+        out = super().project(Z)
+        for z, xn in zip(Z, out):
+            delta = z - self.x
+            kinds = []
+            for kind, d in (("fw", self.d_fw), ("grad", self.g)):
+                if d is None:
+                    continue
+                s = float(d @ delta) / float(d @ d)
+                if np.linalg.norm(delta - s * d) <= 1e-8 * np.linalg.norm(delta):
+                    kinds.append((kind, s))
+            assert len(kinds) == 1, "candidate direction is ambiguous"
+            self.events.append(kinds[0] + (xn,))
+        return out
 
     def tries(self):
-        """Group the candidates into tries: (kind, [steps], accepted)."""
+        """Group the candidates into tries: (kind, [steps], accepted); an
+        accepted try ends at its adopted candidate."""
         out = []
         for ev in self.events:
             if ev[0] == "accept":
-                out[-1][2] = True
+                kind, steps, _, points = out[-1]
+                i = next(j for j, p in enumerate(points) if np.array_equal(p, ev[1]))
+                out[-1] = [kind, steps[:i + 1], True, points[:i + 1]]
             elif out and not out[-1][2] and out[-1][0] == ev[0] \
                     and ev[1] == pytest.approx(0.5 * out[-1][1][-1], rel=1e-9):
                 out[-1][1].append(ev[1])
+                out[-1][3].append(ev[2])
             else:
-                out.append([ev[0], [ev[1]], False])
-        return out
+                out.append([ev[0], [ev[1]], False, [ev[2]]])
+        return [t[:3] for t in out]
 
 
 class TestPgaStepRule:
@@ -540,26 +636,160 @@ class TestPgaStepRule:
         assert all(len(t[1]) <= 80 for t in grad)
 
 
-class TestCovarianceSolveCost:
-    """One covariance solve on the conftest fixtures stays cheap and feasible."""
+def _recording(ascent, calls):
+    def run(*args, **kwargs):
+        out = ascent(*args, **kwargs)
+        calls.append(out)
+        return out
+    return run
 
-    MAX_EVALS = 450
+
+def _same_ascents(a, b):
+    assert len(a) == len(b)
+    for (xa, La, sa), (xb, Lb, sb) in zip(a, b):
+        assert np.array_equal(xa, xb)
+        assert La == Lb
+        assert sa == sb
+
+
+class TestSequentialReference:
+    """The stacked line search takes exactly the steps of the sequential one."""
+
+    @pytest.mark.parametrize("veto", [False, True])
+    def test_box_quadratic(self, veto):
+        # the veto rejects some Armijo-passing candidates, so the adopted
+        # one is not always the first to pass the Armijo test
+        def ok(x, entries):
+            return x[0] <= 0.2
+
+        outs = []
+        for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
+            box = _BoxQuadratic()
+            outs.append([ascent(np.array([-0.9, 0.8]), box.value_grad,
+                                box.project, 0.05, 40, 0.5, 1e-4, 0.0, 80,
+                                accept_ok=ok if veto else None,
+                                fw_oracle=box.fw_oracle)])
+        _same_ascents(*outs)
+        assert outs[0][0][1] > _BoxQuadratic().value_grad(
+            np.array([[-0.9, 0.8]]))[0][0]
+
+    def _compare_solves(self, monkeypatch, sub):
+        from nfisac import subsolver
+        results = []
+        for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
+            calls = []
+            monkeypatch.setattr(subsolver, "_pga_ascent", _recording(ascent, calls))
+            results.append((solve_covariance_subproblem(sub, SubParams()), calls))
+        (V, calls), (V_ref, calls_ref) = results
+        assert len(calls) >= 2
+        _same_ascents(calls, calls_ref)
+        assert np.array_equal(V, V_ref)
+
+    def test_lp_covariance_solve(self, monkeypatch, scenario, channels, lp_state):
+        V0 = np.outer(lp_state.v, lp_state.v.conj())
+        self._compare_solves(monkeypatch, _cov_sub(scenario, channels, lp_state, V0))
+
+    def test_zf_covariance_solve(self, monkeypatch, scenario, channels, zf_state):
+        V0 = np.outer(zf_state.v, zf_state.v.conj())
+        self._compare_solves(monkeypatch, _cov_sub(scenario, channels, None, V0,
+                                                   mode="zf", zf_state=zf_state))
+
+
+def _stack_sizes(seed, count=50):
+    rng = np.random.Generator(np.random.Philox(key=[61, seed]))
+    return rng, [int(m) for m in rng.integers(1, 17, size=count)]
+
+
+class TestStackedKernels:
+    """Every stacked evaluation equals the 2-D call on each of its slices."""
+
+    def _check_covariance(self, sub, n, seed):
+        rng, sizes = _stack_sizes(seed)
+        for m in sizes:
+            Vs = np.stack(_random_psd(rng, n, m))
+            vals, grad = sub.objective_and_grad(Vs)
+            deficits = sub.deficit(Vs)
+            assert vals.shape == deficits.shape == (m,)
+            for i, V in enumerate(Vs):
+                val, grad2 = sub.objective_and_grad(V)
+                assert vals[i] == val
+                assert np.array_equal(grad(i), grad2())
+                assert deficits[i] == sub.deficit(V)
+
+    def test_lp_covariance(self, scenario, channels, lp_state):
+        V0 = np.outer(lp_state.v, lp_state.v.conj())
+        self._check_covariance(_cov_sub(scenario, channels, lp_state, V0),
+                               scenario.n_t, 0)
+
+    def test_zf_covariance(self, scenario, channels, zf_state):
+        V0 = np.outer(zf_state.v, zf_state.v.conj())
+        sub = _cov_sub(scenario, channels, None, V0, mode="zf", zf_state=zf_state)
+        self._check_covariance(sub, scenario.n_t, 1)
+
+    def test_psd_trace_project(self):
+        # traces below and above 1, so both the clipped-only and the
+        # rescaled branches run
+        rng, sizes = _stack_sizes(2)
+        traces = []
+        for m in sizes:
+            Vs = np.stack([rng.uniform(0.05, 2.0) * _random_hermitian(rng, 4)
+                           for _ in range(m)])
+            P = psd_trace_project(Vs)
+            traces.extend(np.real(np.trace(P, axis1=1, axis2=2)))
+            for i, V in enumerate(Vs):
+                assert np.array_equal(P[i], psd_trace_project(V))
+        assert min(traces) < 0.9 and max(traces) == pytest.approx(1.0, abs=1e-12)
+
+    def test_precoder(self, scenario, channels, lp_state):
+        state = lp_state.copy()
+        state.v = channels.f_t / math.sqrt(scenario.n_t)
+        sub = _precoder_sub(scenario, channels, state)
+        rng, sizes = _stack_sizes(3)
+        for m in sizes:
+            Ws = (rng.normal(size=(m,) + sub.W0.shape)
+                  + 1j * rng.normal(size=(m,) + sub.W0.shape))
+            Ws *= rng.uniform(0.2, 2.0, size=(m, 1, 1, 1)) * math.sqrt(scenario.p_max) \
+                / np.linalg.norm(Ws.reshape(m, -1), axis=1)[:, None, None, None]
+            vals, grad = sub.surrogate_and_grad(Ws)
+            deficits = sub.deficit(Ws)
+            projected = power_project(Ws, scenario.p_max)
+            for i, W in enumerate(Ws):
+                val, grad2 = sub.surrogate_and_grad(W)
+                assert vals[i] == val
+                assert np.array_equal(grad(i), grad2())
+                assert deficits[i] == sub.deficit(W)
+                assert np.array_equal(projected[i], power_project(W, scenario.p_max))
+
+
+class TestCovarianceSolveCost:
+    """One covariance solve on the conftest fixtures stays cheap and feasible.
+
+    A stacked objective call evaluates many candidates at once, so both the
+    calls (the per-call overhead) and the candidates (the work, including
+    the candidates a stack evaluates past the adopted one) are bounded.
+    """
+
+    MAX_CALLS = 250
+    MAX_CANDIDATES = 540
 
     def _solve_counted(self, sub):
-        calls = [0]
+        calls, candidates = [0], [0]
         inner = sub.objective_and_grad
 
         def counted(V):
             calls[0] += 1
+            candidates[0] += 1 if V.ndim == 2 else len(V)
             return inner(V)
 
         sub.objective_and_grad = counted
         V = solve_covariance_subproblem(sub, SubParams())
-        assert calls[0] <= self.MAX_EVALS
+        assert calls[0] <= self.MAX_CALLS
+        assert candidates[0] <= self.MAX_CANDIDATES
         assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
         vals = np.linalg.eigvalsh(V)
         assert vals.min() >= -1e-12
         assert vals.sum() <= 1.0 + 1e-12
+        return calls[0], candidates[0]
 
     def test_lp_eval_count(self, scenario, channels, lp_state):
         V0 = np.outer(lp_state.v, lp_state.v.conj())

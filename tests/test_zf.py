@@ -173,14 +173,12 @@ class TestRunZf:
 
 class TestZfWorkspaceConsistency:
     def test_beta_matches_precoder(self, scenario, channels, zf_state):
-        ws = zf.ZfWorkspace(channels, zf_state.v, zf_state.u, scenario.p_max,
-                            scenario.gamma0)
+        ws = zf.ZfWorkspace(channels, zf_state, scenario.p_max, scenario.gamma0)
         assert math.sqrt(ws.beta2) == pytest.approx(zf_state.gain, rel=1e-10)
 
     def test_kronecker_delta_structure(self, scenario, placement, channels, zf_state):
         # the own-user gradient includes the G_k term, the cross gradient does not
-        ws = zf.ZfWorkspace(channels, zf_state.v, zf_state.u, scenario.p_max,
-                            scenario.gamma0)
+        ws = zf.ZfWorkspace(channels, zf_state, scenario.p_max, scenario.gamma0)
         one_hot = np.eye(scenario.n_users)
         g_own = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[0], 0)
         g_cross = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[1], 0)
