@@ -14,12 +14,11 @@ from .errors import (
 from .geometry import (
     ChannelSet, Placement, Scenario, SquareRegion, build_channels,
     build_sensing_channel, build_user_channel, min_spacing_ok,
-    path_loss_comm, path_loss_sense, project_to_region,
-    receive_ula_positions, vec3,
+    path_loss_comm, path_loss_sense, receive_ula_positions, vec3,
 )
 from .metrics import (
     LpState, TraceRecord, ZfState, make_zf_state, rate_lp, rate_zf, sinr,
-    sinr_deficit, wsr, zf_precoder,
+    sinr_deficit, zf_precoder,
 )
 from .params import AlgoParams
 from .lp import run_lp

@@ -1,10 +1,11 @@
 """Alternating-optimization engine shared by the LP and ZF stacks.
 
-One copy each of the AO loop with its block gate, the SCA sensing-beam loop
-and the ALM/PGM position loop.  A stack supplies only what is
-scheme-specific: its initial state, a snapshot of rates, sensing SINR and
-SINR deficit, its receive combiner, its blocks, and the subproblem,
-deficit and gradient functions the two inner loops call.
+One copy each of the AO loop with its block gate, the SCA sensing-beam loop,
+the projected-gradient descent of every position block and the ALM loop
+around it.  A stack supplies only what is scheme-specific: its initial
+state, a snapshot of rates, sensing SINR and SINR deficit, its receive
+combiner, its blocks, and the subproblem, deficit, objective and gradient
+functions the inner loops call.
 """
 
 from __future__ import annotations
@@ -118,77 +119,102 @@ def sense_beam(channels, v, weights, gamma0, params, make_sub, deficit_of_v,
 
 
 # ---------------------------------------------------------------------------
-# ALM/PGM position loop
+# projected-gradient descent and the ALM position loop
+
+def descend(scenario, k, x, grad, move, stop, max_steps, params):
+    """Projected-gradient descent with Armijo backtracking on one antenna
+    array: the BS transmit array (``k`` None) or user k's antennas.
+
+    ``x`` is the caller's iterate, a tuple that starts with the Placement
+    and ends with the objective value being decreased.  ``grad(x)`` gives
+    the objective's xy gradient, shape (n, 2); ``move(x, positions)`` gives
+    the iterate with the array at ``positions``, or None if it cannot be
+    evaluated; ``stop(x_prev, x)`` ends the descent after an accepted step.
+    Each trial step is projected onto the array's region; a spacing
+    violation, an unevaluable candidate or a failed Armijo test shrinks it
+    by tau, and an accepted step s makes 2s the next first trial.  Returns
+    (x, steps, exhausted), exhausted when a line search found no acceptable
+    step or the projected step vanished.
+    """
+    region = scenario.tx_region if k is None else scenario.user_regions[k]
+    step = params.step0
+    steps = 0
+    for _ in range(max_steps):
+        g = grad(x)
+        pos = x[0].array(k)
+        s = step
+        for _ls in range(params.max_ls):
+            cand = pos.copy()
+            cand[:, :2] = pos[:, :2] - s * g
+            cand = geometry.project_points_to_region(cand, region)
+            delta2 = float(np.sum((cand - pos) ** 2))
+            if delta2 == 0.0:
+                return x, steps, True
+            x_c = (move(x, cand) if geometry.min_spacing_ok(cand, scenario.d_min)
+                   else None)
+            if x_c is not None and x[-1] - x_c[-1] >= params.delta * delta2:
+                break
+            s *= params.tau
+        else:
+            return x, steps, True
+        x_prev, x = x, x_c
+        step = s * 2.0
+        steps += 1
+        if stop(x_prev, x):
+            break
+    return x, steps, False
+
 
 def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
-    """ALM over one antenna array: inner PGM on the penalized objective
-    -WSR + eta*kap + p/2*kap^2, then multiplier/penalty updates, until the
-    WSR stabilizes.
+    """ALM over one antenna array: inner PGM (``descend``) on the penalized
+    objective -WSR + eta*kap + p/2*kap^2, then multiplier/penalty updates,
+    until the WSR stabilizes.
 
     The array is the BS transmit array, or user ``user``'s antennas.
     ``start`` is (placement, channels, state, wsr, kap) at the current
-    positions, kap the scaled SINR deficit.  ``evaluate(placement, channels)``
-    gives (channels, state, wsr, kap) at a candidate placement, from the
-    current channels; a RankDeficiencyError counts as a failed line-search
-    trial.  ``descent(placement, channels, state, penalized)`` gives the
-    gradient of -WSR and, when penalized, of the scaled deficit (else None).
-    Returns (placement, channels, state, eta, info); eta persists across
-    calls as warm-start dual information.
+    positions, kap the scaled SINR deficit.  ``evaluate(channels)`` gives
+    (state, wsr, kap) on a candidate's channels; a RankDeficiencyError
+    counts as a failed line-search trial.  ``descent(placement, channels,
+    state, penalized)`` gives the gradient of -WSR and, when penalized, of
+    the scaled deficit (else None).  Returns (placement, channels, state,
+    eta, info); eta persists across calls as warm-start dual information.
     """
-    pl, ch, st, wsr_c, kap = start
-    if user is None:
-        region, pos, step0 = scenario.tx_region, pl.t, params.nu0
-    else:
-        region, pos, step0 = scenario.user_regions[user], pl.q[user], params.alpha0
+    x = start
+    kap = start[4]
     info = AlmInfo(sinr_deficit_scaled=kap)
     p0 = params.p0
-    wsr_prev = wsr_c
+    wsr_prev = start[3]
+
+    def stop(prev, cur):
+        L_prev, L_cur = prev[-1], cur[-1]
+        denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
+        return abs(L_prev - L_cur) / denom < params.eps_l
+
     for outer in range(params.alm_max_outer):
         p = 0.0 if (kap <= 0.0 and eta == 0.0) else p0
         penalized = eta != 0.0 or p != 0.0
 
-        def lagrangian(w, k):
-            return -w + eta * k + 0.5 * p * k * k
+        def lagrangian(w, kp):
+            return -w + eta * kp + 0.5 * p * kp * kp
 
-        L_cur = lagrangian(wsr_c, kap)
-        step = step0
-        for _n in range(params.inner_pgm_max):
-            grad, g_def = descent(pl, ch, st, penalized)
-            if penalized:
-                grad = grad + (eta + p * kap) * g_def
-            s = step
-            accepted = False
-            for _ls in range(params.max_ls):
-                cand = pos.copy()
-                cand[:, :2] = pos[:, :2] - s * grad
-                cand = geometry.project_points_to_region(cand, region)
-                delta2 = float(np.sum((cand - pos) ** 2))
-                if delta2 == 0.0:
-                    break
-                if not geometry.min_spacing_ok(cand, scenario.d_min):
-                    s *= params.tau
-                    continue
-                pl_c = pl.with_t(cand) if user is None else pl.with_q(user, cand)
-                try:
-                    ch_c, st_c, wsr_cc, kap_c = evaluate(pl_c, ch)
-                except RankDeficiencyError:
-                    s *= params.tau
-                    continue
-                L_c = lagrangian(wsr_cc, kap_c)
-                if L_cur - L_c >= params.delta * delta2:
-                    pos, pl, ch, st, wsr_c, kap = cand, pl_c, ch_c, st_c, wsr_cc, kap_c
-                    L_prev, L_cur = L_cur, L_c
-                    step = s * 2.0
-                    accepted = True
-                    info.inner_steps += 1
-                    break
-                s *= params.tau
-            if not accepted:
-                info.line_search_exhausted = True
-                break
-            denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
-            if abs(L_prev - L_cur) / denom < params.eps_l:
-                break
+        def grad(x):
+            g, g_def = descent(*x[:3], penalized)
+            return g + (eta + p * x[4]) * g_def if penalized else g
+
+        def move(x, positions):
+            pl, ch = geometry.move_array(scenario, x[0], x[1], user, positions)
+            try:
+                st, w, kp = evaluate(ch)
+            except RankDeficiencyError:
+                return None
+            return pl, ch, st, w, kp, lagrangian(w, kp)
+
+        x = (*x[:5], lagrangian(x[3], x[4]))
+        x, steps, exhausted = descend(scenario, user, x, grad, move, stop,
+                                      params.inner_pgm_max, params)
+        info.inner_steps += steps
+        info.line_search_exhausted |= exhausted
+        wsr_c, kap = x[3], x[4]
         eta = max(0.0, eta + p0 * kap)
         p0 = min(p0 * params.theta, params.p_cap)
         info.outer_rounds = outer + 1
@@ -196,6 +222,7 @@ def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
             break
         wsr_prev = wsr_c
     info.sinr_deficit_scaled = kap
+    pl, ch, st = x[:3]
     return pl, ch, st, eta, info
 
 

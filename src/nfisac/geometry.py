@@ -182,6 +182,10 @@ class Placement:
         q[k] = np.asarray(qk, dtype=float)
         return replace(self, q=tuple(q))
 
+    def array(self, k):
+        """Positions of the BS transmit array (``k`` None) or of user k."""
+        return self.t if k is None else self.q[k]
+
     def validate(self, scenario, tol=1e-9):
         if self.t.shape != (scenario.n_t, 3):
             raise ScenarioError(f"t has shape {self.t.shape}")
@@ -307,17 +311,20 @@ def rebuild_user_channel(scenario, channels, placement, k):
     return replace(channels, H=tuple(H), tag=next(_channel_tag))
 
 
-def project_to_region(p, region):
-    """Clamp x and y independently to the region box; z is left unchanged."""
-    x_min, x_max, y_min, y_max = region.bounds()
-    out = np.array(p, dtype=float)
-    out[0] = min(max(out[0], x_min), x_max)
-    out[1] = min(max(out[1], y_min), y_max)
-    return out
+def move_array(scenario, placement, channels, k, positions):
+    """(placement, channels) with one array moved to ``positions``: the BS
+    transmit array (``k`` None) rebuilds every channel, user k's array only
+    H_k."""
+    if k is None:
+        placement = placement.with_t(positions)
+        return placement, build_channels(scenario, placement)
+    placement = placement.with_q(k, positions)
+    return placement, rebuild_user_channel(scenario, channels, placement, k)
 
 
 def project_points_to_region(points, region):
-    """Row-wise project_to_region for an (n, 3) array."""
+    """Clamp each row's x and y independently to the region box; z is left
+    unchanged."""
     x_min, x_max, y_min, y_max = region.bounds()
     out = np.array(points, dtype=float)
     out[:, 0] = np.clip(out[:, 0], x_min, x_max)

@@ -177,18 +177,14 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
-def build_scenario(cfg, dtk=None, n_u=None, p_max=None, gamma0=None, w1=None):
-    """Deterministic Scenario from a config, with per-sweep overrides.
+def build_scenario(cfg):
+    """Deterministic Scenario from a config.
 
     The two users sit at distance dtk from the BS transmit region center in
     the +-pi/4 directions of the xz-plane, with their movement regions
     parallel to the xy-plane.
     """
-    dtk = cfg.dtk if dtk is None else float(dtk)
-    n_u = cfg.n_u if n_u is None else int(n_u)
-    p_max = cfg.p_max if p_max is None else float(p_max)
-    gamma0 = cfg.gamma0 if gamma0 is None else float(gamma0)
-    w1 = cfg.w1 if w1 is None else float(w1)
+    dtk, gamma0 = cfg.dtk, cfg.gamma0
     if dtk <= 0:
         raise ConfigError("dtk must be positive")
     o_t = geometry.vec3(-3.0, 10.0, 0.0)
@@ -210,15 +206,15 @@ def build_scenario(cfg, dtk=None, n_u=None, p_max=None, gamma0=None, w1=None):
             f"gamma0={gamma0:g} is unreachable: the highest reachable gamma0 "
             f"is {echo_max / cfg.noise_radar:.3g} (rho_s^2 n_r n_t / sigma_z^2)")
     return geometry.Scenario(
-        lam=cfg.lam, n_t=cfg.n_t, n_r=cfg.n_r, n_users=cfg.n_users, n_u=n_u,
+        lam=cfg.lam, n_t=cfg.n_t, n_r=cfg.n_r, n_users=cfg.n_users, n_u=cfg.n_u,
         tx_region=geometry.SquareRegion(center=o_t, side=cfg.l_t),
         rx_mid=o_r, rx_len=cfg.l_r,
         user_regions=tuple(geometry.SquareRegion(center=c, side=cfg.a_k)
                            for c in centers),
         target=target,
         noise_user=cfg.noise_user, noise_radar=cfg.noise_radar,
-        p_max=p_max, gamma0=gamma0, d_min=cfg.d_min,
-        weights=np.array([w1, 1.0 - w1]),
+        p_max=cfg.p_max, gamma0=gamma0, d_min=cfg.d_min,
+        weights=np.array([cfg.w1, 1.0 - cfg.w1]),
     )
 
 
@@ -262,18 +258,17 @@ class TrialSpec:
 
 
 def _scenario_for(cfg, sweep):
-    kw = {}
     if cfg.preset == "convergence":
-        kw["dtk"] = sweep
+        cfg = replace(cfg, dtk=sweep)
     elif cfg.preset == "weights":
-        kw["w1"] = sweep
+        cfg = replace(cfg, w1=sweep)
     elif cfg.preset == "power":
-        kw["p_max"] = sweep
+        cfg = replace(cfg, p_max=sweep)
     elif cfg.preset == "nk":
-        kw["n_u"] = int(sweep)
+        cfg = replace(cfg, n_u=int(sweep))
     elif cfg.preset == "gamma0":
-        kw["gamma0"] = sweep
-    return build_scenario(cfg, **kw)
+        cfg = replace(cfg, gamma0=sweep)
+    return build_scenario(cfg)
 
 
 def run_trial(spec):
@@ -365,18 +360,16 @@ def _fmt(value):
     return str(value)
 
 
-def emit(rows, path, fmt="csv", header=None, columns=None):
+def emit(rows, path, fmt="csv", columns=None):
     """Write result rows with a stable column order.
 
-    CSV uses the canonical result header unless ``header``/``columns`` name
-    another schema (trace or gradcheck rows).  JSON writes the row dicts as
-    an array.
+    CSV uses the canonical result header unless ``columns`` names another
+    schema (trace or gradcheck rows).  JSON writes the row dicts as an
+    array.
     """
     if columns is None:
-        header = header or CSV_HEADER
-        columns = header.split(",")
-    else:
-        header = header or ",".join(columns)
+        columns = CSV_HEADER.split(",")
+    header = ",".join(columns)
     if fmt == "json":
         payload = [{c: row[c] for c in columns} for row in rows]
         text = json.dumps(payload, indent=1, default=float)

@@ -3,9 +3,9 @@
 The scheme-specific parts of the alternating optimization in ``ao``: the
 closed-form receive combiner, the SCA precoder update, the covariance
 subproblem of the sensing beam, per-user projected gradient ascent on the
-antenna positions (its own loop: it stops on a relative rate gain), the
-BS-position gradients and candidate evaluation for the shared ALM loop,
-and the sensing-aware warm start.
+antenna positions (the shared descent, stopped on a relative rate gain),
+the BS-position gradients and candidate evaluation for the shared ALM
+loop, and the sensing-aware warm start.
 """
 
 from __future__ import annotations
@@ -148,54 +148,35 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
 # position blocks
 
 def optimize_user_positions(scenario, placement, channels, state, k, params=None):
-    """Projected gradient ascent on R_{L,k} over user k's antenna positions.
+    """Projected gradient ascent on R_{L,k} over user k's antenna positions:
+    ``ao.descend`` on -R_{L,k}, stopped once a step gains less than pgm_tol
+    relative to the rate.  The precoders and beam stay fixed.
 
-    Each accepted step must satisfy the Armijo-Goldstein condition and the
-    minimum-spacing constraint; the step size carries over (doubled) between
-    accepted steps and is reset by the caller each outer iteration.
+    Returns (placement, channels, steps).
     """
     params = params or AlgoParams()
-    region = scenario.user_regions[k]
-    q = placement.q[k]
-    rate = metrics.rate_lp(channels, state, k)
-    mu = params.mu0
-    steps = 0
-    for _ in range(params.pgm_max_steps):
-        grad = grad_user_rate_lp(scenario, placement, channels, state.W, state.v, k)
-        s = mu
-        accepted = False
-        for _ls in range(params.max_ls):
-            qc = q.copy()
-            qc[:, :2] = q[:, :2] + s * grad
-            qc = geometry.project_points_to_region(qc, region)
-            delta2 = float(np.sum((qc - q) ** 2))
-            if delta2 == 0.0:
-                break
-            if not geometry.min_spacing_ok(qc, scenario.d_min):
-                s *= params.tau
-                continue
-            pl_c = placement.with_q(k, qc)
-            ch_c = geometry.rebuild_user_channel(scenario, channels, pl_c, k)
-            rate_c = metrics.rate_lp_w(ch_c, state.W, state.v, k)
-            if rate_c - rate >= params.delta * delta2:
-                improvement = rate_c - rate
-                q, placement, channels, rate = qc, pl_c, ch_c, rate_c
-                mu = s * 2.0
-                accepted = True
-                steps += 1
-                break
-            s *= params.tau
-        if not accepted:
-            break
-        if improvement < params.pgm_tol * (1.0 + abs(rate)):
-            break
+    W, v = state.W, state.v
+
+    def grad(x):
+        return -grad_user_rate_lp(scenario, x[0], x[1], W, v, k)
+
+    def move(x, q):
+        pl, ch = geometry.move_array(scenario, x[0], x[1], k, q)
+        return pl, ch, -metrics.rate_lp_w(ch, W, v, k)
+
+    def stop(prev, cur):
+        return prev[-1] - cur[-1] < params.pgm_tol * (1.0 + abs(cur[-1]))
+
+    x = (placement, channels, -metrics.rate_lp(channels, state, k))
+    (placement, channels, _), steps, _ = ao.descend(
+        scenario, k, x, grad, move, stop, params.pgm_max_steps, params)
     return placement, channels, steps
 
 
 def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
                               gamma0, params=None, eta=0.0):
-    """ALM over the BS transmit positions (``ao.alm_positions``); every
-    candidate rebuilds the channels, the precoders stay fixed.
+    """ALM over the BS transmit positions (``ao.alm_positions``); the
+    precoders stay fixed.
 
     Returns (placement, channels, eta, info); eta persists across calls as
     warm-start dual information.
@@ -209,9 +190,8 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
         kap = metrics.sinr_deficit(ch, W, v, u, gamma0) / scale
         return float(np.asarray(weights) @ rates), kap
 
-    def evaluate(pl, _ch):
-        ch = geometry.build_channels(scenario, pl)
-        return (ch, state, *measure(ch))
+    def evaluate(ch):
+        return (state, *measure(ch))
 
     def descent(pl, ch, st, penalized):
         grad = np.zeros((scenario.n_t, 2))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError, RankDeficiencyError
+from .errors import NumericalError, RankDeficiencyError
 
 COND_LIMIT = 1e12
 
@@ -277,15 +277,6 @@ def sinr_deficit_scale(channels, gamma0):
     """
     s = gamma0 * channels.noise_radar
     return s if s > 0 else 1.0
-
-
-def wsr(weights, rates):
-    """Weighted sum rate."""
-    weights = np.asarray(weights, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if weights.shape != rates.shape:
-        raise ContractViolation(f"weights {weights.shape} vs rates {rates.shape}")
-    return float(weights @ rates)
 
 
 def lp_rates(channels, lp_state):

@@ -12,7 +12,7 @@ class AlgoParams:
     """Convergence thresholds, line-search constants, and iteration caps.
 
     Defaults follow the evaluation setup: Armijo constant delta = 1e-2 with
-    backtrack factor tau = 1/2, unit initial step sizes, ALM seed p0 = 1
+    backtrack factor tau = 1/2, unit initial step, ALM seed p0 = 1
     with growth theta = 10, eps_L = 1e-3 (relative, inner loop),
     eps_f = 1e-2 (outer WSR), eps_s = 1e-2 (SCA surrogate improvement).
     """
@@ -22,9 +22,7 @@ class AlgoParams:
     eps_f: float = 1e-2
     delta: float = 1e-2          # Armijo-Goldstein constant
     tau: float = 0.5             # backtrack factor
-    mu0: float = 1.0             # user-PGM initial step
-    nu0: float = 1.0             # BS-PGM initial step
-    alpha0: float = 1.0          # ZF user-ALM initial step
+    step0: float = 1.0           # initial PGM step of every position block
     p0: float = 1.0              # ALM penalty seed
     theta: float = 10.0          # ALM penalty growth
     p_cap: float = 1e6
@@ -44,7 +42,6 @@ class AlgoParams:
             raise ValueError("tau must lie in (0, 1)")
         if not self.theta > 1.0:
             raise ValueError("theta must exceed 1")
-        for name in ("eps_s", "eps_l", "eps_f", "delta", "mu0", "nu0",
-                     "alpha0", "p0"):
+        for name in ("eps_s", "eps_l", "eps_f", "delta", "step0", "p0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

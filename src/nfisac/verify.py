@@ -112,18 +112,6 @@ def random_lp_state(scenario, channels, rng, power_fraction=0.9):
                            u=_random_unit(rng, scenario.n_r))
 
 
-def _with_user_xy(placement, k, xy):
-    qk = placement.q[k].copy()
-    qk[:, :2] = np.asarray(xy).reshape(-1, 2)
-    return placement.with_q(k, qk)
-
-
-def _with_bs_xy(placement, xy):
-    t = placement.t.copy()
-    t[:, :2] = np.asarray(xy).reshape(-1, 2)
-    return placement.with_t(t)
-
-
 def gradient_checks(scenario, placement, lp_state, zf_uv):
     """Closure pairs (analytic_fn, scalar_fn, point) for every analytic
     position gradient (LP/ZF rates and SINR deficits, user and BS arrays).
@@ -143,109 +131,49 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
         st = metrics.make_zf_state(ch, zv, zu, scenario.p_max)
         return zf.ZfWorkspace(ch, st, scenario.p_max, gamma0)
 
-    def lp_user_pair(k):
-        def scalar(xy):
-            pl = _with_user_xy(placement, k, xy)
-            ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            return metrics.rate_lp_w(ch, W, v, k)
+    def pair(k, analytic, scalar):
+        """``analytic(pl, ch)`` against ``scalar(pl, ch)`` over the xy
+        coordinates of array k (None for the BS array)."""
+        base = placement.array(k)
 
-        def analytic(xy):
-            pl = _with_user_xy(placement, k, xy)
-            ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            return lp.grad_user_rate_lp(scenario, pl, ch, W, v, k).ravel()
+        def at(xy):
+            pos = base.copy()
+            pos[:, :2] = np.asarray(xy).reshape(-1, 2)
+            return geometry.move_array(scenario, placement, channels, k, pos)
 
-        return analytic, scalar, placement.q[k][:, :2].ravel()
+        return (lambda xy: analytic(*at(xy)).ravel(), lambda xy: scalar(*at(xy)),
+                base[:, :2].ravel())
 
-    def lp_bs_rate_pair(k):
-        def scalar(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            return metrics.rate_lp_w(ch, W, v, k)
-
-        def analytic(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            return lp.grad_bs_rate_lp(scenario, pl, ch, W, v, k).ravel()
-
-        return analytic, scalar, placement.t[:, :2].ravel()
-
-    def lp_bs_deficit_pair():
-        def scalar(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            return metrics.sinr_deficit(ch, W, v, u, gamma0) / scale
-
-        def analytic(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            return (lp.grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0)
-                    / scale).ravel()
-
-        return analytic, scalar, placement.t[:, :2].ravel()
-
-    def zf_user_rate_pair(k, user):
-        one_hot = np.eye(scenario.n_users)[user]
-
-        def scalar(xy):
-            pl = _with_user_xy(placement, k, xy)
-            return precise_rate_zf(scenario, pl, channels, zv, user)
-
-        def analytic(xy):
-            pl = _with_user_xy(placement, k, xy)
-            ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            ws = zf_workspace(ch)
-            return zf.grad_user_wsr_zf(scenario, pl, ch, ws, one_hot, k).ravel()
-
-        return analytic, scalar, placement.q[k][:, :2].ravel()
-
-    def zf_user_deficit_pair(k):
-        def scalar(xy):
-            pl = _with_user_xy(placement, k, xy)
-            return precise_sinr_deficit_zf_scaled(scenario, pl, channels, zv, zu, gamma0)
-
-        def analytic(xy):
-            pl = _with_user_xy(placement, k, xy)
-            ch = geometry.rebuild_user_channel(scenario, channels, pl, k)
-            ws = zf_workspace(ch)
-            return (zf.grad_user_sinr_deficit_zf(scenario, pl, ch, ws, k) / scale).ravel()
-
-        return analytic, scalar, placement.q[k][:, :2].ravel()
-
-    def zf_bs_rate_pair(user):
-        def scalar(xy):
-            pl = _with_bs_xy(placement, xy)
-            return precise_rate_zf(scenario, pl, channels, zv, user)
-
-        def analytic(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            ws = zf_workspace(ch)
-            return zf.grad_bs_rate_zf(scenario, pl, ch, ws, user).ravel()
-
-        return analytic, scalar, placement.t[:, :2].ravel()
-
-    def zf_bs_deficit_pair():
-        def scalar(xy):
-            pl = _with_bs_xy(placement, xy)
-            return precise_sinr_deficit_zf_scaled(scenario, pl, channels, zv, zu, gamma0)
-
-        def analytic(xy):
-            pl = _with_bs_xy(placement, xy)
-            ch = geometry.build_channels(scenario, pl)
-            ws = zf_workspace(ch)
-            return (zf.grad_bs_sinr_deficit_zf(scenario, pl, ch, ws) / scale).ravel()
-
-        return analytic, scalar, placement.t[:, :2].ravel()
+    def zf_deficit(pl, ch):
+        return precise_sinr_deficit_zf_scaled(scenario, pl, ch, zv, zu, gamma0)
 
     for k in range(scenario.n_users):
-        out[f"lp_rate_grad_user_q{k}"] = lp_user_pair(k)
-        out[f"lp_rate_grad_bs_k{k}"] = lp_bs_rate_pair(k)
-        out[f"zf_deficit_grad_user_q{k}"] = zf_user_deficit_pair(k)
-        out[f"zf_rate_grad_bs_u{k}"] = zf_bs_rate_pair(k)
+        out[f"lp_rate_grad_user_q{k}"] = pair(
+            k, lambda pl, ch, k=k: lp.grad_user_rate_lp(scenario, pl, ch, W, v, k),
+            lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
+        out[f"lp_rate_grad_bs_k{k}"] = pair(
+            None, lambda pl, ch, k=k: lp.grad_bs_rate_lp(scenario, pl, ch, W, v, k),
+            lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
+        out[f"zf_deficit_grad_user_q{k}"] = pair(
+            k, lambda pl, ch, k=k: zf.grad_user_sinr_deficit_zf(
+                scenario, pl, ch, zf_workspace(ch), k) / scale, zf_deficit)
+        out[f"zf_rate_grad_bs_u{k}"] = pair(
+            None, lambda pl, ch, k=k: zf.grad_bs_rate_zf(
+                scenario, pl, ch, zf_workspace(ch), k),
+            lambda pl, ch, k=k: precise_rate_zf(scenario, pl, ch, zv, k))
         for user in range(scenario.n_users):
-            out[f"zf_rate_grad_u{user}_q{k}"] = zf_user_rate_pair(k, user)
-    out["lp_deficit_grad_bs"] = lp_bs_deficit_pair()
-    out["zf_deficit_grad_bs"] = zf_bs_deficit_pair()
+            one_hot = np.eye(scenario.n_users)[user]
+            out[f"zf_rate_grad_u{user}_q{k}"] = pair(
+                k, lambda pl, ch, k=k, w=one_hot: zf.grad_user_wsr_zf(
+                    scenario, pl, ch, zf_workspace(ch), w, k),
+                lambda pl, ch, user=user: precise_rate_zf(scenario, pl, ch, zv, user))
+    out["lp_deficit_grad_bs"] = pair(
+        None, lambda pl, ch: lp.grad_bs_sinr_deficit_lp(
+            scenario, pl, ch, W, v, u, gamma0) / scale,
+        lambda pl, ch: metrics.sinr_deficit(ch, W, v, u, gamma0) / scale)
+    out["zf_deficit_grad_bs"] = pair(
+        None, lambda pl, ch: zf.grad_bs_sinr_deficit_zf(
+            scenario, pl, ch, zf_workspace(ch)) / scale, zf_deficit)
     return out
 
 

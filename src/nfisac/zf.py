@@ -187,8 +187,8 @@ def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
 def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
                       params, eta, user=None):
     """ZF position block on ``ao.alm_positions``: user ``user``'s antennas,
-    or the BS array when ``user`` is None.  Every candidate rebuilds the
-    channels and the ZF precoder; the sensing beam and combiner stay fixed.
+    or the BS array when ``user`` is None.  Every candidate rebuilds the ZF
+    precoder; the sensing beam and combiner stay fixed.
     """
     scale = metrics.sinr_deficit_scale(channels, gamma0)
 
@@ -197,13 +197,9 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
         kap = metrics.sinr_deficit(ch, (st.P,), st.v, st.u, gamma0) / scale
         return float(np.asarray(weights) @ rates), kap
 
-    def evaluate(pl, ch):
-        if user is None:
-            ch = geometry.build_channels(scenario, pl)
-        else:
-            ch = geometry.rebuild_user_channel(scenario, ch, pl, user)
+    def evaluate(ch):
         st = metrics.make_zf_state(ch, state.v, state.u, scenario.p_max)
-        return (ch, st, *measure(ch, st))
+        return (st, *measure(ch, st))
 
     def descent(pl, ch, st, penalized):
         ws = ZfWorkspace(ch, st, scenario.p_max, gamma0)

@@ -36,7 +36,7 @@ def _run_case(args):
     """Top-level worker: one (scheme, sweep overrides, trial) run."""
     scheme, overrides, trial = args
     cfg = desk_config(**overrides.get("cfg", {}))
-    sc = harness.build_scenario(cfg, **overrides.get("scenario", {}))
+    sc = harness.build_scenario(replace(cfg, **overrides.get("scenario", {})))
     rng = harness.trial_rng(MASTER_SEED, trial)
     pl = harness.initial_placement(sc, rng)
     runner = lp.run_lp if scheme.startswith("LP") else zf.run_zf

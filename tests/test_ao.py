@@ -1,10 +1,11 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
-run_zf with one block replaced by a stub that misbehaves."""
+run_zf with one block replaced by a stub that misbehaves, and the shared
+projected-gradient descent on a stub objective."""
 
 import numpy as np
 import pytest
 
-from nfisac import lp, zf
+from nfisac import ao, geometry, lp, zf
 from nfisac.errors import NumericalError, OptimizationAbort
 from nfisac.params import AlgoParams
 
@@ -66,3 +67,87 @@ class TestAbort:
         monkeypatch.setattr(zf, "optimize_sense_beam_zf", broken_beam)
         with pytest.raises(OptimizationAbort, match="at iteration 2$"):
             zf.run_zf(scenario, placement, AlgoParams(), 1.0)
+
+
+class TestDescend:
+    """``ao.descend`` on user 0's array with a stub objective: the iterate is
+    (placement, value), ``move`` reports each trial step it is asked to
+    evaluate, and ``accept`` decides which trial steps pass."""
+
+    def _run(self, scenario, placement, grad, accept, params, max_steps=4,
+             veto=(), stop=lambda prev, cur: False):
+        k = 0
+        tried = []
+
+        def move(x, q):
+            pl, _ = x
+            s = float(np.max(np.abs(q[:, :2] - pl.q[k][:, :2]) / np.abs(grad)))
+            tried.append(s)
+            if len(tried) in veto:
+                return None
+            return (pl.with_q(k, q), x[1] - 1.0) if accept(len(tried)) else (pl, x[1])
+
+        x, steps, exhausted = ao.descend(
+            scenario, k, (placement, 0.0), lambda x: -grad, move, stop,
+            max_steps, params)
+        return x, steps, exhausted, tried
+
+    def test_backtracks_by_tau_and_doubles_after_accept(self, scenario, placement):
+        params = AlgoParams(step0=1e-4, tau=0.25, delta=1e-12)
+        grad = np.full((scenario.n_u, 2), 1e-2)
+        # reject trials 1-2, accept 3; next step rejects 4, accepts 5
+        x, steps, exhausted, tried = self._run(
+            scenario, placement, grad, lambda n: n in (3, 5), params, max_steps=2)
+        np.testing.assert_allclose(
+            tried, [1e-4, 2.5e-5, 6.25e-6, 1.25e-5, 3.125e-6], rtol=1e-6)
+        assert steps == 2 and not exhausted
+        assert x[1] == -2.0
+
+    def test_veto_and_unevaluable_count_as_rejects(self, scenario, placement, monkeypatch):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+        grad = np.full((scenario.n_u, 2), 1e-2)
+        checks = []
+
+        def spacing(pos, d_min):
+            checks.append(1)
+            return len(checks) != 1                  # the first trial is vetoed
+
+        monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
+        # move is not asked about the vetoed trial; its first call returns None
+        _, steps, exhausted, tried = self._run(
+            scenario, placement, grad, lambda n: True, params, max_steps=1, veto=(1,))
+        np.testing.assert_allclose(tried, [5e-5, 2.5e-5], rtol=1e-6)
+        assert steps == 1 and not exhausted
+
+    def test_vanishing_step_ends_exhausted(self, scenario, placement):
+        params = AlgoParams()
+        grad = np.zeros((scenario.n_u, 2))
+        x, steps, exhausted = ao.descend(
+            scenario, 0, (placement, 0.0), lambda x: grad,
+            lambda x, q: pytest.fail("a zero step must not be evaluated"),
+            lambda prev, cur: False, 4, params)
+        assert (steps, exhausted) == (0, True)
+        assert x[0] is placement
+
+    def test_line_search_runs_out(self, scenario, placement):
+        params = AlgoParams(step0=1e-4, max_ls=3)
+        grad = np.full((scenario.n_u, 2), 1e-2)
+        x, steps, exhausted, tried = self._run(
+            scenario, placement, grad, lambda n: False, params)
+        assert len(tried) == 3
+        assert (steps, exhausted) == (0, True)
+        assert x[0] is placement
+
+    def test_stop_ends_after_accepted_step(self, scenario, placement):
+        params = AlgoParams(step0=1e-4, delta=1e-12)
+        grad = np.full((scenario.n_u, 2), 1e-2)
+        seen = []
+
+        def stop(prev, cur):
+            seen.append((prev[1], cur[1]))
+            return True
+
+        x, steps, exhausted, tried = self._run(
+            scenario, placement, grad, lambda n: True, params, stop=stop)
+        assert seen == [(0.0, -1.0)]
+        assert (steps, exhausted, len(tried)) == (1, False, 1)

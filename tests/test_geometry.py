@@ -7,8 +7,8 @@ from nfisac import geometry
 from nfisac.errors import GeometryError, ScenarioError
 from nfisac.geometry import (
     SquareRegion, build_sensing_channel, build_user_channel, min_spacing_ok,
-    path_loss_comm, path_loss_sense, project_to_region, receive_ula_positions,
-    vec3,
+    path_loss_comm, path_loss_sense, project_points_to_region,
+    receive_ula_positions, vec3,
 )
 
 
@@ -158,27 +158,30 @@ class TestSensingChannel:
 class TestProjection:
     REGION = SquareRegion(center=np.array([1.0, 2.0, 5.0]), side=2.0)
 
+    def project(self, p):
+        return project_points_to_region(p[None, :], self.REGION)[0]
+
     def test_interior_unchanged(self):
         p = vec3(1.2, 1.5, 5.0)
-        np.testing.assert_array_equal(project_to_region(p, self.REGION), p)
+        np.testing.assert_array_equal(self.project(p), p)
 
     def test_clamps_x_only(self):
-        out = project_to_region(vec3(9.0, 1.5, 5.0), self.REGION)
+        out = self.project(vec3(9.0, 1.5, 5.0))
         np.testing.assert_allclose(out, [2.0, 1.5, 5.0])
 
     def test_clamps_to_corner(self):
-        out = project_to_region(vec3(-9.0, -9.0, 5.0), self.REGION)
+        out = self.project(vec3(-9.0, -9.0, 5.0))
         np.testing.assert_allclose(out, [0.0, 1.0, 5.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = vec3(*rng.uniform(-5, 5, 3))
-            once = project_to_region(p, self.REGION)
-            np.testing.assert_array_equal(project_to_region(once, self.REGION), once)
+            once = self.project(p)
+            np.testing.assert_array_equal(self.project(once), once)
 
     def test_z_untouched(self):
-        out = project_to_region(vec3(0.0, 0.0, -3.0), self.REGION)
+        out = self.project(vec3(0.0, 0.0, -3.0))
         assert out[2] == -3.0
 
 
@@ -256,3 +259,39 @@ class TestPlacementValidation:
         bad[1] = bad[0]
         with pytest.raises(ScenarioError):
             placement.with_q(0, bad).validate(scenario)
+
+
+class TestMoveArray:
+    def _moved(self, pos, region, shift):
+        out = pos.copy()
+        out[:, :2] += shift
+        return project_points_to_region(out, region)
+
+    def test_user_move_matches_rebuild_user_channel(self, scenario, placement, channels):
+        k = 1
+        qk = self._moved(placement.q[k], scenario.user_regions[k], 0.003)
+        pl, ch = geometry.move_array(scenario, placement, channels, k, qk)
+        np.testing.assert_array_equal(pl.q[k], qk)
+        assert pl.array(k) is pl.q[k]
+        ref = geometry.rebuild_user_channel(scenario, channels, placement.with_q(k, qk), k)
+        for a, b in zip(ch.H, ref.H):
+            assert a.tobytes() == b.tobytes()
+        for j in range(scenario.n_users):
+            if j != k:
+                assert ch.H[j] is channels.H[j]
+        assert ch.G is channels.G and ch.f_t is channels.f_t
+        assert ch.tag > channels.tag
+
+    def test_bs_move_matches_build_channels(self, scenario, placement, channels):
+        t = self._moved(placement.t, scenario.tx_region, -0.01)
+        pl, ch = geometry.move_array(scenario, placement, channels, None, t)
+        np.testing.assert_array_equal(pl.t, t)
+        assert pl.array(None) is pl.t
+        for a, b in zip(pl.q, placement.q):
+            assert a is b
+        ref = geometry.build_channels(scenario, placement.with_t(t))
+        for name in ("G", "f_t", "f_r", "rho"):
+            assert getattr(ch, name).tobytes() == getattr(ref, name).tobytes()
+        for a, b in zip(ch.H, ref.H):
+            assert a.tobytes() == b.tobytes()
+        assert ch.rho_s == ref.rho_s

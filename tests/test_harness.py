@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ class TestBuildScenario:
 
     def test_zero_dtk_rejected(self):
         with pytest.raises(ConfigError):
-            harness.build_scenario(desk_config(), dtk=0.0)
+            harness.build_scenario(desk_config(dtk=0.0))
 
     def test_zf_overload_rejected(self):
         cfg = desk_config(n_t=4, n_u=4, schemes=("ZF-MA",), preset="weights")
@@ -41,8 +42,8 @@ class TestBuildScenario:
     def test_unreachable_gamma0_rejected(self, profile, bound, default_ok):
         cfg = harness.apply_profile(harness.ExperimentConfig(), profile)
         with pytest.raises(ConfigError, match=f"highest reachable gamma0 is {bound:.3g}"):
-            harness.build_scenario(cfg, gamma0=1.01 * bound)
-        harness.build_scenario(cfg, gamma0=0.99 * bound)
+            harness.build_scenario(replace(cfg, gamma0=1.01 * bound))
+        harness.build_scenario(replace(cfg, gamma0=0.99 * bound))
         if default_ok:
             harness.build_scenario(cfg)
         else:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfisac import ao, geometry, lp, metrics, verify
+from nfisac import ao, geometry, harness, lp, metrics, verify
 from nfisac.metrics import LpState
 from nfisac.params import AlgoParams
 
@@ -144,13 +144,77 @@ class TestUserPgm:
         pl2.validate(scenario)
 
     def test_projection_keeps_region(self, scenario, placement, channels, lp_state):
-        params = AlgoParams(mu0=1e6)  # absurd step: projection must clamp
+        params = AlgoParams(step0=1e6)  # absurd step: projection must clamp
         pl2, ch2, _ = lp.optimize_user_positions(
             scenario, placement, channels, lp_state, 1, params)
         region = scenario.user_regions[1]
         for b in range(scenario.n_u):
             assert region.contains(pl2.q[1][b], tol=1e-9)
         assert geometry.min_spacing_ok(pl2.q[1], scenario.d_min)
+
+
+def _reference_user_positions(scenario, placement, channels, state, k, params):
+    """The stand-alone user PGM loop that ``optimize_user_positions`` replaced
+    by ``ao.descend`` on -R_{L,k}; kept as the reference it must reproduce
+    bit for bit."""
+    region = scenario.user_regions[k]
+    q = placement.q[k]
+    rate = metrics.rate_lp(channels, state, k)
+    mu = params.step0
+    steps = 0
+    for _ in range(params.pgm_max_steps):
+        grad = lp.grad_user_rate_lp(scenario, placement, channels, state.W, state.v, k)
+        s = mu
+        accepted = False
+        for _ls in range(params.max_ls):
+            qc = q.copy()
+            qc[:, :2] = q[:, :2] + s * grad
+            qc = geometry.project_points_to_region(qc, region)
+            delta2 = float(np.sum((qc - q) ** 2))
+            if delta2 == 0.0:
+                break
+            if not geometry.min_spacing_ok(qc, scenario.d_min):
+                s *= params.tau
+                continue
+            pl_c = placement.with_q(k, qc)
+            ch_c = geometry.rebuild_user_channel(scenario, channels, pl_c, k)
+            rate_c = metrics.rate_lp_w(ch_c, state.W, state.v, k)
+            if rate_c - rate >= params.delta * delta2:
+                improvement = rate_c - rate
+                q, placement, channels, rate = qc, pl_c, ch_c, rate_c
+                mu = s * 2.0
+                accepted = True
+                steps += 1
+                break
+            s *= params.tau
+        if not accepted:
+            break
+        if improvement < params.pgm_tol * (1.0 + abs(rate)):
+            break
+    return placement, channels, steps
+
+
+class TestUserPgmMatchesReference:
+    def _assert_same(self, scenario, placement, channels, state):
+        params = AlgoParams()
+        for k in range(scenario.n_users):
+            pl, ch, steps = lp.optimize_user_positions(
+                scenario, placement, channels, state, k, params)
+            pl_r, ch_r, steps_r = _reference_user_positions(
+                scenario, placement, channels, state, k, params)
+            assert steps == steps_r
+            assert pl.q[k].tobytes() == pl_r.q[k].tobytes()
+            assert ch.H[k].tobytes() == ch_r.H[k].tobytes()
+
+    def test_fixture(self, scenario, placement, channels, lp_state):
+        self._assert_same(scenario, placement, channels, lp_state)
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_trend_cells(self, scenario, trial):
+        placement = harness.initial_placement(scenario, harness.trial_rng(2026, trial))
+        channels = geometry.build_channels(scenario, placement)
+        state = lp.initial_lp_state(scenario, channels)
+        self._assert_same(scenario, placement, channels, state)
 
 
 class TestAlignedGeometryZeros:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nfisac import geometry, metrics, verify
-from nfisac.errors import ContractViolation, NumericalError, RankDeficiencyError
+from nfisac.errors import NumericalError, RankDeficiencyError
 from nfisac.metrics import (
-    LpState, rate_lp, rate_zf, sinr, sinr_deficit, wsr, zf_precoder,
+    LpState, rate_lp, rate_zf, sinr, sinr_deficit, zf_precoder,
 )
 
 
@@ -300,22 +300,6 @@ class TestKappa:
         az = metrics.sinr_deficit_cov(channels, (zf_state.P,), Vz, zf_state.u, 2e-5)
         bz = sinr_deficit(channels, (zf_state.P,), zf_state.v, zf_state.u, 2e-5)
         assert az == pytest.approx(bz, rel=1e-10)
-
-
-class TestWsr:
-    def test_selects_single_user(self):
-        assert wsr([1.0, 0.0], [3.0, 9.0]) == 3.0
-
-    def test_midpoint(self):
-        assert wsr([0.5, 0.5], [2.0, 4.0]) == 3.0
-
-    def test_permutation_equivariance(self):
-        assert wsr([0.3, 0.7], [5.0, 1.0]) == pytest.approx(
-            wsr([0.7, 0.3], [1.0, 5.0]), rel=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ContractViolation):
-            wsr([0.5], [1.0, 2.0])
 
 
 class TestZfFreshness:
