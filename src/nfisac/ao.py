@@ -1,11 +1,12 @@
 """Alternating-optimization engine shared by the LP and ZF stacks.
 
-One copy each of the AO loop with its block gate, the SCA sensing-beam loop,
-the projected-gradient descent of every position block and the ALM loop
-around it.  A stack supplies only what is scheme-specific: its initial
-state, a snapshot of rates, sensing SINR and SINR deficit, its receive
-combiner, its blocks, and the subproblem, deficit, objective and gradient
-functions the inner loops call.
+One copy each of the AO loop with its block gate, the SCA loop of every
+SCA block, the sensing-beam update, the projected-gradient descent of every
+position block and the ALM loop around it.  A stack supplies only what is
+scheme-specific: its initial state, whose ``precoders`` (the LP list W or
+the ZF (P,)) give the sensing SINR and its deficit, its rates, its receive
+combiner, its blocks, and the subproblem, objective and gradient functions
+the inner loops call.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class AlmInfo:
     line_search_exhausted: bool = False
 
 
-def initial_sense_beam(channels, deficit_of_v, tol):
+def initial_sense_beam(channels, precoders, u, gamma0, tol_feas):
     """Feasible unit beam with the least user interference.
 
     Starts from the bottom eigenvector of sum_k H_k^H H_k and blends toward
@@ -57,13 +58,18 @@ def initial_sense_beam(channels, deficit_of_v, tol):
     the interference incentive per SCA round is small, hiding the
     sensing/communication trade-off.
     """
+    tol = tol_feas * metrics.sinr_deficit_scale(channels, gamma0)
+
+    def deficit(v):
+        return metrics.sinr_deficit(channels, precoders, v, u, gamma0)
+
     gram = sum(Hk.conj().T @ Hk for Hk in channels.H)
     _, vecs = np.linalg.eigh(gram)
     v_min = vecs[:, 0]
-    if deficit_of_v(v_min) <= tol:
+    if deficit(v_min) <= tol:
         return v_min
     v_max = channels.f_t / np.linalg.norm(channels.f_t)
-    if deficit_of_v(v_max) > tol:
+    if deficit(v_max) > tol:
         return v_max                      # nothing feasible; caller handles
     a0 = np.vdot(v_max, v_min)
     if abs(a0) > 0:
@@ -76,7 +82,7 @@ def initial_sense_beam(channels, deficit_of_v, tol):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if deficit_of_v(blend(mid)) <= 0.5 * tol:
+        if deficit(blend(mid)) <= 0.5 * tol:
             hi = mid
         else:
             lo = mid
@@ -84,35 +90,46 @@ def initial_sense_beam(channels, deficit_of_v, tol):
 
 
 # ---------------------------------------------------------------------------
-# SCA sensing-beam loop
+# SCA loop and the sensing-beam update
 
-def sense_beam(channels, v, weights, gamma0, params, make_sub, deficit_of_v,
-               solve, eigpair):
+def sca(x, make_sub, solve, value, params):
+    """SCA rounds from ``x``: ``make_sub(x)`` builds the convex subproblem at
+    the current point and ``solve(sub, params)`` gives the next point, until
+    the surrogate ``value(sub, x)`` gains less than eps_s over the previous
+    round or sca_max rounds ran.  Returns (x, rounds), counting the last round.
+    """
+    prev = None
+    rounds = 0
+    for _ in range(params.sca_max):
+        sub = make_sub(x)
+        x = solve(sub, params)
+        cur = value(sub, x)
+        rounds += 1
+        if prev is not None and cur - prev < params.eps_s:
+            break
+        prev = cur
+    return x, rounds
+
+
+def sense_beam(channels, state, weights, gamma0, params, make_sub, solve, eigpair):
     """SCA + rank-1 penalty update of the sensing transmit beamformer.
 
     ``make_sub(V)`` builds the stack's covariance subproblem around V;
     ``solve`` and ``eigpair`` are the stack's subproblem solver and
     eigen-extraction.  Returns (v, rank_ratio, flags).  The eigen-extracted
     vector is renormalized to unit norm, which can only decrease the SINR
-    deficit; if even the renormalized vector is infeasible the scaled vector
-    is returned and flagged for the caller.
+    deficit under ``state.precoders``; if even the renormalized vector is
+    infeasible the scaled vector is returned and flagged for the caller.
     """
-    V = np.outer(v, v.conj())
-    prev_bar = None
-    for _ in range(params.sca_max):
-        sub = make_sub(V)
-        V = solve(sub, params.sub)
-        bar = float(np.asarray(weights) @ sub.bound_values(V))
-        if prev_bar is not None and bar - prev_bar < params.eps_s:
-            break
-        prev_bar = bar
+    V, _ = sca(np.outer(state.v, state.v.conj()), make_sub, solve,
+               lambda sub, V: float(np.asarray(weights) @ sub.bound_values(V)), params)
     beta_max, chi = eigpair(V)
     tr = float(np.real(np.trace(V)))
     ratio = beta_max / tr if tr > 0 else 1.0
     flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
     tol = params.tol_feas * metrics.sinr_deficit_scale(channels, gamma0)
     v_unit = chi / np.linalg.norm(chi)
-    if deficit_of_v(v_unit) <= tol:
+    if metrics.sinr_deficit(channels, state.precoders, v_unit, state.u, gamma0) <= tol:
         return v_unit, ratio, flags
     flags.append("v_not_renormalized")
     return np.sqrt(max(beta_max, 0.0)) * chi, ratio, flags
@@ -132,9 +149,10 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     evaluated; ``stop(x_prev, x)`` ends the descent after an accepted step.
     Each trial step is projected onto the array's region; a spacing
     violation, an unevaluable candidate or a failed Armijo test shrinks it
-    by tau, and an accepted step s makes 2s the next first trial.  Returns
-    (x, steps, exhausted), exhausted when a line search found no acceptable
-    step or the projected step vanished.
+    by tau, and an accepted step s makes 2s the next first trial.  A step
+    that projects to no move ends the descent.  Returns (x, steps,
+    exhausted), exhausted when a line search rejected all its trials: max_ls
+    of them, or every one before its step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
     step = params.step0
@@ -149,7 +167,7 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
             cand = geometry.project_points_to_region(cand, region)
             delta2 = float(np.sum((cand - pos) ** 2))
             if delta2 == 0.0:
-                return x, steps, True
+                return x, steps, _ls > 0
             x_c = (move(x, cand) if geometry.min_spacing_ok(cand, scenario.d_min)
                    else None)
             if x_c is not None and x[-1] - x_c[-1] >= params.delta * delta2:
@@ -240,12 +258,13 @@ def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max, params):
             and c_wsr >= wsr_cur - params.wsr_slack)
 
 
-def run(scenario, placement, params, initial_state, snapshot, combiner, blocks):
+def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     """Alternating optimization: the combiner, then each block in turn,
     until the WSR change across an outer iteration falls below eps_f.
 
     ``initial_state(scenario, channels, params)`` gives the warm start;
-    ``snapshot(channels, state, gamma0)`` gives (rates, gamma_s, deficit);
+    ``rates_of(channels, state)`` gives the per-user rates, and the state's
+    ``precoders``, beam and combiner give the sensing SINR and its deficit;
     ``combiner(channels, state)`` gives the new receive combiner, which
     leaves every rate unchanged.  ``blocks`` lists (name, block) pairs, and
     ``block(placement, channels, state)`` gives a candidate
@@ -259,8 +278,10 @@ def run(scenario, placement, params, initial_state, snapshot, combiner, blocks):
     scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
 
     def measure(ch, st):
-        rates, gam, deficit = snapshot(ch, st, scenario.gamma0)
-        return rates, float(np.asarray(scenario.weights) @ rates), gam, deficit / scale
+        rates = rates_of(ch, st)
+        args = (ch, st.precoders, st.v, st.u)
+        return (rates, float(np.asarray(scenario.weights) @ rates), metrics.sinr(*args),
+                metrics.sinr_deficit(*args, scenario.gamma0) / scale)
 
     state = initial_state(scenario, channels, params)
     rates, wsr_cur, gam, kap = measure(channels, state)

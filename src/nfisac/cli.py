@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when more than 20%
-of trials fail.
+of trials fail or any gradient check fails.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     total = len(rows)
-    if cfg.preset != "gradcheck" and total and n_failed > 0.2 * total:
-        print(f"{n_failed}/{total} trials failed", file=sys.stderr)
+    gradcheck = cfg.preset == "gradcheck"
+    if n_failed > (0 if gradcheck else 0.2 * total):
+        what = "gradient check rows" if gradcheck else "trials"
+        print(f"{n_failed}/{total} {what} failed", file=sys.stderr)
         return 3
     print(f"wrote {total} rows to {cfg.out}" + (
         f" ({n_failed} failed)" if n_failed else ""))

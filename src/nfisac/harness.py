@@ -315,25 +315,25 @@ def _run_gradcheck(cfg):
     def factory():
         return build_scenario(replace(cfg, n_t=4, n_r=4, n_u=2))
 
-    rows, ok = verify.gradient_suite(factory, n_configs=cfg.gradcheck_configs,
-                                     seed=cfg.seed)
-    out = [{"check": r[0], "config": r[1], "coord": r[2], "analytic": r[3],
-            "fd": r[4], "abs_err": r[5], "rel_err": r[6], "passed": r[7]}
-           for r in rows]
-    return out, ok
+    rows, _ = verify.gradient_suite(factory, n_configs=cfg.gradcheck_configs,
+                                    seed=cfg.seed)
+    return [{"check": r[0], "config": r[1], "coord": r[2], "analytic": r[3],
+             "fd": r[4], "abs_err": r[5], "rel_err": r[6], "passed": r[7]}
+            for r in rows]
 
 
 def run_preset(cfg):
     """Execute the configured preset.
 
-    Returns (rows, trace_rows, n_failed).  Rows come back in the
+    Returns (rows, trace_rows, n_failed), n_failed counting failed trials,
+    or for gradcheck the rows of failed checks.  Rows come back in the
     deterministic (sweep, scheme, trial) grid order regardless of worker
     count.
     """
     cfg.validate()
     if cfg.preset == "gradcheck":
-        rows, ok = _run_gradcheck(cfg)
-        return rows, [], 0 if ok else len(rows)
+        rows = _run_gradcheck(cfg)
+        return rows, [], sum(1 for r in rows if not r["passed"])
     for sweep in cfg.sweep_grid():
         _scenario_for(cfg, sweep)       # reject unreachable gamma0 before any trial
     specs = [TrialSpec(cfg, scheme, sweep, trial)

@@ -111,20 +111,12 @@ def grad_bs_sinr_deficit_lp(scenario, placement, channels, W, v, u, gamma0):
 # SCA blocks
 
 def optimize_precoders(channels, state, weights, p_max, gamma0, params=None):
-    """SCA loop on the precoder surrogate until its improvement drops below eps_s."""
-    params = params or AlgoParams()
-    W = [Wk.copy() for Wk in state.W]
-    prev_hat = None
-    rounds = 0
-    for _ in range(params.sca_max):
-        sub = PrecoderSubproblem(channels, W, state.v, state.u, weights, p_max, gamma0)
-        W = solve_precoder_subproblem(sub, params.sub)
-        hat = sub.surrogate_wsr(np.stack(W))
-        rounds += 1
-        if prev_hat is not None and hat - prev_hat < params.eps_s:
-            break
-        prev_hat = hat
-    return W, rounds
+    """SCA (``ao.sca``) on the precoder surrogate; returns (W, rounds)."""
+    def make_sub(W):
+        return PrecoderSubproblem(channels, W, state.v, state.u, weights, p_max, gamma0)
+
+    return ao.sca(state.W, make_sub, solve_precoder_subproblem,
+                  lambda sub, W: sub.surrogate_wsr(np.stack(W)), params or AlgoParams())
 
 
 def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
@@ -136,12 +128,8 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
         return CovarianceSubproblem("lp", channels, V, weights, gamma0, state.u,
                                     zeta, W=state.W)
 
-    def deficit_of_v(v):
-        return metrics.sinr_deficit(channels, state.W, v, state.u, gamma0)
-
-    return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
-                         make_sub, deficit_of_v, solve_covariance_subproblem,
-                         leading_eigpair)
+    return ao.sense_beam(channels, state, weights, gamma0, params or AlgoParams(),
+                         make_sub, solve_covariance_subproblem, leading_eigpair)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
 
     def measure(ch):
         rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
-        kap = metrics.sinr_deficit(ch, W, v, u, gamma0) / scale
+        kap = metrics.sinr_deficit(ch, state.precoders, v, u, gamma0) / scale
         return float(np.asarray(weights) @ rates), kap
 
     def evaluate(ch):
@@ -216,16 +204,11 @@ def initial_lp_state(scenario, channels, params=None):
     precoders rescaled if the sensing constraint still needs headroom."""
     params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
-    scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
-    tol = params.tol_feas * scale
+    tol = params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0)
     gram = sum(float(np.sum(np.abs(Hk) ** 2)) for Hk in channels.H)
     c = np.sqrt(0.9 * scenario.p_max / gram)
     W = [c * Hk.conj().T for Hk in channels.H]
-
-    def deficit_of_v(v):
-        return metrics.sinr_deficit(channels, W, v, u0, scenario.gamma0)
-
-    v0 = ao.initial_sense_beam(channels, deficit_of_v, tol)
+    v0 = ao.initial_sense_beam(channels, W, u0, scenario.gamma0, params.tol_feas)
     state = metrics.LpState(W=W, v=v0, u=u0)
     kap = metrics.sinr_deficit(channels, W, v0, u0, scenario.gamma0)
     if kap > tol:
@@ -234,17 +217,10 @@ def initial_lp_state(scenario, channels, params=None):
         if base > tol:
             raise ScenarioError(
                 "sensing constraint infeasible even with zero transmit power")
-        quad = kap - base
-        c2 = (tol - base) / quad if quad > 0 else 1.0
-        shrink = min(1.0, np.sqrt(max(c2, 0.0)) * (1.0 - 1e-12))
+        c2 = (tol - base) / (kap - base)          # base <= tol < kap: in [0, 1]
+        shrink = np.sqrt(c2) * (1.0 - 1e-12)
         state = metrics.LpState(W=[shrink * Wk for Wk in W], v=v0, u=u0)
     return state
-
-
-def _snapshot(channels, state, gamma0):
-    args = (channels, state.W, state.v, state.u)
-    return (metrics.lp_rates(channels, state), metrics.sinr(*args),
-            metrics.sinr_deficit(*args, gamma0))
 
 
 def _combiner(channels, state):
@@ -288,5 +264,5 @@ def run_lp(scenario, placement, params=None, zeta=1.0, fixed_positions=False):
     """Alternating optimization for the linear-precoding scheme (``ao.run``):
     u, {W_k}, v, each user's positions, then the BS positions."""
     params = params or AlgoParams()
-    return ao.run(scenario, placement, params, initial_lp_state, _snapshot,
+    return ao.run(scenario, placement, params, initial_lp_state, metrics.lp_rates,
                   _combiner, _blocks(scenario, params, zeta, fixed_positions))

@@ -27,6 +27,11 @@ class LpState:
     v: np.ndarray
     u: np.ndarray
 
+    @property
+    def precoders(self):
+        """The precoder list ``sinr`` and ``sinr_deficit`` take: W."""
+        return self.W
+
     def power(self):
         return float(sum(np.sum(np.abs(Wk) ** 2) for Wk in self.W))
 
@@ -50,6 +55,11 @@ class ZfState:
     gain: float
     channel_tag: int
     gram_inv: np.ndarray
+
+    @property
+    def precoders(self):
+        """The precoder list ``sinr`` and ``sinr_deficit`` take: (P,)."""
+        return (self.P,)
 
     def power(self):
         return float(np.sum(np.abs(self.P) ** 2))

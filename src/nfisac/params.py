@@ -1,10 +1,8 @@
-"""Algorithm parameters shared by the LP and ZF optimization stacks."""
+"""Algorithm parameters of the LP and ZF stacks and the subproblem solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .subsolver import SubParams
+from dataclasses import dataclass
 
 
 @dataclass
@@ -15,6 +13,7 @@ class AlgoParams:
     backtrack factor tau = 1/2, unit initial step, ALM seed p0 = 1
     with growth theta = 10, eps_L = 1e-3 (relative, inner loop),
     eps_f = 1e-2 (outer WSR), eps_s = 1e-2 (SCA surrogate improvement).
+    tau, p0, theta, p_cap and tol_feas also drive the subproblem solver.
     """
 
     eps_s: float = 1e-2
@@ -35,7 +34,13 @@ class AlgoParams:
     inner_pgm_max: int = 120     # PGM steps per ALM round
     tol_feas: float = 1e-8       # on the scaled SINR deficit
     wsr_slack: float = 1e-9      # allowed per-block WSR loss before rejection
-    sub: SubParams = field(default_factory=SubParams)
+    pga_step0: float = 1.0       # initial subsolver step (covariance or precoder units)
+    armijo: float = 1e-4         # subsolver Armijo constant
+    pga_iters: int = 200         # ascent iterations per ALM round
+    pga_rel_tol: float = 3e-10   # relative improvement stop of one ascent
+    max_backtracks: int = 80     # gradient-step trials per ascent iteration
+    alm_rounds: int = 5          # multiplier updates per subproblem
+    polish_iters: int = 150      # feasibility-preserving ascent iterations
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):

@@ -16,30 +16,11 @@ operates on its value divided by the natural scale
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
-
-
-@dataclass
-class SubParams:
-    """Knobs for the first-order subproblem solver."""
-
-    tol_feas: float = 1e-8          # on the scaled SINR deficit
-    step0: float = 1.0
-    tau: float = 0.5
-    armijo: float = 1e-4
-    pga_iters: int = 200
-    pga_rel_tol: float = 3e-10
-    max_backtracks: int = 80
-    alm_rounds: int = 5
-    alm_p0: float = 1.0
-    alm_theta: float = 10.0
-    alm_pcap: float = 1e6
-    polish_iters: int = 150
+from .params import AlgoParams
 
 
 def leading_eigpair(V):
@@ -226,8 +207,8 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
             raise InfeasibleSubproblemError("restoration produced an infeasible point")
 
     eta = 0.0
-    p0 = params.alm_p0
-    step = params.step0
+    p0 = params.p0
+    step = params.pga_step0
     for _rnd in range(params.alm_rounds):
         kcur = kap(x)
         p = 0.0 if (kcur <= 0.0 and eta == 0.0) else p0
@@ -254,7 +235,7 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
         if eta == 0.0 and p == 0.0 and kv <= tol:
             break  # optimum of the relaxation is feasible: done
         eta = max(0.0, eta + p0 * kv)
-        p0 = min(p0 * params.alm_theta, params.alm_pcap)
+        p0 = min(p0 * params.theta, params.p_cap)
 
     # Polish: ascend f itself from the best feasible point, rejecting any
     # step that would leave the feasible set.
@@ -394,12 +375,9 @@ class PrecoderSubproblem:
 
 def solve_precoder_subproblem(sub, params=None):
     """Maximize the surrogate WSR over the power ball with the SINR deficit <= 0."""
-    params = params or SubParams()
+    params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
     tol = params.tol_feas
-
-    def f_grad(Ws):
-        return sub.surrogate_and_grad(Ws)
 
     def kap(Ws):
         return sub.deficit(Ws) / scale
@@ -421,7 +399,8 @@ def solve_precoder_subproblem(sub, params=None):
         c2 = max(0.0, (tol * scale - b)) / a
         return Ws * min(1.0, np.sqrt(c2) * (1.0 - 1e-12))
 
-    Ws = _constrained_ascent(sub.W0, f_grad, kap, kap_grad, project, restore, params)
+    Ws = _constrained_ascent(sub.W0, sub.surrogate_and_grad, kap, kap_grad, project,
+                             restore, params)
     return [Ws[k] for k in range(sub.K)]
 
 
@@ -448,7 +427,7 @@ class CovarianceSubproblem:
         self.zeta = float(zeta)
         self.sinr_deficit_scale = metrics.sinr_deficit_scale(channels, gamma0)
         self.g = channels.G.conj().T @ self.u
-        self.lead_val, self.lead_vec = leading_eigpair(self.V0)
+        _, self.lead_vec = leading_eigpair(self.V0)
 
         if mode == "lp":
             if W is None:
@@ -550,13 +529,10 @@ class CovarianceSubproblem:
 
 def solve_covariance_subproblem(sub, params=None):
     """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}."""
-    params = params or SubParams()
+    params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
     tol = params.tol_feas
     gnorm2 = float(np.real(np.vdot(sub.g, sub.g)))
-
-    def f_grad(V):
-        return sub.objective_and_grad(V)
 
     def kap(V):
         return sub.deficit(V) / scale
@@ -601,6 +577,6 @@ def solve_covariance_subproblem(sub, params=None):
             return np.outer(x, x.conj()) - V
         return -V if float(np.real(np.trace(V))) > 0.0 else None
 
-    V = _constrained_ascent(sub.V0, f_grad, kap, kap_grad, psd_trace_project,
-                            restore, params, fw_oracle=fw_oracle)
+    V = _constrained_ascent(sub.V0, sub.objective_and_grad, kap, kap_grad,
+                            psd_trace_project, restore, params, fw_oracle=fw_oracle)
     return V

@@ -176,12 +176,8 @@ def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
         return CovarianceSubproblem("zf", channels, V, weights, gamma0, state.u,
                                     zeta, gain=state.gain, P=state.P)
 
-    def deficit_of_v(v):
-        return metrics.sinr_deficit(channels, (state.P,), v, state.u, gamma0)
-
-    return ao.sense_beam(channels, state.v, weights, gamma0, params or AlgoParams(),
-                         make_sub, deficit_of_v, solve_covariance_subproblem,
-                         leading_eigpair)
+    return ao.sense_beam(channels, state, weights, gamma0, params or AlgoParams(),
+                         make_sub, solve_covariance_subproblem, leading_eigpair)
 
 
 def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
@@ -194,7 +190,7 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
 
     def measure(ch, st):
         rates = metrics.zf_rates(ch, st)
-        kap = metrics.sinr_deficit(ch, (st.P,), st.v, st.u, gamma0) / scale
+        kap = metrics.sinr_deficit(ch, st.precoders, st.v, st.u, gamma0) / scale
         return float(np.asarray(weights) @ rates), kap
 
     def evaluate(ch):
@@ -237,20 +233,9 @@ def initial_zf_state(scenario, channels, params=None):
     params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
     P, gain, gram_inv = metrics.zf_precoder(channels, scenario.p_max)
-    scale0 = metrics.sinr_deficit_scale(channels, scenario.gamma0)
-
-    def deficit_of_v(v):
-        return metrics.sinr_deficit(channels, (P,), v, u0, scenario.gamma0)
-
-    v0 = ao.initial_sense_beam(channels, deficit_of_v, params.tol_feas * scale0)
+    v0 = ao.initial_sense_beam(channels, (P,), u0, scenario.gamma0, params.tol_feas)
     return metrics.ZfState(v=v0, u=u0, P=P, gain=gain,
                            channel_tag=channels.tag, gram_inv=gram_inv)
-
-
-def _snapshot(channels, state, gamma0):
-    args = (channels, (state.P,), state.v, state.u)
-    return (metrics.zf_rates(channels, state), metrics.sinr(*args),
-            metrics.sinr_deficit(*args, gamma0))
 
 
 def _blocks(scenario, params, zeta, fixed_positions):
@@ -295,5 +280,5 @@ def run_zf(scenario, placement, params=None, zeta=1.0, fixed_positions=False):
     user's positions, then the BS positions; the precoder is always fresh
     for the channels in hand."""
     params = params or AlgoParams()
-    return ao.run(scenario, placement, params, initial_zf_state, _snapshot,
+    return ao.run(scenario, placement, params, initial_zf_state, metrics.zf_rates,
                   optimal_combiner_zf, _blocks(scenario, params, zeta, fixed_positions))

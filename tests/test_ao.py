@@ -1,6 +1,11 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
-run_zf with one block replaced by a stub that misbehaves, and the shared
-projected-gradient descent on a stub objective."""
+run_zf with one block replaced by a stub that misbehaves, the shared
+projected-gradient descent and SCA loop on stub objectives, and the one
+parameter set."""
+
+import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -119,13 +124,24 @@ class TestDescend:
         np.testing.assert_allclose(tried, [5e-5, 2.5e-5], rtol=1e-6)
         assert steps == 1 and not exhausted
 
-    def test_vanishing_step_ends_exhausted(self, scenario, placement):
+    def test_zero_gradient_is_stationary(self, scenario, placement):
         params = AlgoParams()
         grad = np.zeros((scenario.n_u, 2))
         x, steps, exhausted = ao.descend(
             scenario, 0, (placement, 0.0), lambda x: grad,
             lambda x, q: pytest.fail("a zero step must not be evaluated"),
             lambda prev, cur: False, 4, params)
+        assert (steps, exhausted) == (0, False)
+        assert x[0] is placement
+
+    def test_vanishing_step_ends_exhausted(self, scenario, placement):
+        # every trial is rejected, and tau shrinks the step below the
+        # positions' resolution long before max_ls trials
+        params = AlgoParams(step0=1e-4, tau=0.25)
+        grad = np.full((scenario.n_u, 2), 1e-2)
+        x, steps, exhausted, tried = self._run(
+            scenario, placement, grad, lambda n: False, params)
+        assert 0 < len(tried) < params.max_ls
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
@@ -151,3 +167,51 @@ class TestDescend:
             scenario, placement, grad, lambda n: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
         assert (steps, exhausted, len(tried)) == (1, False, 1)
+
+
+class TestSca:
+    """``ao.sca`` on stubs: the point is the round number, ``solve`` moves
+    it one on, and ``value`` reads the surrogate of each round from a list."""
+
+    def _run(self, values, params):
+        seen = []
+
+        def make_sub(x):
+            return ("sub", x)
+
+        def solve(sub, p):
+            seen.append((sub, p))
+            return sub[1] + 1
+
+        x, rounds = ao.sca(0, make_sub, solve, lambda sub, x: values[x - 1], params)
+        return x, rounds, seen
+
+    def test_stops_at_first_small_gain_and_counts_it(self):
+        params = AlgoParams(eps_s=1e-2)
+        x, rounds, seen = self._run([0.0, 1.0, 2.0, 2.005, 5.0, 9.0], params)
+        assert (x, rounds) == (4, 4)
+        assert [sub for sub, _ in seen] == [("sub", 0), ("sub", 1), ("sub", 2), ("sub", 3)]
+
+    def test_runs_at_most_sca_max_rounds(self):
+        params = AlgoParams(sca_max=3)
+        x, rounds, _ = self._run([0.0, 1.0, 2.0, 3.0, 4.0], params)
+        assert (x, rounds) == (3, 3)
+
+    def test_solve_receives_the_params(self):
+        params = AlgoParams(sca_max=2)
+        _, _, seen = self._run([0.0, 1.0], params)
+        assert len(seen) == 2 and all(p is params for _, p in seen)
+
+
+class TestParams:
+    def test_no_nested_parameter_object(self):
+        fields = dataclasses.fields(AlgoParams)
+        assert "sub" not in {f.name for f in fields}
+        assert all(f.type in ("float", "int") for f in fields)
+
+    def test_every_field_is_read(self):
+        src = pathlib.Path(ao.__file__).parent
+        code = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+        read = set(re.findall(r"\bparams\.(\w+)", code))
+        unread = [f.name for f in dataclasses.fields(AlgoParams) if f.name not in read]
+        assert unread == []

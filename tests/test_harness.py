@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nfisac import cli, geometry, harness
+from nfisac import cli, geometry, harness, lp
 from nfisac.errors import ConfigError, PlacementError
 from tests.conftest import desk_config
 
@@ -277,6 +277,20 @@ class TestCli:
         assert out.exists()
         header = out.read_text().splitlines()[0]
         assert header == harness.GRADCHECK_HEADER
+
+    def test_wrong_gradient_exit_code(self, tmp_path, capsys, monkeypatch):
+        real = lp.grad_bs_sinr_deficit_lp
+        monkeypatch.setattr(lp, "grad_bs_sinr_deficit_lp",
+                            lambda *args: 2.0 * real(*args))
+        out = tmp_path / "grad.csv"
+        rc = cli.main(["--profile", "trend", "--preset", "gradcheck",
+                       "--seed", "1", "--out", str(out)])
+        assert rc == 3
+        lines = out.read_text().splitlines()
+        failed = [line for line in lines[1:] if line.endswith(",False")]
+        assert failed and all(line.startswith("lp_deficit_grad_bs,") for line in failed)
+        err = capsys.readouterr().err
+        assert f"{len(failed)}/{len(lines) - 1} gradient check rows failed" in err
 
     def test_unknown_flag_value_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

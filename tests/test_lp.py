@@ -41,10 +41,8 @@ def _feasible_state(scenario, channels, lp_state):
     params = AlgoParams()
     st = lp_state.copy()
     st.u = channels.f_r / math.sqrt(scenario.n_r)
-    st.v = ao.initial_sense_beam(
-        channels,
-        lambda v: metrics.sinr_deficit(channels, st.W, v, st.u, scenario.gamma0),
-        params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0))
+    st.v = ao.initial_sense_beam(channels, st.W, st.u, scenario.gamma0,
+                                 params.tol_feas)
     return st
 
 
@@ -72,7 +70,7 @@ class TestPrecoderBlock:
             sub = PrecoderSubproblem(channels, W, state.v, state.u,
                                      scenario.weights, scenario.p_max,
                                      scenario.gamma0)
-            W = solve_precoder_subproblem(sub, params.sub)
+            W = solve_precoder_subproblem(sub, params)
             hats.append(sub.surrogate_wsr(np.stack(W)))
         assert all(b >= a - 1e-9 for a, b in zip(hats, hats[1:]))
 
@@ -289,11 +287,8 @@ class TestBsAlm:
         # deficit <= 0 and eta = 0 at start: the first round optimizes -WSR only
         params = AlgoParams(alm_max_outer=2, inner_pgm_max=25)
         state = lp_state.copy()
-        state.v = ao.initial_sense_beam(
-            channels,
-            lambda v: metrics.sinr_deficit(channels, state.W, v, state.u,
-                                           scenario.gamma0),
-            params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0))
+        state.v = ao.initial_sense_beam(channels, state.W, state.u,
+                                        scenario.gamma0, params.tol_feas)
         before = float(scenario.weights @ metrics.lp_rates(channels, state))
         pl2, ch2, eta, info = lp.optimize_bs_positions_alm(
             scenario, placement, channels, state, scenario.weights,

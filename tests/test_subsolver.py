@@ -5,8 +5,9 @@ import pytest
 
 from nfisac import metrics, verify
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
+from nfisac.params import AlgoParams
 from nfisac.subsolver import (
-    CovarianceSubproblem, PrecoderSubproblem, SubParams, _pga_ascent,
+    CovarianceSubproblem, PrecoderSubproblem, _pga_ascent,
     leading_eigpair, power_project, psd_trace_project,
     solve_covariance_subproblem, solve_precoder_subproblem,
 )
@@ -126,7 +127,7 @@ class TestPrecoderSolve:
         state = lp_state.copy()
         state.v = np.zeros(scenario.n_t, dtype=complex)
         sub = _precoder_sub(scenario, channels, state, gamma0=0.0)
-        W = solve_precoder_subproblem(sub, SubParams())
+        W = solve_precoder_subproblem(sub, AlgoParams())
         power = sum(float(np.sum(np.abs(Wk) ** 2)) for Wk in W)
         assert power == pytest.approx(scenario.p_max, rel=1e-4)
         # KKT: surrogate gradient parallel to the power-constraint gradient
@@ -146,14 +147,14 @@ class TestPrecoderSolve:
         for _ in range(60):
             sub = PrecoderSubproblem(channels, W, state.v, state.u,
                                      scenario.weights, scenario.p_max, 0.0)
-            W = solve_precoder_subproblem(sub, SubParams())
+            W = solve_precoder_subproblem(sub, AlgoParams())
             cur = sub.surrogate_wsr(np.stack(W))
             if cur - prev < 1e-8:
                 break
             prev = cur
         sub2 = PrecoderSubproblem(channels, W, state.v, state.u,
                                   scenario.weights, scenario.p_max, 0.0)
-        W_again = solve_precoder_subproblem(sub2, SubParams())
+        W_again = solve_precoder_subproblem(sub2, AlgoParams())
         before = sub2.surrogate_wsr(np.stack(W))
         after = sub2.surrogate_wsr(np.stack(W_again))
         assert after >= before - 1e-9
@@ -174,7 +175,7 @@ class TestPrecoderSolve:
         sub = PrecoderSubproblem(ch, W0, np.array([0.0 + 0j]),
                                  np.array([1.0 + 0j]), np.array([1.0]),
                                  p_max=2.0, gamma0=0.0)
-        W = solve_precoder_subproblem(sub, SubParams())
+        W = solve_precoder_subproblem(sub, AlgoParams())
         achieved = sub.surrogate_wsr(np.stack(W))
 
         def surr_of_r(r):
@@ -200,7 +201,7 @@ class TestPrecoderSolve:
         gamma0 = 10.0 * num / channels.noise_radar
         sub = _precoder_sub(scenario, channels, state, gamma0=gamma0)
         with pytest.raises(InfeasibleSubproblemError):
-            solve_precoder_subproblem(sub, SubParams())
+            solve_precoder_subproblem(sub, AlgoParams())
 
     def test_feasibility_enforced(self, scenario, channels, lp_state):
         # binding sensing constraint: returned point satisfies it
@@ -210,9 +211,9 @@ class TestPrecoderSolve:
         num = metrics.sensing_power(channels, state.v, state.u)
         gamma0 = 0.5 * num / channels.noise_radar
         sub = _precoder_sub(scenario, channels, state, gamma0=gamma0)
-        W = solve_precoder_subproblem(sub, SubParams())
+        W = solve_precoder_subproblem(sub, AlgoParams())
         kap = sub.deficit(np.stack(W)) / sub.sinr_deficit_scale
-        assert kap <= SubParams().tol_feas
+        assert kap <= AlgoParams().tol_feas
         assert sub.surrogate_wsr(np.stack(W)) >= \
             sub.surrogate_wsr(sub.W0) - 1e-9
 
@@ -379,9 +380,9 @@ class TestCovarianceSolve:
     def test_fixed_point_returned_unchanged(self, scenario, channels, lp_state):
         V0 = np.outer(lp_state.v, lp_state.v.conj())
         sub = _cov_sub(scenario, channels, lp_state, V0, zeta=1.0, gamma0=0.0)
-        V1 = solve_covariance_subproblem(sub, SubParams())
+        V1 = solve_covariance_subproblem(sub, AlgoParams())
         sub2 = _cov_sub(scenario, channels, lp_state, V1, zeta=1.0, gamma0=0.0)
-        V2 = solve_covariance_subproblem(sub2, SubParams())
+        V2 = solve_covariance_subproblem(sub2, AlgoParams())
         obj1 = sub2.objective(V1)
         obj2 = sub2.objective(V2)
         assert obj2 >= obj1 - 1e-9
@@ -389,7 +390,7 @@ class TestCovarianceSolve:
     def test_scalar_grid_oracle(self):
         # N_t = 1: V is a scalar in [0, 1]
         sub, _, _ = _scalar_cov_sub()
-        V = solve_covariance_subproblem(sub, SubParams())
+        V = solve_covariance_subproblem(sub, AlgoParams())
         grid = np.linspace(0, 1, 20001)
         vals = [sub.objective(np.array([[g + 0j]])) for g in grid]
         assert sub.objective(V) >= max(vals) - 1e-6
@@ -413,7 +414,7 @@ class TestCovarianceSolve:
                 sub = CovarianceSubproblem(
                     "lp", channels, V, np.array([1.0, 0.0]), gamma0, u,
                     zeta, W=state.W)
-                V = solve_covariance_subproblem(sub, SubParams())
+                V = solve_covariance_subproblem(sub, AlgoParams())
             vals = np.linalg.eigvalsh(V)
             assert vals.sum() > 0
             ratios.append(vals[-1] / vals.sum())
@@ -431,10 +432,10 @@ class TestCovarianceSolve:
         x = verify._random_unit(rng, scenario.n_t)
         V0 = np.outer(x, x.conj())
         sub = _cov_sub(scenario, channels, state, V0, gamma0=gamma0)
-        if sub.deficit(V0) / sub.sinr_deficit_scale <= SubParams().tol_feas:
+        if sub.deficit(V0) / sub.sinr_deficit_scale <= AlgoParams().tol_feas:
             pytest.skip("random start happened to be feasible")
-        V = solve_covariance_subproblem(sub, SubParams())
-        assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
+        V = solve_covariance_subproblem(sub, AlgoParams())
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= AlgoParams().tol_feas
 
 
 def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
@@ -679,7 +680,7 @@ class TestSequentialReference:
         for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
             calls = []
             monkeypatch.setattr(subsolver, "_pga_ascent", _recording(ascent, calls))
-            results.append((solve_covariance_subproblem(sub, SubParams()), calls))
+            results.append((solve_covariance_subproblem(sub, AlgoParams()), calls))
         (V, calls), (V_ref, calls_ref) = results
         assert len(calls) >= 2
         _same_ascents(calls, calls_ref)
@@ -782,10 +783,10 @@ class TestCovarianceSolveCost:
             return inner(V)
 
         sub.objective_and_grad = counted
-        V = solve_covariance_subproblem(sub, SubParams())
+        V = solve_covariance_subproblem(sub, AlgoParams())
         assert calls[0] <= self.MAX_CALLS
         assert candidates[0] <= self.MAX_CANDIDATES
-        assert sub.deficit(V) / sub.sinr_deficit_scale <= SubParams().tol_feas
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= AlgoParams().tol_feas
         vals = np.linalg.eigvalsh(V)
         assert vals.min() >= -1e-12
         assert vals.sum() <= 1.0 + 1e-12

@@ -63,7 +63,7 @@ class TestSenseBeamZf:
             sub = CovarianceSubproblem("zf", channels, V, scenario.weights,
                                        scenario.gamma0, state.u, 1.0,
                                        gain=state.gain, P=state.P)
-            V = solve_covariance_subproblem(sub, params.sub)
+            V = solve_covariance_subproblem(sub, params)
             objs.append(float(scenario.weights @ sub.bound_values(V)))
         true_rates = [metrics.rate_zf_cov(channels, state.gain, V, k)
                       for k in range(scenario.n_users)]
