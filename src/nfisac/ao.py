@@ -2,11 +2,11 @@
 
 One copy each of the AO loop with its block gate, the SCA loop of every
 SCA block, the sensing-beam update, the projected-gradient descent of every
-position block and the ALM loop around it.  A stack supplies only what is
-scheme-specific: its initial state, whose ``precoders`` (the LP list W or
-the ZF (P,)) give the sensing SINR and its deficit, its rates, its receive
-combiner, its blocks, and the subproblem, objective and gradient functions
-the inner loops call.
+position block and the ALM loop around it; the engine measures every point
+itself.  A stack supplies only what is scheme-specific: its state, whose
+``precoders`` (LP W, ZF (P,)) enter the sensing SINR and whose ``at``
+follows an antenna move, its rates, combiner and blocks, and the
+subproblem, objective and gradient functions the inner loops call.
 """
 
 from __future__ import annotations
@@ -183,25 +183,33 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     return x, steps, False
 
 
-def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
-    """ALM over one antenna array: inner PGM (``descend``) on the penalized
-    objective -WSR + eta*kap + p/2*kap^2, then multiplier/penalty updates,
-    until the WSR stabilizes.
+def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
+                  eta, rates_of, descent, user=None):
+    """ALM over one antenna array (the BS transmit array, or user ``user``'s
+    antennas): inner PGM (``descend``) on -WSR + eta*kap + p/2*kap^2, then
+    multiplier/penalty updates, until the WSR stabilizes.
 
-    The array is the BS transmit array, or user ``user``'s antennas.
-    ``start`` is (placement, channels, state, wsr, kap) at the current
-    positions, kap the scaled SINR deficit.  ``evaluate(channels)`` gives
-    (state, wsr, kap) on a candidate's channels; a RankDeficiencyError
-    counts as a failed line-search trial.  ``descent(placement, channels,
-    state, penalized)`` gives the gradient of -WSR and, when penalized, of
-    the scaled deficit (else None).  Returns (placement, channels, state,
-    eta, info); eta persists across calls as warm-start dual information.
+    The stack supplies ``rates_of(channels, state)``, a state whose
+    ``at(channels, p_max)`` gives it on a candidate's channels (a
+    RankDeficiencyError rejects only that trial), and ``descent(placement,
+    channels, state, penalized)``, the gradient of -WSR and, when penalized,
+    of the unscaled SINR deficit (else None); the loop measures every point
+    itself (``_measure``: WSR under ``weights``, kap the SINR deficit under
+    ``gamma0``) and scales kap and its gradient alike.
+    Returns (placement, channels, state, eta, info); eta persists across
+    calls as warm-start dual information.
     """
-    x = start
-    kap = start[4]
+    scale = metrics.sinr_deficit_scale(channels, gamma0)
+
+    def evaluate(ch, st):
+        st = st.at(ch, scenario.p_max)
+        _, w, kp = _measure(ch, st, rates_of, weights, gamma0, scale)
+        return st, w, kp
+
+    x = (placement, channels, *evaluate(channels, state))
+    wsr_prev, kap = x[3:]
     info = AlmInfo(sinr_deficit_scaled=kap)
     p0 = params.p0
-    wsr_prev = start[3]
 
     def stop(prev, cur):
         L_prev, L_cur = prev[-1], cur[-1]
@@ -217,12 +225,12 @@ def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
 
         def grad(x):
             g, g_def = descent(*x[:3], penalized)
-            return g + (eta + p * x[4]) * g_def if penalized else g
+            return g + (eta + p * x[4]) * (g_def / scale) if penalized else g
 
         def move(x, positions):
             pl, ch = geometry.move_array(scenario, x[0], x[1], user, positions)
             try:
-                st, w, kp = evaluate(ch)
+                st, w, kp = evaluate(ch, x[2])
             except RankDeficiencyError:
                 return None
             return pl, ch, st, w, kp, lagrangian(w, kp)
@@ -246,6 +254,14 @@ def alm_positions(scenario, params, eta, start, evaluate, descent, user=None):
 
 # ---------------------------------------------------------------------------
 # the alternating-optimization loop
+
+def _measure(channels, state, rates_of, weights, gamma0, scale):
+    """(rates, WSR, scaled SINR deficit) of a state on its channels."""
+    rates = rates_of(channels, state)
+    return (rates, float(np.asarray(weights) @ rates),
+            metrics.sinr_deficit(channels, state.precoders, state.v, state.u,
+                                 gamma0) / scale)
+
 
 def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max, params):
     """The block gate: the candidate keeps the power budget and the unit
@@ -278,10 +294,9 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
 
     def measure(ch, st):
-        rates = rates_of(ch, st)
-        args = (ch, st.precoders, st.v, st.u)
-        return (rates, float(np.asarray(scenario.weights) @ rates), metrics.sinr(*args),
-                metrics.sinr_deficit(*args, scenario.gamma0) / scale)
+        rates, wsr, kap = _measure(ch, st, rates_of, scenario.weights,
+                                   scenario.gamma0, scale)
+        return rates, wsr, metrics.sinr(ch, st.precoders, st.v, st.u), kap
 
     state = initial_state(scenario, channels, params)
     rates, wsr_cur, gam, kap = measure(channels, state)

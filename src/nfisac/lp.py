@@ -4,8 +4,8 @@ The scheme-specific parts of the alternating optimization in ``ao``: the
 closed-form receive combiner, the SCA precoder update, the covariance
 subproblem of the sensing beam, per-user projected gradient ascent on the
 antenna positions (the shared descent, stopped on a relative rate gain),
-the BS-position gradients and candidate evaluation for the shared ALM
-loop, and the sensing-aware warm start.
+the BS-position gradients and the rates for the shared ALM loop, and the
+sensing-aware warm start.
 """
 
 from __future__ import annotations
@@ -170,16 +170,7 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
     warm-start dual information.
     """
     params = params or AlgoParams()
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
     W, v, u = state.W, state.v, state.u
-
-    def measure(ch):
-        rates = np.array([metrics.rate_lp_w(ch, W, v, k) for k in range(scenario.n_users)])
-        kap = metrics.sinr_deficit(ch, state.precoders, v, u, gamma0) / scale
-        return float(np.asarray(weights) @ rates), kap
-
-    def evaluate(ch):
-        return (state, *measure(ch))
 
     def descent(pl, ch, st, penalized):
         grad = np.zeros((scenario.n_t, 2))
@@ -187,11 +178,11 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
             grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, v, k)
         if not penalized:
             return grad, None
-        return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0) / scale
+        return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0)
 
-    start = (placement, channels, state, *measure(channels))
-    pl, ch, _, eta, info = ao.alm_positions(scenario, params, eta, start,
-                                            evaluate, descent)
+    pl, ch, _, eta, info = ao.alm_positions(scenario, placement, channels, state,
+                                            weights, gamma0, params, eta,
+                                            metrics.lp_rates, descent)
     return pl, ch, eta, info
 
 

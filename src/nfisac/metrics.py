@@ -32,6 +32,10 @@ class LpState:
         """The precoder list ``sinr`` and ``sinr_deficit`` take: W."""
         return self.W
 
+    def at(self, channels, p_max):
+        """The state on ``channels``: nothing in it depends on them."""
+        return self
+
     def power(self):
         return float(sum(np.sum(np.abs(Wk) ** 2) for Wk in self.W))
 
@@ -60,6 +64,12 @@ class ZfState:
     def precoders(self):
         """The precoder list ``sinr`` and ``sinr_deficit`` take: (P,)."""
         return (self.P,)
+
+    def at(self, channels, p_max):
+        """The state on ``channels``, the precoder rebuilt if stale."""
+        if self.channel_tag == channels.tag:
+            return self
+        return make_zf_state(channels, self.v, self.u, p_max)
 
     def power(self):
         return float(np.sum(np.abs(self.P) ** 2))
@@ -224,15 +234,6 @@ def make_zf_state(channels, v, u, p_max):
     P, gain, gram_inv = zf_precoder(channels, p_max)
     return ZfState(v=np.asarray(v, dtype=complex), u=np.asarray(u, dtype=complex),
                    P=P, gain=gain, channel_tag=channels.tag, gram_inv=gram_inv)
-
-
-def refresh_zf_state(state, channels, p_max):
-    """Rebuild the precoder and gain if the state is stale for these channels."""
-    if state.channel_tag == channels.tag:
-        return state
-    P, gain, gram_inv = zf_precoder(channels, p_max)
-    return ZfState(v=state.v, u=state.u, P=P, gain=gain,
-                   channel_tag=channels.tag, gram_inv=gram_inv)
 
 
 def rate_zf(channels, zf_state, k):

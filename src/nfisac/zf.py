@@ -4,9 +4,9 @@ The scheme-specific parts of the alternating optimization in ``ao``.  The
 zero-forcing precoder is a deterministic function of the channels, so every
 antenna move rebuilds it and its gain, and there is no precoder block.  A
 user's positions affect all users' rates plus the sensing SINR, so both
-position blocks run the shared ALM loop; this module gives them their
-candidate evaluation and the analytic gradients, with ``ZfWorkspace``
-holding what the gradients share.
+position blocks run the shared ALM loop, the precoder following each
+candidate through ``ZfState.at``; this module gives them the rates and the
+analytic gradients, with ``ZfWorkspace`` holding what the gradients share.
 """
 
 from __future__ import annotations
@@ -184,19 +184,8 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
                       params, eta, user=None):
     """ZF position block on ``ao.alm_positions``: user ``user``'s antennas,
     or the BS array when ``user`` is None.  Every candidate rebuilds the ZF
-    precoder; the sensing beam and combiner stay fixed.
+    precoder (``ZfState.at``); the sensing beam and combiner stay fixed.
     """
-    scale = metrics.sinr_deficit_scale(channels, gamma0)
-
-    def measure(ch, st):
-        rates = metrics.zf_rates(ch, st)
-        kap = metrics.sinr_deficit(ch, st.precoders, st.v, st.u, gamma0) / scale
-        return float(np.asarray(weights) @ rates), kap
-
-    def evaluate(ch):
-        st = metrics.make_zf_state(ch, state.v, state.u, scenario.p_max)
-        return (st, *measure(ch, st))
-
     def descent(pl, ch, st, penalized):
         ws = ZfWorkspace(ch, st, scenario.p_max, gamma0)
         if user is None:
@@ -206,12 +195,11 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
         if not penalized:
             return grad, None
         if user is None:
-            return grad, grad_bs_sinr_deficit_zf(scenario, pl, ch, ws) / scale
-        return grad, grad_user_sinr_deficit_zf(scenario, pl, ch, ws, user) / scale
+            return grad, grad_bs_sinr_deficit_zf(scenario, pl, ch, ws)
+        return grad, grad_user_sinr_deficit_zf(scenario, pl, ch, ws, user)
 
-    st = metrics.refresh_zf_state(state, channels, scenario.p_max)
-    start = (placement, channels, st, *measure(channels, st))
-    return ao.alm_positions(scenario, params, eta, start, evaluate, descent, user)
+    return ao.alm_positions(scenario, placement, channels, state, weights, gamma0,
+                            params, eta, metrics.zf_rates, descent, user)
 
 
 def optimize_user_positions_alm_zf(scenario, placement, channels, state,

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Heavy Monte-Carlo batches run once in pooled module-scope fixtures and are
-shared by the criteria that consume them.  Desk scale is N_t=4, N_r=4, K=2,
-N_u=2 (the gradient-suite sizes); the sensing-threshold sweep runs at the
-N_t=8 desk arrays where the echo-power operating range spans the decade.
+Heavy Monte-Carlo batches run in pooled module-scope fixtures and are
+shared by the criteria that consume them; a trial that two batches share
+runs once.  Desk scale is N_t=4, N_r=4, K=2, N_u=2 (the gradient-suite
+sizes); the sensing-threshold sweep runs at the N_t=8 desk arrays where the
+echo-power operating range spans the decade.
 """
 
 import math
@@ -32,11 +33,17 @@ def _announce(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _run_case(args):
-    """Top-level worker: one (scheme, sweep overrides, trial) run."""
-    scheme, overrides, trial = args
+def _effective_config(overrides):
+    """The config a job runs: ``desk_config`` with the job's "cfg"
+    overrides, then its "scenario" overrides."""
     cfg = desk_config(**overrides.get("cfg", {}))
-    sc = harness.build_scenario(replace(cfg, **overrides.get("scenario", {})))
+    return replace(cfg, **overrides.get("scenario", {}))
+
+
+def _run_case(args):
+    """Top-level worker: one (scheme, effective config, trial) run."""
+    scheme, cfg, trial = args
+    sc = harness.build_scenario(cfg)
     rng = harness.trial_rng(MASTER_SEED, trial)
     pl = harness.initial_placement(sc, rng)
     runner = lp.run_lp if scheme.startswith("LP") else zf.run_zf
@@ -67,22 +74,37 @@ def _run_case(args):
     return summary
 
 
-def _pool_map(jobs):
-    with ProcessPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        return list(ex.map(_run_case, jobs))
+def _pool_map(jobs, summaries):
+    """Summaries of (scheme, overrides, trial) jobs, in job order.  A job
+    whose scheme, effective config and trial are already in ``summaries``
+    is not run again."""
+    runs = [(scheme, _effective_config(overrides), t) for scheme, overrides, t in jobs]
+    keys = [(scheme, repr(cfg), t) for scheme, cfg, t in runs]
+    todo = {key: run for key, run in zip(keys, runs) if key not in summaries}
+    if todo:
+        with ProcessPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
+            summaries.update(zip(todo, ex.map(_run_case, todo.values())))
+    return [summaries[key] for key in keys]
 
 
 @pytest.fixture(scope="module")
-def convergence_runs():
+def summaries():
+    """(scheme, repr of the effective config, trial) -> run summary, shared
+    by every batch of the module, so each distinct trial runs once."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def convergence_runs(summaries):
     """Criterion 4/5/6/7 batch: all four schemes at desk scale, 20 seeds."""
     jobs = [(scheme, {}, t)
             for scheme in ("LP-MA", "ZF-MA", "LP-FIX", "ZF-FIX")
             for t in range(N_SEEDS)]
-    return _pool_map(jobs)
+    return _pool_map(jobs, summaries)
 
 
 @pytest.fixture(scope="module")
-def trend_runs():
+def trend_runs(summaries):
     """Criterion 8(a)-(d) batch on the desk-scale trend scenario."""
     jobs = []
     for t in range(N_SEEDS):
@@ -98,7 +120,7 @@ def trend_runs():
             jobs.append(("ZF-MA", {"scenario": {"p_max": pm}, "tag": "pw"}, t))
         for scheme in ("LP-FIX", "ZF-FIX"):
             jobs.append((scheme, {}, t))
-    results = _pool_map(jobs)
+    results = _pool_map(jobs, summaries)
     return list(zip(jobs, results))
 
 
@@ -255,7 +277,7 @@ def test_criterion_7_rank_one_extraction(convergence_runs):
               f"clean fraction {frac:.2f}, flags visible {flagged_visible}")
 
 
-def test_criterion_8_trends(trend_runs):
+def test_criterion_8_trends(trend_runs, summaries):
     t0 = time.time()
     # (a) unbalanced weights beat balanced for LP-MA
     lp_09 = _mean(trend_runs, "LP-MA", w1=0.9)
@@ -287,7 +309,7 @@ def test_criterion_8_trends(trend_runs):
         for t in range(N_SEEDS):
             jobs.append(("LP-MA", {"cfg": {"n_t": 8, "profile": "desk"},
                                    "scenario": {"gamma0": g0}}, t))
-    rows = _pool_map(jobs)
+    rows = _pool_map(jobs, summaries)
     ps_lo = float(np.mean([r["ps_db"] for r in rows if r["gamma0"] == 1e-5]))
     ps_hi = float(np.mean([r["ps_db"] for r in rows if r["gamma0"] == 1e-4]))
     w_lo = float(np.mean([r["wsr"] for r in rows if r["gamma0"] == 1e-5]))

@@ -1,7 +1,7 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
 run_zf with one block replaced by a stub that misbehaves, the shared
-projected-gradient descent and SCA loop on stub objectives, and the one
-parameter set."""
+projected-gradient descent and SCA loop on stub objectives, the ALM
+position loop on stub rates and gradients, and the one parameter set."""
 
 import dataclasses
 import pathlib
@@ -10,8 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from nfisac import ao, geometry, lp, zf
-from nfisac.errors import NumericalError, OptimizationAbort
+from nfisac import ao, geometry, lp, metrics, zf
+from nfisac.errors import NumericalError, OptimizationAbort, RankDeficiencyError
 from nfisac.params import AlgoParams
 
 
@@ -167,6 +167,106 @@ class TestDescend:
             scenario, placement, grad, lambda n: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
         assert (steps, exhausted, len(tried)) == (1, False, 1)
+
+
+class TestAlmPositions:
+    """``ao.alm_positions`` on stub ``rates_of`` and ``descent``: rates that
+    grow with every evaluation, so each evaluated candidate is adopted, and
+    a gradient that shifts the whole array along x."""
+
+    WEIGHTS = np.array([0.2, 0.8])
+
+    @staticmethod
+    def _growing_rates(evals):
+        def rates_of(ch, st):
+            evals.append(ch.tag)
+            return np.full(len(ch.H), float(len(evals)))
+        return rates_of
+
+    @staticmethod
+    def _shift(n, seen=None):
+        def descent(pl, ch, st, penalized):
+            if seen is not None:
+                seen.append((ch.tag, st.channel_tag))
+            g = np.tile([1e-3, 0.0], (n, 1))
+            return g, (np.zeros_like(g) if penalized else None)
+        return descent
+
+    def test_start_point_is_measured_with_the_given_weights(
+            self, scenario, placement, channels, zf_state, monkeypatch):
+        starts = []
+
+        def no_descent(scenario, k, x, *args):
+            starts.append(x)
+            return x, 0, False
+
+        monkeypatch.setattr(ao, "descend", no_descent)
+        q = placement.q[0].copy()
+        q[:, 0] += 0.01
+        pl2, ch2 = geometry.move_array(scenario, placement, channels, 0, q)
+        ao.alm_positions(scenario, pl2, ch2, zf_state, self.WEIGHTS, scenario.gamma0,
+                         AlgoParams(alm_max_outer=1), 0.0, metrics.zf_rates,
+                         self._shift(scenario.n_u), user=0)
+        _, ch, st, wsr, kap, _ = starts[0]
+        ref = zf_state.at(ch2, scenario.p_max)
+        assert ch is ch2 and st.channel_tag == ch2.tag
+        rates = metrics.zf_rates(ch2, ref)
+        assert wsr == float(self.WEIGHTS @ rates)
+        assert wsr != float(np.asarray(scenario.weights) @ rates)
+        scale = metrics.sinr_deficit_scale(ch2, scenario.gamma0)
+        assert kap == metrics.sinr_deficit(ch2, ref.precoders, ref.v, ref.u,
+                                           scenario.gamma0) / scale
+
+    def test_rank_deficient_candidate_is_one_rejected_trial(
+            self, scenario, placement, channels, lp_state, monkeypatch):
+        at_calls = []
+
+        class FailsFirstCandidate(metrics.LpState):
+            def at(self, channels, p_max):
+                at_calls.append(channels.tag)
+                if len(at_calls) == 2:
+                    raise RankDeficiencyError(np.inf)
+                return self
+
+        moves = []
+        move_array = geometry.move_array
+
+        def spy(scenario, pl, ch, k, positions):
+            moves.append(positions.copy())
+            return move_array(scenario, pl, ch, k, positions)
+
+        monkeypatch.setattr(geometry, "move_array", spy)
+        params = AlgoParams(alm_max_outer=1, inner_pgm_max=1)
+        st = FailsFirstCandidate(lp_state.W, lp_state.v, lp_state.u)
+        evals = []
+        # gamma0 = 0 keeps the deficit non-positive, so the loop stays unpenalized
+        pl, ch, st_out, eta, info = ao.alm_positions(
+            scenario, placement, channels, st, self.WEIGHTS, 0.0, params, 0.0,
+            self._growing_rates(evals), self._shift(scenario.n_t))
+        t0 = placement.t
+        assert len(moves) == 2 and len(at_calls) == 3 and len(evals) == 2
+        np.testing.assert_allclose(moves[1] - t0, params.tau * (moves[0] - t0),
+                                   atol=1e-15)
+        assert (info.inner_steps, info.line_search_exhausted) == (1, False)
+        assert pl.t.tobytes() == moves[1].tobytes() and st_out is st
+        pl.validate(scenario)
+
+    def test_descent_sees_states_of_its_channels(
+            self, scenario, placement, channels, zf_state):
+        seen = []
+        q = placement.q[1].copy()
+        q[:, 1] += 0.01
+        pl2, ch2 = geometry.move_array(scenario, placement, channels, 1, q)
+        params = AlgoParams(alm_max_outer=2, inner_pgm_max=3)
+        pl, ch, st, _, info = ao.alm_positions(
+            scenario, pl2, ch2, zf_state, scenario.weights, scenario.gamma0,
+            params, 0.0, self._growing_rates([]), self._shift(scenario.n_u, seen),
+            user=1)
+        assert info.inner_steps >= 2
+        assert len({tag for tag, _ in seen}) >= 3
+        assert all(ch_tag == st_tag for ch_tag, st_tag in seen)
+        assert st.channel_tag == ch.tag
+        pl.validate(scenario)
 
 
 class TestSca:

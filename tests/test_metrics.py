@@ -303,10 +303,25 @@ class TestKappa:
 
 
 class TestZfFreshness:
+    """``state.at(channels, p_max)``: the state on the channels in hand."""
+
     def test_refresh_detects_stale_tag(self, scenario, placement, channels, zf_state):
         assert zf_state.channel_tag == channels.tag
-        ch2 = geometry.rebuild_user_channel(scenario, channels, placement, 0)
-        assert metrics.refresh_zf_state(zf_state, channels, scenario.p_max) is zf_state
-        st2 = metrics.refresh_zf_state(zf_state, ch2, scenario.p_max)
+        assert zf_state.at(channels, scenario.p_max) is zf_state
+        q = placement.q[0].copy()
+        q[:, 0] += 0.01
+        _, ch2 = geometry.move_array(scenario, placement, channels, 0, q)
+        st2 = zf_state.at(ch2, scenario.p_max)
         assert st2 is not zf_state
         assert st2.channel_tag == ch2.tag
+        ref = metrics.make_zf_state(ch2, zf_state.v, zf_state.u, scenario.p_max)
+        assert st2.P.tobytes() == ref.P.tobytes()
+        assert repr(st2.gain) == repr(ref.gain)
+        assert st2.gram_inv.tobytes() == ref.gram_inv.tobytes()
+        assert st2.P.tobytes() != zf_state.P.tobytes()
+
+    def test_lp_state_is_kept(self, scenario, placement, channels, lp_state):
+        _, ch2 = geometry.move_array(scenario, placement, channels, None,
+                                     placement.t + [0.01, 0.0, 0.0])
+        assert lp_state.at(channels, scenario.p_max) is lp_state
+        assert lp_state.at(ch2, scenario.p_max) is lp_state

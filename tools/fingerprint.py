@@ -1,0 +1,110 @@
+"""Identity fingerprint of the optimizer on fixed benchmark units.
+
+Runs all 160 ``mc-trend`` units and ``positions`` cells 0-119 of the
+benchmark pools, each through ``perfbench.workloads.Bench(...).run_unit``,
+and prints one line per unit: the unit key and a sha256 over what the unit
+produced.  An AO trial contributes its WSR ``repr``, every trace record,
+``outer_iters``, ``converged``, ``flags``, ``block_rejects``, ``rank_flags``
+and the final placement bytes; a positions cell its WSR per scheme.  Both
+also contribute the return value of every position-block call inside them
+(placements, channels, states, ``eta``, ``AlmInfo``).  Channel tags are left
+out: they count channel builds, not results.
+
+Two checkouts produce bit-identical results on these units exactly when
+their outputs are equal.  From the root of each checkout:
+
+    python3 tools/fingerprint.py > fingerprint.txt
+    diff /path/to/other/fingerprint.txt fingerprint.txt
+
+OpenBLAS runs single-threaded unless ``OPENBLAS_NUM_THREADS`` says
+otherwise.  The benchmark code is imported, never modified.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+
+UNITS = {"mc-trend": 160, "positions": 120}
+POSITION_BLOCKS = {
+    "lp": ("optimize_user_positions", "optimize_bs_positions_alm"),
+    "zf": ("optimize_user_positions_alm_zf", "optimize_bs_positions_alm_zf"),
+}
+SKIPPED_FIELDS = {"tag", "channel_tag"}
+RUN_FIELDS = ("wsr", "trace", "outer_iters", "converged", "flags",
+              "block_rejects", "rank_flags", "placement")
+
+
+def feed(h, obj):
+    """Add ``obj`` to the hash: arrays by dtype, shape and bytes, scalars by
+    ``repr``, containers and dataclasses field by field."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in dataclasses.fields(obj):
+            if f.name not in SKIPPED_FIELDS:
+                h.update(f.name.encode())
+                feed(h, getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"({len(obj)}".encode())
+        for item in obj:
+            feed(h, item)
+        h.update(b")")
+    elif isinstance(obj, dict):
+        feed(h, sorted(obj.items()))
+    else:
+        h.update(repr(obj).encode())
+
+
+def record_position_blocks(calls):
+    """Wrap the position blocks by module attribute, where both stacks and
+    the positions cell look them up, so each call's return value lands in
+    ``calls``.  Every ``Bench`` uses these same module objects."""
+    for module, names in POSITION_BLOCKS.items():
+        owner = importlib.import_module(f"nfisac.{module}")
+        for name in names:
+            def wrapped(*args, _fn=getattr(owner, name), _name=f"{module}.{name}",
+                        **kwargs):
+                out = _fn(*args, **kwargs)
+                calls.append((_name, out))
+                return out
+            setattr(owner, name, wrapped)
+
+
+def fingerprint(bench, calls, trial, scheme):
+    calls.clear()
+    outcome = bench.run_unit(trial, scheme)
+    h = hashlib.sha256()
+    feed(h, (outcome.wsr_bits, outcome.problem))
+    if outcome.run is not None:
+        feed(h, [getattr(outcome.run, name) for name in RUN_FIELDS])
+    feed(h, calls)
+    return h.hexdigest()
+
+
+def main():
+    workloads.use_checkout_source()
+    calls = []
+    record_position_blocks(calls)
+    for name, n_units in UNITS.items():
+        bench = workloads.Bench(name)
+        for trial, scheme in workloads.pool_units(name)[:n_units]:
+            print(name, trial, scheme, fingerprint(bench, calls, trial, scheme),
+                  flush=True)
+
+
+if __name__ == "__main__":
+    main()
