@@ -11,13 +11,14 @@ subproblem, objective and gradient functions the inner loops call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, metrics
 from .errors import (
-    InfeasibleSubproblemError, NumericalError, OptimizationAbort,
+    InfeasibleSubproblemError, NfIsacError, NumericalError, OptimizationAbort,
     RankDeficiencyError,
 )
 
@@ -144,15 +145,21 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
 
     ``x`` is the caller's iterate, a tuple that starts with the Placement
     and ends with the objective value being decreased.  ``grad(x)`` gives
-    the objective's xy gradient, shape (n, 2); ``move(x, positions)`` gives
-    the iterate with the array at ``positions``, or None if it cannot be
-    evaluated; ``stop(x_prev, x)`` ends the descent after an accepted step.
-    Each trial step is projected onto the array's region; a spacing
-    violation, an unevaluable candidate or a failed Armijo test shrinks it
-    by tau, and an accepted step s makes 2s the next first trial.  A step
-    that projects to no move ends the descent.  Returns (x, steps,
-    exhausted), exhausted when a line search rejected all its trials: max_ls
-    of them, or every one before its step vanished.
+    the objective's xy gradient, shape (n, 2); ``move(x, positions)`` takes
+    a stack of candidate positions (c, n, 3) and gives (values, take): the
+    candidates' objective values and ``take(i)``, the iterate of candidate
+    i; ``stop(x_prev, x)`` ends the descent after an accepted step.
+
+    Each line search takes its trial steps s, s tau, s tau^2, ... (at most
+    max_ls of them) in stacks of 2, 4, 8, ..., projected onto the array's
+    region.  A trial that projects to no move ends the search there and the
+    descent with it; a spacing violation rejects a trial unevaluated.  The
+    other trials of a stack are evaluated together, and the first in step
+    order that passes the Armijo test is adopted; an adopted step s makes 2s
+    the next first trial.  The result is that of trying one step at a time
+    (see ``_evaluate`` for errors).  Returns (x, steps, exhausted), exhausted
+    when a line search rejected all its trials: max_ls of them, or every
+    one before its step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
     step = params.step0
@@ -160,27 +167,62 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     for _ in range(max_steps):
         g = grad(x)
         pos = x[0].array(k)
-        s = step
-        for _ls in range(params.max_ls):
-            cand = pos.copy()
-            cand[:, :2] = pos[:, :2] - s * g
+        adopted, tried, size, s = None, 0, 2, step
+        while adopted is None and tried < params.max_ls:
+            trials = []
+            for _ in range(min(size, params.max_ls - tried)):
+                trials.append(s)
+                s *= params.tau
+            tried, size = tried + len(trials), size * 2
+            cand = np.repeat(pos[None], len(trials), axis=0)
+            cand[..., :2] = pos[:, :2] - np.array(trials)[:, None, None] * g
             cand = geometry.project_points_to_region(cand, region)
-            delta2 = float(np.sum((cand - pos) ** 2))
-            if delta2 == 0.0:
-                return x, steps, _ls > 0
-            x_c = (move(x, cand) if geometry.min_spacing_ok(cand, scenario.d_min)
-                   else None)
-            if x_c is not None and x[-1] - x_c[-1] >= params.delta * delta2:
-                break
-            s *= params.tau
-        else:
+            delta2 = ((cand - pos) ** 2).reshape(len(trials), -1).sum(axis=1)
+            moved = delta2 != 0.0
+            n = len(trials) if moved.all() else int(np.argmin(moved))
+            spaced = geometry.min_spacing_ok(cand[:n], scenario.d_min)
+            evaluable = [i for i in range(n) if spaced[i]]
+            for i, value, take in _evaluate(move, x, cand, evaluable):
+                if x[-1] - value >= params.delta * delta2[i]:
+                    adopted = trials[i], take
+                    break
+            if adopted is None and n < len(trials):
+                return x, steps, tried - len(trials) + n > 0
+        if adopted is None:
             return x, steps, True
-        x_prev, x = x, x_c
-        step = s * 2.0
+        x_prev, x = x, adopted[1]()
+        step = adopted[0] * 2.0
         steps += 1
         if stop(x_prev, x):
             break
     return x, steps, False
+
+
+def _evaluate(move, x, cand, idx):
+    """(trial, value, take) of the trials ``idx`` in step order, from one
+    ``move`` on their stack.
+
+    If the stack raises, its trials are evaluated one at a time, lazily, so
+    an error is raised only where a one-at-a-time search would meet it; a
+    lone trial that raises RankDeficiencyError cannot be evaluated and gets
+    the value NaN, which fails every Armijo test.
+    """
+    if not idx:
+        return
+    try:
+        values, take = move(x, cand[idx])
+    except NfIsacError as exc:
+        if len(idx) == 1 and not isinstance(exc, RankDeficiencyError):
+            raise
+        values = None
+    if values is not None:
+        for j, i in enumerate(idx):
+            yield i, values[j], functools.partial(take, j)
+    elif len(idx) > 1:
+        for i in idx:
+            yield from _evaluate(move, x, cand, [i])
+    else:
+        yield idx[0], np.nan, None
 
 
 def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
@@ -190,12 +232,15 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
     multiplier/penalty updates, until the WSR stabilizes.
 
     The stack supplies ``rates_of(channels, state)``, a state whose
-    ``at(channels, p_max)`` gives it on a candidate's channels (a
-    RankDeficiencyError rejects only that trial), and ``descent(placement,
-    channels, state, penalized)``, the gradient of -WSR and, when penalized,
-    of the unscaled SINR deficit (else None); the loop measures every point
-    itself (``_measure``: WSR under ``weights``, kap the SINR deficit under
-    ``gamma0``) and scales kap and its gradient alike.
+    ``at(channels, p_max)`` gives it on a stack of candidates' channels (a
+    RankDeficiencyError rejects only its own trial, see ``descend``) and
+    whose ``candidate(i, channels)`` takes candidate i out, and
+    ``descent(placement, channels, state, penalized)``, the gradient of -WSR
+    and, when penalized, of the unscaled SINR deficit (else None); the loop
+    measures every point itself (``_measure``: WSR under ``weights``, kap
+    the SINR deficit under ``gamma0``) and scales kap and its gradient
+    alike.  Only the adopted candidate of a stack becomes a ChannelSet and
+    a state of its own.
     Returns (placement, channels, state, eta, info); eta persists across
     calls as warm-start dual information.
     """
@@ -229,11 +274,14 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
 
         def move(x, positions):
             pl, ch = geometry.move_array(scenario, x[0], x[1], user, positions)
-            try:
-                st, w, kp = evaluate(ch, x[2])
-            except RankDeficiencyError:
-                return None
-            return pl, ch, st, w, kp, lagrangian(w, kp)
+            st, w, kp = evaluate(ch, x[2])
+            values = lagrangian(w, kp)
+
+            def take(i):
+                pl_i, ch_i = geometry.candidate(pl, ch, user, i)
+                return (pl_i, ch_i, st.candidate(i, ch_i), float(w[i]), float(kp[i]),
+                        float(values[i]))
+            return values, take
 
         x = (*x[:5], lagrangian(x[3], x[4]))
         x, steps, exhausted = descend(scenario, user, x, grad, move, stop,
@@ -256,9 +304,11 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
 # the alternating-optimization loop
 
 def _measure(channels, state, rates_of, weights, gamma0, scale):
-    """(rates, WSR, scaled SINR deficit) of a state on its channels."""
+    """(rates, WSR, scaled SINR deficit) of a state on its channels; on a
+    stack of candidates, one entry per candidate (the WSR per row)."""
     rates = rates_of(channels, state)
-    return (rates, float(np.asarray(weights) @ rates),
+    weights = np.asarray(weights)
+    return (rates, metrics.per_row(lambda r: float(weights @ r), rates),
             metrics.sinr_deficit(channels, state.precoders, state.v, state.u,
                                  gamma0) / scale)
 

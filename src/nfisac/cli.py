@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import harness
 from .errors import ConfigError, NfIsacError
@@ -68,6 +69,11 @@ def main(argv=None):
         return 2
     total = len(rows)
     gradcheck = cfg.preset == "gradcheck"
+    classes = Counter(row["error"].split(":")[0] for row in rows if "error" in row)
+    if classes:
+        print("failed trials by class: " + ", ".join(
+            f"{name} {count}" for name, count in sorted(classes.items())),
+            file=sys.stderr)
     if n_failed > (0 if gradcheck else 0.2 * total):
         what = "gradient check rows" if gradcheck else "trials"
         print(f"{n_failed}/{total} {what} failed", file=sys.stderr)

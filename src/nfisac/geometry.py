@@ -8,6 +8,11 @@ antennas live in a square region parallel to the xy-plane at fixed z.
 Channel entries are spherical-wave phase factors scaled by a path-loss
 amplitude: phases depend only on exact point-to-point distances, so every
 function here is a pure function of coordinates.
+
+The channel builders and ``move_array`` also take a stack of candidate
+positions (a leading candidate axis); every channel the moved array enters
+then carries that axis, and each candidate's entries are exactly those of
+its own 2-D call.  ``candidate`` takes one candidate out of such a stack.
 """
 
 from __future__ import annotations
@@ -45,15 +50,18 @@ def unit_phase(dist, lam):
 
 
 def _extended_distances(a, b):
-    diff = a[:, None, :].astype(np.longdouble) - b[None, :, :].astype(np.longdouble)
+    diff = (a[..., :, None, :].astype(np.longdouble)
+            - b[..., None, :, :].astype(np.longdouble))
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def pairwise_distances(a, b):
-    """Distances between every row of ``a`` (n,3) and every row of ``b`` (m,3)."""
+    """Distances between every row of ``a`` (..., n, 3) and every row of
+    ``b`` (..., m, 3), shape (..., n, m)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))      # np.linalg.norm(diff, axis=-1)
 
 
 def chain_xy(core, diff):
@@ -258,7 +266,8 @@ def path_loss_sense(o_t, o_r, s, lam):
 
 
 def build_user_channel(t, q_k, rho_k, lam):
-    """Spherical-wave channel H_k with H_k[b, m] = rho_k * e^{j 2 pi |t_m - q_kb| / lam}."""
+    """Spherical-wave channel H_k with H_k[b, m] = rho_k * e^{j 2 pi |t_m - q_kb| / lam};
+    a stack of t or q_k gives a stack of channels."""
     if not rho_k > 0:
         raise GeometryError(f"path loss must be positive, got {rho_k}")
     d = _extended_distances(np.asarray(q_k, dtype=float), np.asarray(t, dtype=float))
@@ -267,24 +276,41 @@ def build_user_channel(t, q_k, rho_k, lam):
     return rho_k * unit_phase(d, lam)
 
 
+def _response(points, s, lam):
+    """Near-field response of an array (..., n, 3) toward the point s, (..., n)."""
+    d = _extended_distances(np.asarray(points, dtype=float),
+                            np.asarray(s, dtype=float).reshape(1, 3))[..., 0]
+    if np.any(d == 0.0):
+        raise GeometryError("target coincides with an antenna")
+    return unit_phase(d, lam)
+
+
+def _echo(f_r, f_t, rho_s):
+    """Rank-1 echo channel rho_s f_r f_t^H, stacked along f_t's leading axes."""
+    return rho_s * (f_r[:, None] * f_t.conj()[..., None, :])
+
+
 def build_sensing_channel(t, rx_positions, s, rho_s, lam):
     """Near-field response vectors f_t, f_r and the rank-1 echo channel G."""
-    s = np.asarray(s, dtype=float).reshape(1, 3)
-    d_t = _extended_distances(np.asarray(t, dtype=float), s)[:, 0]
-    d_r = _extended_distances(np.asarray(rx_positions, dtype=float), s)[:, 0]
-    if np.any(d_t == 0.0) or np.any(d_r == 0.0):
-        raise GeometryError("target coincides with an antenna")
-    f_t = unit_phase(d_t, lam)
-    f_r = unit_phase(d_r, lam)
-    G = rho_s * np.outer(f_r, f_t.conj())
-    return f_t, f_r, G
+    f_r = _response(rx_positions, s, lam)
+    f_t = _response(t, s, lam)
+    return f_t, f_r, _echo(f_r, f_t, rho_s)
+
+
+def _user_channels(scenario, placement, rho):
+    """Every user's H_k between the placement's arrays (a stack if the BS
+    array is one)."""
+    return tuple(build_user_channel(placement.t, q_k, rho_k, scenario.lam)
+                 for q_k, rho_k in zip(placement.q, rho))
 
 
 def build_channels(scenario, placement):
     """Assemble the full ChannelSet for a placement.
 
     Path-loss amplitudes use the region-center distances, so they are
-    constants of the scenario; antenna moves only change phases.
+    constants of the scenario; antenna moves only change phases.  A
+    placement whose BS array is a stack of candidates (c, n_t, 3) gives
+    stacked channels.
     """
     lam = scenario.lam
     o_t = scenario.tx_region.center
@@ -292,12 +318,9 @@ def build_channels(scenario, placement):
         path_loss_comm(o_t, region.center, lam) for region in scenario.user_regions
     ])
     rho_s = path_loss_sense(o_t, scenario.rx_mid, scenario.target, lam)
-    H = tuple(
-        build_user_channel(placement.t, placement.q[k], rho[k], lam)
-        for k in range(scenario.n_users)
-    )
-    rx = receive_ula_positions(scenario)
-    f_t, f_r, G = build_sensing_channel(placement.t, rx, scenario.target, rho_s, lam)
+    H = _user_channels(scenario, placement, rho)
+    f_t, f_r, G = build_sensing_channel(placement.t, receive_ula_positions(scenario),
+                                        scenario.target, rho_s, lam)
     return ChannelSet(
         H=H, G=G, f_t=f_t, f_r=f_r, rho=rho, rho_s=rho_s,
         noise_user=scenario.noise_user.copy(), noise_radar=scenario.noise_radar,
@@ -313,33 +336,54 @@ def rebuild_user_channel(scenario, channels, placement, k):
 
 def move_array(scenario, placement, channels, k, positions):
     """(placement, channels) with one array moved to ``positions``: the BS
-    transmit array (``k`` None) rebuilds every channel, user k's array only
-    H_k."""
+    transmit array (``k`` None) rebuilds H, f_t and G, taking f_r, the path
+    losses and the noise powers from ``channels``; user k's array only H_k.
+
+    A stack of positions (c, n, 3) moves c candidates at once: the moved
+    array and the channels rebuilt from it carry the leading axis, and
+    ``candidate`` takes one out.
+    """
+    if k is not None:
+        placement = placement.with_q(k, positions)
+        return placement, rebuild_user_channel(scenario, channels, placement, k)
+    placement = placement.with_t(positions)
+    H = _user_channels(scenario, placement, channels.rho)
+    f_t = _response(placement.t, scenario.target, scenario.lam)
+    return placement, replace(channels, H=H, G=_echo(channels.f_r, f_t, channels.rho_s),
+                              f_t=f_t, tag=next(_channel_tag))
+
+
+def candidate(placement, channels, k, i):
+    """Candidate i of a stack from ``move_array`` on array ``k``: its own
+    Placement and a ChannelSet with a fresh tag."""
+    pos = placement.array(k)[i]
     if k is None:
-        placement = placement.with_t(positions)
-        return placement, build_channels(scenario, placement)
-    placement = placement.with_q(k, positions)
-    return placement, rebuild_user_channel(scenario, channels, placement, k)
+        return placement.with_t(pos), replace(
+            channels, H=tuple(Hj[i] for Hj in channels.H), G=channels.G[i],
+            f_t=channels.f_t[i], tag=next(_channel_tag))
+    H = list(channels.H)
+    H[k] = H[k][i]
+    return placement.with_q(k, pos), replace(channels, H=tuple(H), tag=next(_channel_tag))
 
 
 def project_points_to_region(points, region):
     """Clamp each row's x and y independently to the region box; z is left
-    unchanged."""
+    unchanged.  A stack of point sets (..., n, 3) is clamped alike."""
     x_min, x_max, y_min, y_max = region.bounds()
     out = np.array(points, dtype=float)
-    out[:, 0] = np.clip(out[:, 0], x_min, x_max)
-    out[:, 1] = np.clip(out[:, 1], y_min, y_max)
+    out[..., 0] = np.clip(out[..., 0], x_min, x_max)
+    out[..., 1] = np.clip(out[..., 1], y_min, y_max)
     return out
 
 
 def min_spacing_ok(positions, d_min):
-    """True iff all pairwise distances within the array are >= d_min."""
+    """True iff all pairwise distances within the array are >= d_min; a
+    stack of arrays (c, n, 3) gives one bool per array."""
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
-    if n < 2:
-        return True
     d = pairwise_distances(pos, pos)
     # d is exactly symmetric (|a - b| and |b - a| round alike), so the
     # off-diagonal minimum is the minimum over the pairs
-    np.fill_diagonal(d, np.inf)
-    return bool(d.min() >= d_min)
+    n = pos.shape[-2]
+    d.reshape(d.shape[:-2] + (n * n,))[..., ::n + 1] = np.inf      # the diagonals
+    ok = d.min(axis=-1).min(axis=-1) >= d_min
+    return bool(ok) if pos.ndim == 2 else ok

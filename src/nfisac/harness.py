@@ -272,7 +272,11 @@ def _scenario_for(cfg, sweep):
 
 
 def run_trial(spec):
-    """One (scheme, sweep value, trial) cell; returns (row, trace_rows)."""
+    """One (scheme, sweep value, trial) cell; returns (row, trace_rows).
+
+    A trial that fails with a package error keeps "<class>: <message>" in
+    the row under ``"error"``, a key outside the CSV schema.
+    """
     cfg = spec.cfg
     scenario = _scenario_for(cfg, spec.sweep)
     rng = trial_rng(cfg.seed, spec.trial)
@@ -305,8 +309,10 @@ def run_trial(spec):
                     "wsr_bits": rec.wsr / LN2, "gamma_s": rec.gamma_s,
                     "sinr_deficit": rec.deficit, "power": rec.power,
                 })
-    except NfIsacError:
-        pass  # row stays marked failed (iters == -1, nan metrics)
+    except NfIsacError as exc:
+        # the row stays marked failed (iters == -1, nan metrics); the reason
+        # rides along outside the CSV schema, which ``emit`` never writes
+        row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row, trace_rows
 

@@ -150,7 +150,8 @@ def optimize_user_positions(scenario, placement, channels, state, k, params=None
 
     def move(x, q):
         pl, ch = geometry.move_array(scenario, x[0], x[1], k, q)
-        return pl, ch, -metrics.rate_lp_w(ch, W, v, k)
+        values = -metrics.rate_lp_w(ch, W, v, k)
+        return values, lambda i: (*geometry.candidate(pl, ch, k, i), float(values[i]))
 
     def stop(prev, cur):
         return prev[-1] - cur[-1] < params.pgm_tol * (1.0 + abs(cur[-1]))

@@ -2,6 +2,13 @@
 
 Rates are computed and stored in nats; the experiment harness divides by
 ln(2) when emitting figure-style outputs in bits.
+
+The rates, the ZF precoder and the sensing SINR also take channels that
+hold a stack of candidates (a leading axis, see ``geometry.move_array``)
+and give one entry per candidate, each exactly the value of its own 2-D
+call: matrix products and factorizations run per matrix of the stack, and
+vector products that a stacked call could round differently run per row
+(``per_row``).
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ class LpState:
         """The state on ``channels``: nothing in it depends on them."""
         return self
 
+    def candidate(self, i, channels):
+        """The state of candidate i of a stack: the same state."""
+        return self
+
     def power(self):
         return float(sum(np.sum(np.abs(Wk) ** 2) for Wk in self.W))
 
@@ -51,6 +62,12 @@ class ZfState:
     from; any antenna move invalidates them.  ``gram_inv`` is the refined
     inverse of the stacked Gram matrix H_e H_e^H they were built from, which
     the position gradients reuse.
+
+    ``at`` on a stack of candidates' channels gives a state whose ``P``,
+    ``gain`` and ``gram_inv`` carry the candidate axis.  Such a state only
+    measures the stack (``precoders`` for the SINR, the rates); ``power``
+    and ``copy`` are for one candidate, which ``candidate(i, channels)``
+    takes out.
     """
 
     v: np.ndarray
@@ -70,6 +87,12 @@ class ZfState:
         if self.channel_tag == channels.tag:
             return self
         return make_zf_state(channels, self.v, self.u, p_max)
+
+    def candidate(self, i, channels):
+        """Candidate i of a state built on a stack of channels, on that
+        candidate's own ``channels``."""
+        return ZfState(self.v, self.u, self.P[i], float(self.gain[i]), channels.tag,
+                       self.gram_inv[i])
 
     def power(self):
         return float(np.sum(np.abs(self.P) ** 2))
@@ -91,6 +114,18 @@ class TraceRecord:
     power: float
     rates: tuple
     flags: tuple = ()
+
+
+def per_row(fn, rows):
+    """fn of one vector, or an array of fn over the rows of a stack.
+
+    Scalar products and norms run one 1-D call per row: a stacked
+    matrix-vector product can round differently from the 1-D call one
+    vector gets, and a stack must give each row its own value.
+    """
+    if rows.ndim == 1:
+        return fn(rows)
+    return np.array([fn(r) for r in rows])
 
 
 def logdet_hpd(m):
@@ -125,24 +160,58 @@ def logdet_hpd(m):
     return (float(ld) if m.ndim == 2 else ld), regularized
 
 
+def _users(k):
+    """(users, one): the user indices of k, an index or a sequence of them."""
+    one = np.ndim(k) == 0
+    return ([k] if one else list(k)), one
+
+
+def _stack(mats):
+    """Matrices stacked on a new third-to-last axis, each broadcast over the
+    candidate axis if any of them has one."""
+    shape = max((m.shape for m in mats), key=len)
+    out = np.empty(shape[:-2] + (len(mats),) + shape[-2:], dtype=complex)
+    for i, m in enumerate(mats):
+        out[..., i, :, :] = m
+    return out
+
+
+def _rates(num, den, one, what):
+    """Rates num - den from one log-det over the per-user (num, den) matrix
+    pairs: the users on the last axis, a float for one user of one
+    candidate."""
+    ld, _ = logdet_hpd(_stack(num + den))
+    rate = ld[..., :len(num)] - ld[..., len(num):]
+    if not np.all(np.isfinite(rate)):
+        raise NumericalError(f"non-finite {what} rate")
+    if one:
+        rate = rate[..., 0]
+    return float(rate) if rate.ndim == 0 else rate
+
+
 def rate_lp_w(channels, W, v, k):
-    """Achievable rate (nats) of user k under linear precoding."""
-    Hk = channels.H[k]
-    n_u = Hk.shape[0]
-    C = channels.noise_user[k] * np.eye(n_u, dtype=complex)
-    for u_idx, Wu in enumerate(W):
-        if u_idx != k:
+    """Achievable rate (nats) of user k under linear precoding.
+
+    A sequence k gives those users' rates, from one log-det over users and
+    candidates.
+    """
+    users, one = _users(k)
+    num, den = [], []
+    for j in users:
+        Hk = channels.H[j]
+        C = channels.noise_user[j] * np.eye(Hk.shape[-2], dtype=complex)
+        for u_idx, Wu in enumerate(W):
             S = Hk @ Wu
-            C += S @ S.conj().T
-    hv = Hk @ v
-    C += np.outer(hv, hv.conj())
-    S = Hk @ W[k]
-    num, _ = logdet_hpd(C + S @ S.conj().T)
-    den, _ = logdet_hpd(C)
-    rate = num - den
-    if not np.isfinite(rate):
-        raise NumericalError(f"non-finite LP rate for user {k}")
-    return rate
+            SS = S @ S.conj().swapaxes(-1, -2)
+            if u_idx == j:
+                own = SS
+            else:
+                C = C + SS
+        hv = Hk @ v
+        C = C + hv[..., :, None] * hv.conj()[..., None, :]
+        num.append(C + own)
+        den.append(C)
+    return _rates(num, den, one, "LP")
 
 
 def rate_lp(channels, lp_state, k):
@@ -169,13 +238,16 @@ def sinr_parts(channels, precoders, v, u):
     """(numerator, denominator) of the sensing SINR.
 
     ``precoders`` is the LP list W or the ZF (P,); each precoder adds its
-    echo leakage ||P^H G^H u||^2 to the denominator.
+    echo leakage ||P^H G^H u||^2 to the denominator.  A stack of candidates
+    (a leading axis on G or on a precoder) gives arrays; their scalar
+    products and norms run per candidate (``per_row``).
     """
-    g = channels.G.conj().T @ u          # G^H u
-    num = float(np.abs(np.vdot(g, v)) ** 2)
+    g = channels.G.conj().swapaxes(-1, -2) @ u          # G^H u
+    num = per_row(lambda gi: float(np.abs(np.vdot(gi, v)) ** 2), g)
     den = channels.noise_radar * float(np.real(np.vdot(u, u)))
     for Wu in precoders:
-        den += float(np.linalg.norm(Wu.conj().T @ g) ** 2)
+        leak = (Wu.conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
+        den = den + per_row(lambda r: float(np.linalg.norm(r) ** 2), leak)
     return num, den
 
 
@@ -204,7 +276,7 @@ def refined_hermitian_inverse(A):
     X = np.linalg.inv(A)
     Al = A.astype(np.clongdouble)
     Xl = X.astype(np.clongdouble)
-    E = np.eye(A.shape[0], dtype=np.clongdouble) - Al @ Xl
+    E = np.eye(A.shape[-1], dtype=np.clongdouble) - Al @ Xl
     return np.asarray(Xl + Xl @ E, dtype=complex)
 
 
@@ -214,20 +286,26 @@ def zf_precoder(channels, p_max):
 
     Raises RankDeficiencyError when cond(H_e H_e^H) exceeds 1e12; beyond
     that the gain is meaningless and silent regularization would hide it.
+    On a stack of candidates the condition number is taken per candidate,
+    and any one beyond the limit raises.
     """
-    H_e = np.vstack(channels.H)
-    kn, n_t = H_e.shape
+    H = _stack(channels.H)                           # every user has n_u antennas
+    H_e = H.reshape(H.shape[:-3] + (-1, H.shape[-1]))
+    kn, n_t = H_e.shape[-2:]
     if kn > n_t:
         raise RankDeficiencyError(np.inf)
-    A = H_e @ H_e.conj().T
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise RankDeficiencyError(cond)
+    A = H_e @ H_e.conj().swapaxes(-1, -2)
+    sv = np.linalg.svd(A, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = sv[..., 0] / sv[..., -1]              # np.linalg.cond, per candidate
+    bad = ~(cond <= COND_LIMIT)
+    if np.any(bad):
+        raise RankDeficiencyError(float(cond[bad][0]))
     A_inv = refined_hermitian_inverse(A)
-    T = float(np.real(np.trace(A_inv)))
-    gain = float(np.sqrt(p_max / T))
-    P = gain * (H_e.conj().T @ A_inv)
-    return P, gain, A_inv
+    T = np.real(np.trace(A_inv, axis1=-2, axis2=-1))
+    gain = np.asarray(np.sqrt(p_max / T))
+    P = gain[..., None, None] * (H_e.conj().swapaxes(-1, -2) @ A_inv)
+    return P, (float(gain) if gain.ndim == 0 else gain), A_inv
 
 
 def make_zf_state(channels, v, u, p_max):
@@ -238,18 +316,24 @@ def make_zf_state(channels, v, u, p_max):
 
 def rate_zf(channels, zf_state, k):
     """ZF rate of user k: a function of its own channel, the common
-    zero-forcing gain, the sensing beam, and its noise power only."""
-    Hk = channels.H[k]
-    n_u = Hk.shape[0]
-    sigma = channels.noise_user[k]
-    hv = Hk @ zf_state.v
-    E = np.outer(hv, hv.conj()) + sigma * np.eye(n_u, dtype=complex)
-    num, _ = logdet_hpd(E + zf_state.gain**2 * np.eye(n_u, dtype=complex))
-    den, _ = logdet_hpd(E)
-    rate = num - den
-    if not np.isfinite(rate):
-        raise NumericalError(f"non-finite ZF rate for user {k}")
-    return rate
+    zero-forcing gain, the sensing beam, and its noise power only.
+
+    A sequence k gives those users' rates, from one log-det over users and
+    candidates.
+    """
+    users, one = _users(k)
+    # libm pow, as a float gain ** 2 takes it: np.square (x * x) rounds
+    # differently on about 1 in 1,200 uniform doubles in [0, 1)
+    g2 = np.float_power(zf_state.gain, 2.0)[..., None, None]
+    num, den = [], []
+    for j in users:
+        Hk = channels.H[j]
+        eye = np.eye(Hk.shape[-2], dtype=complex)
+        hv = Hk @ zf_state.v
+        E = hv[..., :, None] * hv.conj()[..., None, :] + channels.noise_user[j] * eye
+        num.append(E + g2 * eye)
+        den.append(E)
+    return _rates(num, den, one, "ZF")
 
 
 def rate_zf_cov(channels, gain, V, k):
@@ -291,8 +375,8 @@ def sinr_deficit_scale(channels, gamma0):
 
 
 def lp_rates(channels, lp_state):
-    return np.array([rate_lp(channels, lp_state, k) for k in range(len(channels.H))])
+    return rate_lp_w(channels, lp_state.W, lp_state.v, range(len(channels.H)))
 
 
 def zf_rates(channels, zf_state):
-    return np.array([rate_zf(channels, zf_state, k) for k in range(len(channels.H))])
+    return rate_zf(channels, zf_state, range(len(channels.H)))

@@ -61,18 +61,6 @@ def power_project(Ws, p_max):
     return np.where((tr > p_max)[..., None, None, None], Ws * scale, Ws)
 
 
-def _per_row(fn, rows):
-    """fn of one vector, or an array of fn over the rows of a stack.
-
-    The subproblems' scalar products and norms run one 1-D call per row:
-    a stacked matrix-vector product can round differently from the 1-D
-    call one matrix gets, and a stack must give each matrix its own value.
-    """
-    if rows.ndim == 1:
-        return fn(rows)
-    return np.array([fn(r) for r in rows])
-
-
 def _line_search(x, L, d, s, tries, tau, armijo, value_grad, project, accept_ok):
     """One backtracking try along d from x: candidates project(x + s_j d)
     with s_j = s tau^j, j < tries, evaluated in stacks of 2, 4, 8, ...
@@ -359,7 +347,8 @@ class PrecoderSubproblem:
     def deficit(self, Ws):
         """SINR deficit at one precoder set or at each set of a stack."""
         Wg = Ws.conj().swapaxes(-1, -2) @ self.g          # W_j^H g per set and user
-        sq = _per_row(lambda r: np.linalg.norm(r) ** 2, Wg.reshape(-1, Wg.shape[-1]))
+        sq = metrics.per_row(lambda r: np.linalg.norm(r) ** 2,
+                             Wg.reshape(-1, Wg.shape[-1]))
         sq = sq.reshape(Wg.shape[:-1])
         val = self._deficit_offset
         for j in range(self.K):
@@ -491,7 +480,7 @@ class CovarianceSubproblem:
 
     def penalty(self, V):
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
-        lead = _per_row(lambda r: r @ self.lead_vec, self.lead_vec.conj() @ V)
+        lead = metrics.per_row(lambda r: r @ self.lead_vec, self.lead_vec.conj() @ V)
         return np.real(lead) - np.real(np.trace(V, axis1=-2, axis2=-1))
 
     def objective(self, V):
@@ -523,7 +512,7 @@ class CovarianceSubproblem:
 
     def deficit(self, V):
         """SINR deficit at one covariance or at each matrix of a stack."""
-        gVg = _per_row(lambda r: r @ self.g, self.g.conj() @ V)
+        gVg = metrics.per_row(lambda r: r @ self.g, self.g.conj() @ V)
         return self._deficit_offset - np.real(gVg)
 
 

@@ -3,6 +3,18 @@ import pytest
 
 from nfisac import geometry, harness, metrics, verify
 
+# modules whose tests take minutes: the pooled acceptance batches and the
+# traced benchmark runs
+SLOW_MODULES = ("test_acceptance.py", "test_tracing.py")
+
+
+def pytest_collection_modifyitems(items):
+    """Mark every test of ``SLOW_MODULES`` slow, so that ``-m "not slow"``
+    gives the quick suite."""
+    for item in items:
+        if item.path.name in SLOW_MODULES:
+            item.add_marker(pytest.mark.slow)
+
 
 def desk_config(**overrides):
     from dataclasses import replace

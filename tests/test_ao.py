@@ -76,53 +76,125 @@ class TestAbort:
 
 class TestDescend:
     """``ao.descend`` on user 0's array with a stub objective: the iterate is
-    (placement, value), ``move`` reports each trial step it is asked to
-    evaluate, and ``accept`` decides which trial steps pass."""
+    (placement, value), ``move`` records the trial steps of every stack it is
+    asked to evaluate, ``accept`` decides which trial steps pass the Armijo
+    test (value - 1) and which fail it (value unchanged), ``unevaluable``
+    which get NaN, and ``raises`` which stacks raise."""
 
-    def _run(self, scenario, placement, grad, accept, params, max_steps=4,
-             veto=(), stop=lambda prev, cur: False):
+    GRAD = 1e-2
+
+    def _run(self, scenario, placement, accept, params, max_steps=4,
+             stop=lambda prev, cur: False, raises=lambda steps: None,
+             unevaluable=lambda s: False):
         k = 0
-        tried = []
+        grad = np.full((scenario.n_u, 2), self.GRAD)
+        stacks = []
 
         def move(x, q):
-            pl, _ = x
-            s = float(np.max(np.abs(q[:, :2] - pl.q[k][:, :2]) / np.abs(grad)))
-            tried.append(s)
-            if len(tried) in veto:
-                return None
-            return (pl.with_q(k, q), x[1] - 1.0) if accept(len(tried)) else (pl, x[1])
+            pl, value = x
+            steps = np.max(np.abs(q[:, :, :2] - pl.q[k][:, :2]) / np.abs(grad),
+                           axis=(1, 2))
+            stacks.append(steps.tolist())
+            exc = raises(steps)
+            if exc is not None:
+                raise exc
+            values = np.array([np.nan if unevaluable(s) else value - 1.0 if accept(s)
+                               else value for s in steps])
+            return values, lambda i: (pl.with_q(k, q[i]), float(values[i]))
 
         x, steps, exhausted = ao.descend(
             scenario, k, (placement, 0.0), lambda x: -grad, move, stop,
             max_steps, params)
-        return x, steps, exhausted, tried
+        return x, steps, exhausted, stacks
 
-    def test_backtracks_by_tau_and_doubles_after_accept(self, scenario, placement):
+    @staticmethod
+    def _near(*steps):
+        return lambda s: any(np.isclose(s, t, rtol=1e-6) for t in steps)
+
+    def test_backtracks_by_tau_and_doubles_after_accept(
+            self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.25, delta=1e-12)
-        grad = np.full((scenario.n_u, 2), 1e-2)
-        # reject trials 1-2, accept 3; next step rejects 4, accepts 5
-        x, steps, exhausted, tried = self._run(
-            scenario, placement, grad, lambda n: n in (3, 5), params, max_steps=2)
-        np.testing.assert_allclose(
-            tried, [1e-4, 2.5e-5, 6.25e-6, 1.25e-5, 3.125e-6], rtol=1e-6)
+        # the first search rejects 1e-4 and 2.5e-5, then two trials of its
+        # second stack pass and the first of them is adopted; the next
+        # search starts at twice it and adopts the second trial of its stack
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, self._near(6.25e-6, 1.5625e-6, 3.125e-6), params,
+            max_steps=2)
+        expect = [[1e-4, 2.5e-5], [6.25e-6, 1.5625e-6, 3.90625e-7, 9.765625e-8],
+                  [1.25e-5, 3.125e-6]]
+        assert [len(st) for st in stacks] == [len(st) for st in expect]
+        for got, want in zip(stacks, expect):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
         assert steps == 2 and not exhausted
         assert x[1] == -2.0
+        moved = placement.q[0][:, :2] + (6.25e-6 + 3.125e-6) * self.GRAD
+        np.testing.assert_allclose(x[0].q[0][:, :2], moved, rtol=0, atol=1e-12)
 
     def test_veto_and_unevaluable_count_as_rejects(self, scenario, placement, monkeypatch):
         params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
-        grad = np.full((scenario.n_u, 2), 1e-2)
         checks = []
 
         def spacing(pos, d_min):
-            checks.append(1)
-            return len(checks) != 1                  # the first trial is vetoed
+            checks.append(len(pos))
+            ok = np.ones(len(pos), dtype=bool)
+            ok[0] = len(checks) > 1                  # the first trial is vetoed
+            return ok
 
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
-        # move is not asked about the vetoed trial; its first call returns None
-        _, steps, exhausted, tried = self._run(
-            scenario, placement, grad, lambda n: True, params, max_steps=1, veto=(1,))
-        np.testing.assert_allclose(tried, [5e-5, 2.5e-5], rtol=1e-6)
+        # move never sees the vetoed trial; the second trial cannot be
+        # evaluated (NaN), which fails the Armijo test like any reject
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, lambda s: True, params, max_steps=1,
+            unevaluable=self._near(5e-5))
+        assert checks == [2, 4]                      # one check per stack
+        expect = [[5e-5], [2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6]]
+        assert [len(st) for st in stacks] == [len(st) for st in expect]
+        for got, want in zip(stacks, expect):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
         assert steps == 1 and not exhausted
+        np.testing.assert_allclose(
+            x[0].q[0][:, :2], placement.q[0][:, :2] + 2.5e-5 * self.GRAD,
+            rtol=0, atol=1e-12)
+
+    def test_rank_deficient_candidate_in_a_stack_is_the_only_reject(
+            self, scenario, placement):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+        bad = self._near(5e-5 / 4)                  # the 4th trial, mid second stack
+
+        def raises(steps):
+            return RankDeficiencyError(np.inf) if any(bad(s) for s in steps) else None
+
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, lambda s: s < 2e-5 and not bad(s), params,
+            max_steps=1, raises=raises)
+        # the stack that raised is evaluated again one trial at a time, in
+        # step order, up to the first that passes
+        expect = [[1e-4, 5e-5], [2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6],
+                  [2.5e-5], [1.25e-5], [6.25e-6]]
+        assert [len(st) for st in stacks] == [len(st) for st in expect]
+        for got, want in zip(stacks, expect):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+        assert steps == 1 and not exhausted
+        np.testing.assert_allclose(
+            x[0].q[0][:, :2], placement.q[0][:, :2] + 6.25e-6 * self.GRAD,
+            rtol=0, atol=1e-12)
+
+    def test_other_errors_surface_only_where_reached_one_at_a_time(
+            self, scenario, placement):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+        late = self._near(5e-5 / 8)                 # after the passing trial
+
+        def raises(steps):
+            return NumericalError("stub") if any(late(s) for s in steps) else None
+
+        _, steps, _, stacks = self._run(
+            scenario, placement, self._near(1.25e-5), params, max_steps=1,
+            raises=raises)
+        assert [len(st) for st in stacks] == [2, 4, 1, 1]
+        assert steps == 1
+        with pytest.raises(NumericalError):
+            self._run(scenario, placement, lambda s: False, params, max_steps=1,
+                      raises=raises)
 
     def test_zero_gradient_is_stationary(self, scenario, placement):
         params = AlgoParams()
@@ -134,53 +206,170 @@ class TestDescend:
         assert (steps, exhausted) == (0, False)
         assert x[0] is placement
 
-    def test_vanishing_step_ends_exhausted(self, scenario, placement):
+    def test_vanishing_step_ends_exhausted(
+            self, scenario, placement):
         # every trial is rejected, and tau shrinks the step below the
         # positions' resolution long before max_ls trials
         params = AlgoParams(step0=1e-4, tau=0.25)
-        grad = np.full((scenario.n_u, 2), 1e-2)
-        x, steps, exhausted, tried = self._run(
-            scenario, placement, grad, lambda n: False, params)
-        assert 0 < len(tried) < params.max_ls
+        q = placement.q[0]
+        s, first_still = params.step0, 0
+        while np.any(q[:, :2] + s * self.GRAD != q[:, :2]):
+            s *= params.tau
+            first_still += 1
+        assert 0 < first_still < params.max_ls
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, lambda s: False, params)
+        sizes = [len(st) for st in stacks]
+        assert sum(sizes) == first_still
+        assert sizes[:-1] == [2 ** (j + 1) for j in range(len(sizes) - 1)]
+        assert 0 < sizes[-1] <= 2 ** len(sizes)
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
     def test_line_search_runs_out(self, scenario, placement):
         params = AlgoParams(step0=1e-4, max_ls=3)
-        grad = np.full((scenario.n_u, 2), 1e-2)
-        x, steps, exhausted, tried = self._run(
-            scenario, placement, grad, lambda n: False, params)
-        assert len(tried) == 3
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, lambda s: False, params)
+        assert [len(st) for st in stacks] == [2, 1]
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
     def test_stop_ends_after_accepted_step(self, scenario, placement):
         params = AlgoParams(step0=1e-4, delta=1e-12)
-        grad = np.full((scenario.n_u, 2), 1e-2)
         seen = []
 
         def stop(prev, cur):
             seen.append((prev[1], cur[1]))
             return True
 
-        x, steps, exhausted, tried = self._run(
-            scenario, placement, grad, lambda n: True, params, stop=stop)
+        x, steps, exhausted, stacks = self._run(
+            scenario, placement, lambda s: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
-        assert (steps, exhausted, len(tried)) == (1, False, 1)
+        assert (steps, exhausted) == (1, False)
+        assert [len(st) for st in stacks] == [2]
+
+
+def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
+    """The one-trial-at-a-time line search ``ao.descend`` must reproduce:
+    each trial is evaluated on its own as a one-candidate stack, and a
+    RankDeficiencyError rejects it."""
+    region = scenario.tx_region if k is None else scenario.user_regions[k]
+    step = params.step0
+    steps = 0
+    for _ in range(max_steps):
+        g = grad(x)
+        pos = x[0].array(k)
+        s = step
+        for _ls in range(params.max_ls):
+            cand = pos.copy()
+            cand[:, :2] = pos[:, :2] - s * g
+            cand = geometry.project_points_to_region(cand, region)
+            delta2 = float(np.sum((cand - pos) ** 2))
+            if delta2 == 0.0:
+                return x, steps, _ls > 0
+            x_c = None
+            if geometry.min_spacing_ok(cand, scenario.d_min):
+                try:
+                    values, take = move(x, cand[None])
+                    x_c = take(0)
+                except RankDeficiencyError:
+                    pass
+            if x_c is not None and x[-1] - x_c[-1] >= params.delta * delta2:
+                break
+            s *= params.tau
+        else:
+            return x, steps, True
+        x_prev, x = x, x_c
+        step = s * 2.0
+        steps += 1
+        if stop(x_prev, x):
+            break
+    return x, steps, False
+
+
+def _flat(obj):
+    """Bytes and reprs of a block's return value, channel tags left out."""
+    if isinstance(obj, np.ndarray):
+        return [obj.dtype.str, obj.shape, obj.tobytes()]
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [
+            (f.name, _flat(getattr(obj, f.name))) for f in dataclasses.fields(obj)
+            if f.name not in ("tag", "channel_tag")]
+    if isinstance(obj, (list, tuple)):
+        return [_flat(item) for item in obj]
+    return repr(obj)
+
+
+class TestStackedDescendMatchesReference:
+    """Every position block returns the same bytes with the stacked line
+    search as with the one-trial-at-a-time reference, on the first cells of
+    the trend-scale benchmark pool."""
+
+    POOL_SEED = 2026
+
+    def _cell(self, trial):
+        from nfisac import harness
+        cfg = harness.load_config(None, dict(profile="trend", preset="convergence",
+                                             seed=self.POOL_SEED, workers=1))
+        sc = harness.build_scenario(cfg)
+        pl = harness.initial_placement(sc, harness.trial_rng(self.POOL_SEED, trial))
+        return sc, pl, geometry.build_channels(sc, pl)
+
+    @staticmethod
+    def _blocks(sc, pl0, ch0):
+        """The position blocks of both stacks chained as in one positions
+        cell; returns every block's return value."""
+        params = AlgoParams()
+        w = sc.weights
+        out = []
+        st = lp.initial_lp_state(sc, ch0, params)
+        pl, ch = pl0, ch0
+        for k in range(sc.n_users):
+            res = lp.optimize_user_positions(sc, pl, ch, st, k, params)
+            out.append(res)
+            pl, ch = res[:2]
+        out.append(lp.optimize_bs_positions_alm(sc, pl, ch, st, w, sc.gamma0, params))
+        zst = zf.initial_zf_state(sc, ch0, params)
+        pl, ch = pl0, ch0
+        for k in range(sc.n_users):
+            res = zf.optimize_user_positions_alm_zf(sc, pl, ch, zst, w, sc.gamma0, k,
+                                                    params)
+            out.append(res)
+            pl, ch, zst = res[:3]
+        out.append(zf.optimize_bs_positions_alm_zf(sc, pl, ch, zst, w, sc.gamma0,
+                                                   params))
+        return out
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_blocks_bit_identical(self, trial, monkeypatch):
+        sc, pl0, ch0 = self._cell(trial)
+        stacked = self._blocks(sc, pl0, ch0)
+        with monkeypatch.context() as m:
+            m.setattr(ao, "descend", _reference_descend)
+            reference = self._blocks(sc, pl0, ch0)
+        assert len(stacked) == len(reference) == 2 * sc.n_users + 2
+        for got, want in zip(stacked, reference):
+            assert _flat(got) == _flat(want)
+        # the ZF states follow their channels
+        for res in stacked[sc.n_users + 1:]:
+            assert res[2].channel_tag == res[1].tag
 
 
 class TestAlmPositions:
     """``ao.alm_positions`` on stub ``rates_of`` and ``descent``: rates that
-    grow with every evaluation, so each evaluated candidate is adopted, and
-    a gradient that shifts the whole array along x."""
+    grow with every evaluated candidate, so the first candidate of every
+    stack is adopted, and a gradient that shifts the whole array along x."""
 
     WEIGHTS = np.array([0.2, 0.8])
 
     @staticmethod
     def _growing_rates(evals):
         def rates_of(ch, st):
-            evals.append(ch.tag)
-            return np.full(len(ch.H), float(len(evals)))
+            lead = np.broadcast_shapes(*(H.shape[:-2] for H in ch.H))
+            n0, c = len(evals), (lead[0] if lead else 1)
+            evals.extend([ch.tag] * c)
+            grown = np.arange(n0 + 1, n0 + c + 1, dtype=float).reshape(lead + (1,))
+            return np.broadcast_to(grown, lead + (len(ch.H),)).copy()
         return rates_of
 
     @staticmethod
@@ -220,15 +409,15 @@ class TestAlmPositions:
     def test_rank_deficient_candidate_is_one_rejected_trial(
             self, scenario, placement, channels, lp_state, monkeypatch):
         at_calls = []
+        moves = []
 
         class FailsFirstCandidate(metrics.LpState):
             def at(self, channels, p_max):
                 at_calls.append(channels.tag)
-                if len(at_calls) == 2:
+                if moves and any(np.array_equal(p, moves[0][0]) for p in moves[-1]):
                     raise RankDeficiencyError(np.inf)
                 return self
 
-        moves = []
         move_array = geometry.move_array
 
         def spy(scenario, pl, ch, k, positions):
@@ -244,11 +433,16 @@ class TestAlmPositions:
             scenario, placement, channels, st, self.WEIGHTS, 0.0, params, 0.0,
             self._growing_rates(evals), self._shift(scenario.n_t))
         t0 = placement.t
-        assert len(moves) == 2 and len(at_calls) == 3 and len(evals) == 2
-        np.testing.assert_allclose(moves[1] - t0, params.tau * (moves[0] - t0),
+        # the first stack raises, so its two trials are evaluated one at a
+        # time: the first is rejected, the second adopted
+        assert [len(m) for m in moves] == [2, 1, 1]
+        assert moves[1][0].tobytes() == moves[0][0].tobytes()
+        assert moves[2][0].tobytes() == moves[0][1].tobytes()
+        assert len(at_calls) == 4 and len(evals) == 2
+        np.testing.assert_allclose(moves[0][1] - t0, params.tau * (moves[0][0] - t0),
                                    atol=1e-15)
         assert (info.inner_steps, info.line_search_exhausted) == (1, False)
-        assert pl.t.tobytes() == moves[1].tobytes() and st_out is st
+        assert pl.t.tobytes() == moves[0][1].tobytes() and st_out is st
         pl.validate(scenario)
 
     def test_descent_sees_states_of_its_channels(

@@ -295,3 +295,63 @@ class TestMoveArray:
         for a, b in zip(ch.H, ref.H):
             assert a.tobytes() == b.tobytes()
         assert ch.rho_s == ref.rho_s
+
+
+class TestStackedCandidates:
+    """A stack of candidate positions gives, per candidate, exactly the
+    bytes of that candidate's own 2-D call."""
+
+    def _stack(self, pos, region, c=5, seed=3):
+        rng = np.random.default_rng(seed)
+        out = np.repeat(pos[None], c, axis=0)
+        out[:, :, :2] += rng.normal(scale=2e-3, size=(c,) + pos[:, :2].shape)
+        return project_points_to_region(out, region)
+
+    @staticmethod
+    def _assert_same_channels(a, b):
+        for name in ("G", "f_t", "f_r", "rho", "noise_user"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert len(a.H) == len(b.H)
+        for x, y in zip(a.H, b.H):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (a.rho_s, a.noise_radar) == (b.rho_s, b.noise_radar)
+
+    @pytest.mark.parametrize("k", [None, 0, 1])
+    def test_move_array_stack_matches_one_at_a_time(self, scenario, placement,
+                                                    channels, k):
+        region = scenario.tx_region if k is None else scenario.user_regions[k]
+        stack = self._stack(placement.array(k), region)
+        pl_s, ch_s = geometry.move_array(scenario, placement, channels, k, stack)
+        tags = set()
+        for i in range(len(stack)):
+            pl_i, ch_i = geometry.candidate(pl_s, ch_s, k, i)
+            pl_r, ch_r = geometry.move_array(scenario, placement, channels, k, stack[i])
+            assert pl_i.t.tobytes() == pl_r.t.tobytes()
+            for a, b in zip(pl_i.q, pl_r.q):
+                assert a.tobytes() == b.tobytes()
+            self._assert_same_channels(ch_i, ch_r)
+            tags.add(ch_i.tag)
+        assert len(tags) == len(stack) and min(tags) > ch_s.tag
+
+    def test_build_channels_stack_matches_one_at_a_time(self, scenario, placement):
+        stack = self._stack(placement.t, scenario.tx_region)
+        ch_s = geometry.build_channels(scenario, placement.with_t(stack))
+        for i in range(len(stack)):
+            ref = geometry.build_channels(scenario, placement.with_t(stack[i]))
+            _, ch_i = geometry.candidate(placement.with_t(stack), ch_s, None, i)
+            self._assert_same_channels(ch_i, ref)
+
+    def test_bs_move_keeps_what_the_array_does_not_change(self, scenario, placement,
+                                                          channels):
+        stack = self._stack(placement.t, scenario.tx_region)
+        _, ch = geometry.move_array(scenario, placement, channels, None, stack)
+        assert ch.f_r is channels.f_r and ch.rho is channels.rho
+        assert ch.noise_user is channels.noise_user and ch.rho_s == channels.rho_s
+        assert ch.G.shape == (len(stack), scenario.n_r, scenario.n_t)
+
+    def test_min_spacing_stack_matches_one_at_a_time(self, scenario, placement):
+        stack = self._stack(placement.t, scenario.tx_region, c=6)
+        stack[2, 1] = stack[2, 0]                    # one candidate collapses
+        ok = min_spacing_ok(stack, scenario.d_min)
+        assert ok.tolist() == [min_spacing_ok(p, scenario.d_min) for p in stack]
+        assert not ok[2] and ok.sum() == 5

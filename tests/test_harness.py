@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nfisac import cli, geometry, harness, lp
-from nfisac.errors import ConfigError, PlacementError
+from nfisac.errors import ConfigError, OptimizationAbort, PlacementError
 from tests.conftest import desk_config
 
 
@@ -248,6 +248,25 @@ class TestRunPreset:
         with pytest.raises(ConfigError, match="gamma0=0.0001 is unreachable"):
             harness.run_preset(cfg)
 
+    def test_failed_trial_keeps_its_reason_outside_the_schema(self, tmp_path, monkeypatch):
+        def abort(*args, **kwargs):
+            raise OptimizationAbort("two consecutive failed AO loops at iteration 2")
+
+        monkeypatch.setattr(lp, "run_lp", abort)
+        cfg = _tiny_cfg(tmp_path)
+        rows, _, n_failed = harness.run_preset(cfg)
+        assert n_failed == 2
+        for row in rows:
+            assert row["iters"] == -1
+            assert row["error"] == ("OptimizationAbort: two consecutive failed AO "
+                                    "loops at iteration 2")
+            assert set(row) - set(harness.CSV_HEADER.split(",")) == {"error"}
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"failed.{fmt}"
+            harness.emit(rows, str(path), fmt)
+            assert "error" not in path.read_text()
+            assert "OptimizationAbort" not in path.read_text()
+
     def test_gradcheck_preset_rows(self, tmp_path):
         cfg = _tiny_cfg(tmp_path, preset="gradcheck", gradcheck_configs=1)
         rows, _, n_failed = harness.run_preset(cfg)
@@ -291,6 +310,19 @@ class TestCli:
         assert failed and all(line.startswith("lp_deficit_grad_bs,") for line in failed)
         err = capsys.readouterr().err
         assert f"{len(failed)}/{len(lines) - 1} gradient check rows failed" in err
+
+    def test_failure_classes_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        def abort(*args, **kwargs):
+            raise OptimizationAbort("stub")
+
+        monkeypatch.setattr(lp, "run_lp", abort)
+        out = tmp_path / "failed.csv"
+        rc = cli.main(["--profile", "trend", "--preset", "weights", "--scheme", "LP-FIX",
+                       "--trials", "1", "--workers", "1", "--out", str(out)])
+        assert rc == 3                      # one trial per weight, all failed
+        err = capsys.readouterr().err
+        assert "failed trials by class: OptimizationAbort 5" in err
+        assert out.read_text().splitlines()[0] == harness.CSV_HEADER
 
     def test_unknown_flag_value_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

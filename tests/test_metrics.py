@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -325,3 +326,72 @@ class TestZfFreshness:
                                      placement.t + [0.01, 0.0, 0.0])
         assert lp_state.at(channels, scenario.p_max) is lp_state
         assert lp_state.at(ch2, scenario.p_max) is lp_state
+
+
+class TestStackedCandidates:
+    """Rates, the ZF precoder and the SINR deficit on a stack of candidate
+    channels equal, per candidate, the bytes of the candidate's 2-D call."""
+
+    @staticmethod
+    def _stack(scenario, placement, channels, k, c=6, seed=4):
+        rng = np.random.default_rng(seed)
+        pos = placement.array(k)
+        region = scenario.tx_region if k is None else scenario.user_regions[k]
+        stack = np.repeat(pos[None], c, axis=0)
+        stack[:, :, :2] += rng.normal(scale=3e-3, size=(c,) + pos[:, :2].shape)
+        stack = geometry.project_points_to_region(stack, region)
+        pl, ch = geometry.move_array(scenario, placement, channels, k, stack)
+        return [geometry.candidate(pl, ch, k, i)[1] for i in range(c)], ch
+
+    @pytest.mark.parametrize("k", [None, 1])
+    def test_zf_precoder_and_state(self, scenario, placement, channels, zf_state, k):
+        singles, ch = self._stack(scenario, placement, channels, k)
+        P, gain, A_inv = zf_precoder(ch, scenario.p_max)
+        st = zf_state.at(ch, scenario.p_max)
+        for i, ch_i in enumerate(singles):
+            P_i, gain_i, A_inv_i = zf_precoder(ch_i, scenario.p_max)
+            assert P[i].tobytes() == P_i.tobytes()
+            assert repr(float(gain[i])) == repr(gain_i)
+            assert A_inv[i].tobytes() == A_inv_i.tobytes()
+            st_i = st.candidate(i, ch_i)
+            assert st_i.channel_tag == ch_i.tag and type(st_i.gain) is float
+            assert st_i.P.tobytes() == P_i.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 0])
+    def test_rates_and_deficit(self, scenario, placement, channels, zf_state,
+                               lp_state, k):
+        singles, ch = self._stack(scenario, placement, channels, k)
+        zst = zf_state.at(ch, scenario.p_max)
+        zf_r = metrics.zf_rates(ch, zst)
+        lp_r = metrics.lp_rates(ch, lp_state)
+        own = metrics.rate_lp_w(ch, lp_state.W, lp_state.v, 0)   # a moved user
+        z_def = sinr_deficit(ch, zst.precoders, zst.v, zst.u, scenario.gamma0)
+        # a user move leaves G, and so the LP deficit, unstacked
+        l_def = np.broadcast_to(sinr_deficit(ch, lp_state.W, lp_state.v, lp_state.u,
+                                             scenario.gamma0), (len(singles),))
+        for i, ch_i in enumerate(singles):
+            zst_i = zst.candidate(i, ch_i)
+            assert zf_r[i].tobytes() == metrics.zf_rates(ch_i, zst_i).tobytes()
+            for j in range(scenario.n_users):
+                assert repr(float(zf_r[i, j])) == repr(rate_zf(ch_i, zst_i, j))
+            assert lp_r[i].tobytes() == metrics.lp_rates(ch_i, lp_state).tobytes()
+            assert repr(float(own[i])) == repr(metrics.rate_lp_w(ch_i, lp_state.W,
+                                                                  lp_state.v, 0))
+            assert repr(float(z_def[i])) == repr(sinr_deficit(
+                ch_i, zst_i.precoders, zst.v, zst.u, scenario.gamma0))
+            assert repr(float(l_def[i])) == repr(sinr_deficit(
+                ch_i, lp_state.W, lp_state.v, lp_state.u, scenario.gamma0))
+
+    def test_one_user_rate_is_a_float(self, channels, lp_state, zf_state):
+        assert type(metrics.rate_lp_w(channels, lp_state.W, lp_state.v, 0)) is float
+        assert type(rate_zf(channels, zf_state, 1)) is float
+        assert metrics.lp_rates(channels, lp_state).shape == (len(channels.H),)
+
+    def test_rank_deficient_candidate_raises_for_its_stack(self, scenario, placement,
+                                                           channels):
+        _, ch = self._stack(scenario, placement, channels, 0, c=3)
+        H0 = ch.H[0].copy()
+        H0[1] = channels.H[1]            # candidate 1 of user 0 copies user 1
+        with pytest.raises(RankDeficiencyError) as err:
+            zf_precoder(dataclasses.replace(ch, H=(H0, ch.H[1])), scenario.p_max)
+        assert not err.value.cond <= metrics.COND_LIMIT
