@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, metrics
+from . import geometry, metrics, subsolver
 from .errors import (
     InfeasibleSubproblemError, NfIsacError, NumericalError, OptimizationAbort,
     RankDeficiencyError,
@@ -150,79 +150,69 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     candidates' objective values and ``take(i)``, the iterate of candidate
     i; ``stop(x_prev, x)`` ends the descent after an accepted step.
 
-    Each line search takes its trial steps s, s tau, s tau^2, ... (at most
-    max_ls of them) in stacks of 2, 4, 8, ..., projected onto the array's
-    region.  A trial that projects to no move ends the search there and the
-    descent with it; a spacing violation rejects a trial unevaluated.  The
-    other trials of a stack are evaluated together, and the first in step
-    order that passes the Armijo test is adopted; an adopted step s makes 2s
-    the next first trial.  The result is that of trying one step at a time
-    (see ``_evaluate`` for errors).  Returns (x, steps, exhausted), exhausted
-    when a line search rejected all its trials: max_ls of them, or every
-    one before its step vanished.
+    Each step is one ``subsolver.line_search`` on the negated objective
+    (exact in IEEE), with at most max_ls trials projected onto the array's
+    region; a spacing violation rejects a trial unevaluated, and the other
+    trials of a stack are evaluated together (see ``_evaluate`` for
+    errors).  A trial that projects to no move ends the descent; an
+    adopted step s makes 2s the next first trial.  Returns (x, steps,
+    exhausted), exhausted when a line search rejected all its trials:
+    max_ls of them, or every one before its step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
+
+    def project(points):
+        return geometry.project_points_to_region(points, region)
+
     step = params.step0
     steps = 0
     for _ in range(max_steps):
-        g = grad(x)
         pos = x[0].array(k)
-        adopted, tried, size, s = None, 0, 2, step
-        while adopted is None and tried < params.max_ls:
-            trials = []
-            for _ in range(min(size, params.max_ls - tried)):
-                trials.append(s)
-                s *= params.tau
-            tried, size = tried + len(trials), size * 2
-            cand = np.repeat(pos[None], len(trials), axis=0)
-            cand[..., :2] = pos[:, :2] - np.array(trials)[:, None, None] * g
-            cand = geometry.project_points_to_region(cand, region)
-            delta2 = ((cand - pos) ** 2).reshape(len(trials), -1).sum(axis=1)
-            moved = delta2 != 0.0
-            n = len(trials) if moved.all() else int(np.argmin(moved))
-            spaced = geometry.min_spacing_ok(cand[:n], scenario.d_min)
-            evaluable = [i for i in range(n) if spaced[i]]
-            for i, value, take in _evaluate(move, x, cand, evaluable):
-                if x[-1] - value >= params.delta * delta2[i]:
-                    adopted = trials[i], take
-                    break
-            if adopted is None and n < len(trials):
-                return x, steps, tried - len(trials) + n > 0
-        if adopted is None:
-            return x, steps, True
-        x_prev, x = x, adopted[1]()
-        step = adopted[0] * 2.0
+        d = np.zeros_like(pos)
+        d[:, :2] = -grad(x)
+        s, x_new, tried = subsolver.line_search(
+            pos, -x[-1], d, step, params.max_ls, params.tau, params.delta,
+            functools.partial(_evaluate, move, x, scenario.d_min), project)
+        if x_new is None:
+            return x, steps, tried == params.max_ls or tried > 0
+        x_prev, x = x, x_new
+        step = s * 2.0
         steps += 1
         if stop(x_prev, x):
             break
     return x, steps, False
 
 
-def _evaluate(move, x, cand, idx):
-    """(trial, value, take) of the trials ``idx`` in step order, from one
-    ``move`` on their stack.
+def _evaluate(move, x, d_min, cand, idx=None):
+    """Blocks (i, values, take) of the trial stack ``cand`` for
+    ``subsolver.line_search``, the values negated: the trials ``idx`` (by
+    default those that keep the antenna spacing d_min), moved by one
+    ``move`` on their stack; trials between them get NaN.
 
     If the stack raises, its trials are evaluated one at a time, lazily, so
     an error is raised only where a one-at-a-time search would meet it; a
-    lone trial that raises RankDeficiencyError cannot be evaluated and gets
-    the value NaN, which fails every Armijo test.
+    lone trial that raises RankDeficiencyError cannot be evaluated and is
+    rejected.
     """
-    if not idx:
-        return
+    if idx is None:
+        idx = geometry.min_spacing_ok(cand, d_min).nonzero()[0]
+    if not idx.size:
+        return []
     try:
         values, take = move(x, cand[idx])
     except NfIsacError as exc:
-        if len(idx) == 1 and not isinstance(exc, RankDeficiencyError):
-            raise
-        values = None
-    if values is not None:
-        for j, i in enumerate(idx):
-            yield i, values[j], functools.partial(take, j)
-    elif len(idx) > 1:
-        for i in idx:
-            yield from _evaluate(move, x, cand, [i])
-    else:
-        yield idx[0], np.nan, None
+        if idx.size > 1:
+            return (block for j in range(idx.size)
+                    for block in _evaluate(move, x, d_min, cand, idx[j:j + 1]))
+        if isinstance(exc, RankDeficiencyError):
+            return []
+        raise
+    first = idx[0]
+    if idx[-1] - first + 1 == idx.size:
+        return [(first, -values, take)]
+    vals = np.full(idx[-1] - first + 1, np.nan)
+    vals[idx - first] = -values
+    return [(first, vals, lambda m: take(idx.searchsorted(first + m)))]
 
 
 def alm_positions(scenario, placement, channels, state, weights, gamma0, params,

@@ -86,6 +86,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 0:
+            raise ConfigError("workers must be >= 0 (0 = auto)")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.n_users != 2:
@@ -334,7 +336,7 @@ def run_preset(cfg):
     Returns (rows, trace_rows, n_failed), n_failed counting failed trials,
     or for gradcheck the rows of failed checks.  Rows come back in the
     deterministic (sweep, scheme, trial) grid order regardless of worker
-    count.
+    count.  The pool starts at most one process per trial.
     """
     cfg.validate()
     if cfg.preset == "gradcheck":
@@ -346,8 +348,8 @@ def run_preset(cfg):
              for sweep in cfg.sweep_grid()
              for scheme in cfg.schemes
              for trial in range(cfg.trials)]
-    workers = cfg.workers if cfg.workers > 0 else min(8, os.cpu_count() or 1)
-    if workers > 1 and len(specs) > 1:
+    workers = min(cfg.workers or min(8, os.cpu_count() or 1), len(specs))
+    if workers > 1:
         import multiprocessing as mp
 
         with mp.Pool(processes=workers) as pool:

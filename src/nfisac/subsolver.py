@@ -61,61 +61,63 @@ def power_project(Ws, p_max):
     return np.where((tr > p_max)[..., None, None, None], Ws * scale, Ws)
 
 
-def _line_search(x, L, d, s, tries, tau, armijo, value_grad, project, accept_ok):
-    """One backtracking try along d from x: candidates project(x + s_j d)
-    with s_j = s tau^j, j < tries, evaluated in stacks of 2, 4, 8, ...
+def line_search(x, L, d, s, tries, tau, armijo, evaluate, project):
+    """One backtracking Armijo try along d from x, for a maximum.
 
-    Returns the first candidate, in step order, that passes the Armijo test
-    and ``accept_ok``, as (x_new, s_j, entries, grad) with ``entries`` its
-    (objective, *aux) values and ``grad`` its conjugate gradient; None if
-    no step passes or a candidate equals x.
+    The trials are project(x + s_j d) with s_j = s tau^j, j < tries, taken
+    in stacks of 2, 4, 8, ...; a trial that projects to x ends the search,
+    and no trial from it on is evaluated.  ``evaluate(X)`` takes a stack X
+    of trials and gives their values in blocks (i, values, take), in step
+    order: values[m] is the value of trial i + m, and ``take(m)`` the
+    caller's record of that trial, asked for only for the adopted one.  A
+    caller that evaluates the stack at once gives one block; trials it
+    leaves out are rejected.  The adopted trial is the first in step order
+    whose value exceeds L by at least armijo ||x_j - x||^2; NaN never does.
+
+    Returns (s_j, take(m), tried) of the adopted trial, or (None, None,
+    tried); tried counts the trials made: through the adopted one, before
+    the one that did not move, or all ``tries``.
     """
-    lo, size = 0, 2
-    while lo < tries:
-        chunk = []
-        for _ in range(min(size, tries - lo)):
-            chunk.append(s)
+    made, size = 0, 2
+    while made < tries:
+        steps = []
+        for _ in range(min(size, tries - made)):
+            steps.append(s)
             s *= tau
-        lo += size
         size *= 2
-        S = np.array(chunk).reshape((-1,) + (1,) * d.ndim)
-        Xn = project(x + S * d)
-        dn2 = (np.abs(Xn - x).reshape(len(chunk), -1) ** 2).sum(axis=1)
+        S = np.array(steps).reshape((-1,) + (1,) * d.ndim)
+        X = project(x + S * d)
+        dn2 = (np.abs(X - x).reshape(len(steps), -1) ** 2).sum(axis=1)
         moved = dn2.all()
-        n = len(chunk) if moved else int(np.argmin(dn2 != 0.0))
+        n = len(steps) if moved else int(np.argmin(dn2 != 0.0))
         if n:
-            vals, grad, *aux = value_grad(Xn[:n])
-            for i in (vals - L >= armijo * dn2[:n]).nonzero()[0]:
-                entries = (vals[i], *(a[i] for a in aux))
-                if accept_ok is None or accept_ok(Xn[i], entries):
-                    return Xn[i], chunk[i], entries, grad(i)
+            for i, vals, take in evaluate(X[:n]):
+                ok = (vals - L >= armijo * dn2[i:i + vals.size]).nonzero()[0]
+                if ok.size:
+                    m = ok[0]
+                    return steps[i + m], take(m), made + i + m + 1
         if not moved:
-            return None
-    return None
+            return None, None, made + n
+        made += len(steps)
+    return None, None, made
 
 
 def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
-                rel_tol, max_backtracks, accept_ok=None, on_accept=None,
-                fw_oracle=None):
+                rel_tol, max_backtracks, on_accept=None, fw_oracle=None):
     """Projected gradient ascent with an Armijo-Goldstein backtracked step.
 
     ``value_grad(X)`` evaluates a stack X of points (one per leading index)
     and returns (objectives, grad, *aux): the objectives and each aux hold
     one entry per point, and ``grad(i)`` gives the conjugate gradient at
-    point i.  ``project`` maps a stack of points to a stack.
-    ``accept_ok(x, entries)``, when given, can veto a candidate (used to
-    reject constraint-violating polish steps); it and ``on_accept(x,
-    entries)`` receive one point with its (objective, *aux) entries.
+    point i.  A NaN objective rejects its point (the polish pass's
+    infeasible candidates).  ``project`` maps a stack of points to a stack.
+    ``on_accept(x, entries)`` receives each adopted point with its
+    (objective, *aux) entries.
 
-    Each try backtracks by ``tau`` from its start step; an accepted gradient
-    step s starts the next gradient try at 2 s.  A try's step sizes are
-    fixed before it starts, so its candidates are projected and evaluated
-    in stacks of 2, then 4, 8, ... up to the try's step limit, and the
-    first one in step order that passes the Armijo test (and
-    ``accept_ok``) is adopted: the iterates and steps are those of trying
-    one candidate at a time, while most tries (the doubled step rejected,
-    the next accepted) cost one stacked evaluation.  The gradient is taken
-    only at the adopted candidate.  A candidate equal to x ends its try.
+    Each try is one ``line_search``, backtracking by ``tau`` from its start
+    step, and its stack is evaluated by one ``value_grad`` call; the
+    entries and the gradient are taken only at the adopted candidate.  An
+    accepted gradient step s starts the next gradient try at 2 s.
 
     ``fw_oracle(x, g)``, when given, returns a feasible-direction candidate
     (an in-set extreme point minus x), tried on every other iteration before
@@ -130,6 +132,10 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     mean ZF-MA WSR over the mc-trend benchmark pool by about 5%.
     Returns (x, objective, step).
     """
+    def evaluate(X):
+        vals, grad, *aux = value_grad(X)
+        return [(0, vals, lambda i: (X[i], (vals[i], *(a[i] for a in aux)), grad(i)))]
+
     x = np.array(x0, copy=True)
     vals, grad, *aux = value_grad(x[None])
     L, g = vals[0], grad(0)
@@ -144,15 +150,15 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
             if d_fw is not None:
                 directions.insert(0, ("fw", d_fw, fw_step, 16))
         for kind, d, s, tries in directions:
-            found = _line_search(x, L, d, s, tries, tau, armijo, value_grad,
-                                 project, accept_ok)
+            s, found, _ = line_search(x, L, d, s, tries, tau, armijo, evaluate,
+                                      project)
             if found is not None:
                 break
         else:
             break
-        xn, s, entries, g = found
+        x, entries, g = found
         improve = entries[0] - L
-        x, L = xn, entries[0]
+        L = entries[0]
         if on_accept is not None:
             on_accept(x, entries)
         if kind == "grad":
@@ -225,23 +231,21 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
         eta = max(0.0, eta + p0 * kv)
         p0 = min(p0 * params.theta, params.p_cap)
 
-    # Polish: ascend f itself from the best feasible point, rejecting any
-    # step that would leave the feasible set.
+    # Polish: ascend f itself from the best feasible point; a step that
+    # would leave the feasible set has the objective NaN, which rejects it.
     x = best[1].copy()
 
     def vg2(z):
         f, grad_f = f_grad(z)
-        return f, grad_f, f, kap(z)
-
-    def ok(z, val):
-        return val[2] <= tol
+        kv = kap(z)
+        return np.where(kv <= tol, f, np.nan), grad_f, f, kv
 
     def on_acc2(z, val):
         consider(z, val[1], val[2])
 
     _pga_ascent(
         x, vg2, project, step, params.polish_iters, params.tau, params.armijo,
-        params.pga_rel_tol, params.max_backtracks, accept_ok=ok, on_accept=on_acc2,
+        params.pga_rel_tol, params.max_backtracks, on_accept=on_acc2,
         fw_oracle=fw_oracle,
     )
     return best[1]

@@ -147,6 +147,7 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
     def zf_deficit(pl, ch):
         return precise_sinr_deficit_zf_scaled(scenario, pl, ch, zv, zu, gamma0)
 
+    one_hot = np.eye(scenario.n_users)
     for k in range(scenario.n_users):
         out[f"lp_rate_grad_user_q{k}"] = pair(
             k, lambda pl, ch, k=k: lp.grad_user_rate_lp(scenario, pl, ch, W, v, k),
@@ -158,13 +159,12 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
             k, lambda pl, ch, k=k: zf.grad_user_sinr_deficit_zf(
                 scenario, pl, ch, zf_workspace(ch), k) / scale, zf_deficit)
         out[f"zf_rate_grad_bs_u{k}"] = pair(
-            None, lambda pl, ch, k=k: zf.grad_bs_rate_zf(
-                scenario, pl, ch, zf_workspace(ch), k),
+            None, lambda pl, ch, w=one_hot[k]: zf.grad_bs_wsr_zf(
+                scenario, pl, ch, zf_workspace(ch), w),
             lambda pl, ch, k=k: precise_rate_zf(scenario, pl, ch, zv, k))
         for user in range(scenario.n_users):
-            one_hot = np.eye(scenario.n_users)[user]
             out[f"zf_rate_grad_u{user}_q{k}"] = pair(
-                k, lambda pl, ch, k=k, w=one_hot: zf.grad_user_wsr_zf(
+                k, lambda pl, ch, k=k, w=one_hot[user]: zf.grad_user_wsr_zf(
                     scenario, pl, ch, zf_workspace(ch), w, k),
                 lambda pl, ch, user=user: precise_rate_zf(scenario, pl, ch, zv, user))
     out["lp_deficit_grad_bs"] = pair(

@@ -111,31 +111,31 @@ def grad_user_sinr_deficit_zf(scenario, placement, channels, ws, k):
             + ws.gamma0 * ws.beta2 * pref * geometry.chain_xy(core2, diff))
 
 
-def grad_bs_rate_zf(scenario, placement, channels, ws, user):
-    """d R_{Z,user} / d(x,y) of the BS transmit antennas, shape (n_t, 2)."""
-    n_t = placement.t.shape[0]
-    s_u = ws.p_max * ws.tr_gram_inv ** -2 * ws.tr_f_inv[user]
-    out = np.zeros((n_t, 2))
+def grad_bs_wsr_zf(scenario, placement, channels, ws, weights):
+    """Weighted sum over users of d R_{Z,user} / d(x,y) of the BS transmit
+    antennas, shape (n_t, 2).  Each user's phases, distances and offsets are
+    built once; the users' rate gradients are summed in user order."""
+    t = placement.t
+    geo = []
     for k, Hk in enumerate(channels.H):
         n_u = Hk.shape[0]
-        cols = slice(k * n_u, (k + 1) * n_u)
         phases = Hk / channels.rho[k]
-        dist = geometry.pairwise_distances(placement.q[k], placement.t)
-        diff = placement.t[:, None, :2] - placement.q[k][None, :, :2]
-        coef = s_u * channels.rho[k] * ws.tr_sens[:, cols]
-        if k == user:
-            coef = coef + channels.rho[user] * ws.beam_sens[user]
-        core = coef * phases.T / dist.T               # (n_t, n_u)
-        out -= (FOUR_PI / scenario.lam) * geometry.chain_xy(core, diff)
-    return out
-
-
-def grad_bs_wsr_zf(scenario, placement, channels, ws, weights):
-    g = np.zeros((placement.t.shape[0], 2))
-    for user in range(len(channels.H)):
-        if weights[user] != 0.0:
-            g += weights[user] * grad_bs_rate_zf(scenario, placement, channels,
-                                                 ws, user)
+        dist = geometry.pairwise_distances(placement.q[k], t)
+        diff = t[:, None, :2] - placement.q[k][None, :, :2]
+        geo.append((slice(k * n_u, (k + 1) * n_u), phases.T, dist.T, diff))
+    g = np.zeros((t.shape[0], 2))
+    for user, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        s_u = ws.p_max * ws.tr_gram_inv ** -2 * ws.tr_f_inv[user]
+        rate = np.zeros_like(g)
+        for k, (cols, phases_t, dist_t, diff) in enumerate(geo):
+            coef = s_u * channels.rho[k] * ws.tr_sens[:, cols]
+            if k == user:
+                coef = coef + channels.rho[user] * ws.beam_sens[user]
+            core = coef * phases_t / dist_t               # (n_t, n_u)
+            rate -= (FOUR_PI / scenario.lam) * geometry.chain_xy(core, diff)
+        g += w * rate
     return g
 
 

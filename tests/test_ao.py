@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from nfisac import ao, geometry, lp, metrics, zf
+from nfisac import ao, geometry, lp, metrics, subsolver, zf
 from nfisac.errors import NumericalError, OptimizationAbort, RankDeficiencyError
 from nfisac.params import AlgoParams
 
@@ -155,6 +155,42 @@ class TestDescend:
         np.testing.assert_allclose(
             x[0].q[0][:, :2], placement.q[0][:, :2] + 2.5e-5 * self.GRAD,
             rtol=0, atol=1e-12)
+
+    def test_veto_inside_a_stack(self, scenario, placement, monkeypatch):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+
+        def spacing(pos, d_min):
+            ok = np.ones(len(pos), dtype=bool)
+            ok[1] = len(pos) < 4                     # 1.25e-5, mid second stack
+            return ok
+
+        monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
+        x, steps, _, stacks = self._run(
+            scenario, placement, lambda s: s < 2e-5, params, max_steps=1)
+        expect = [[1e-4, 5e-5], [2.5e-5, 6.25e-6, 3.125e-6]]
+        assert [len(st) for st in stacks] == [len(st) for st in expect]
+        for got, want in zip(stacks, expect):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+        # the vetoed trial would pass; the next one is adopted
+        assert steps == 1
+        np.testing.assert_allclose(
+            x[0].q[0][:, :2], placement.q[0][:, :2] + 6.25e-6 * self.GRAD,
+            rtol=0, atol=1e-12)
+
+    def test_every_line_search_is_the_shared_one(self, scenario, placement,
+                                                 monkeypatch):
+        searches = []
+
+        def counting(*args, _real=subsolver.line_search):
+            searches.append(_real(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(subsolver, "line_search", counting)
+        params = AlgoParams(step0=1e-4, delta=1e-12)
+        x, steps, _, _ = self._run(scenario, placement, lambda s: True, params,
+                                   max_steps=3)
+        assert steps == len(searches) == 3
+        assert searches[-1][1] is x
 
     def test_rank_deficient_candidate_in_a_stack_is_the_only_reject(
             self, scenario, placement):

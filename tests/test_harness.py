@@ -274,6 +274,54 @@ class TestRunPreset:
         assert {r["check"] for r in rows} >= {"lp_deficit_grad_bs", "zf_deficit_grad_bs"}
 
 
+class _InProcessPool:
+    """Stand-in for ``multiprocessing.Pool`` that records the process count
+    it was asked for and maps in this process, so no process starts."""
+
+    def __init__(self, started, processes=None):
+        started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestWorkers:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        import multiprocessing
+
+        started = []
+        monkeypatch.setattr(multiprocessing, "Pool",
+                            lambda processes=None: _InProcessPool(started, processes))
+        monkeypatch.setattr(harness, "run_trial", lambda spec: (
+            {"trial": spec.trial, "iters": 1}, []))
+        return started
+
+    @pytest.mark.parametrize("workers", [0, 2, 3, 64])
+    def test_pool_never_exceeds_the_trials(self, tmp_path, started, workers):
+        cfg = _tiny_cfg(tmp_path, workers=workers, trials=3)
+        rows, _, n_failed = harness.run_preset(cfg)
+        assert [r["trial"] for r in rows] == [0, 1, 2] and n_failed == 0
+        auto = min(8, os.cpu_count() or 1)
+        expect = min(workers or auto, 3)
+        assert started == ([expect] if expect > 1 else [])
+
+    def test_negative_workers_rejected(self, tmp_path, started):
+        with pytest.raises(ConfigError, match="workers"):
+            _tiny_cfg(tmp_path, workers=-1)
+        rc = cli.main(["--profile", "trend", "--preset", "weights", "--scheme", "LP-FIX",
+                       "--trials", "1", "--workers", "-1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert started == []
+
+
 class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = cli.main(["--preset", "weights", "--trials", "0",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfisac import metrics, verify
+from nfisac import metrics, subsolver, verify
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
 from nfisac.params import AlgoParams
 from nfisac.subsolver import (
@@ -439,11 +439,11 @@ class TestCovarianceSolve:
 
 
 def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
-                           armijo, rel_tol, max_backtracks, accept_ok=None,
-                           on_accept=None, fw_oracle=None):
+                           armijo, rel_tol, max_backtracks, on_accept=None,
+                           fw_oracle=None):
     """Reference for `_pga_ascent`: the same step rules, one candidate at a
     time.  ``value_grad(x)`` returns (objective, gradient, *aux) of one
-    point; ``accept_ok`` and ``on_accept`` see that whole tuple."""
+    point; ``on_accept`` sees that whole tuple."""
     x = np.array(x0, copy=True)
     val = value_grad(x)
     L, g = val[0], val[1]
@@ -466,8 +466,7 @@ def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
                 if dn2 == 0.0:
                     break
                 valn = value_grad(xn)
-                if valn[0] - L >= armijo * dn2 and (
-                        accept_ok is None or accept_ok(xn, valn)):
+                if valn[0] - L >= armijo * dn2:
                     improve = valn[0] - L
                     x, L, g = xn, valn[0], valn[1]
                     if on_accept is not None:
@@ -489,23 +488,19 @@ def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
 
 
 def _sequential_with_stacked_callbacks(x0, value_grad, project, *args,
-                                       accept_ok=None, on_accept=None,
-                                       fw_oracle=None):
+                                       on_accept=None, fw_oracle=None):
     """Run the sequential reference on `_pga_ascent`'s stacked callbacks,
     each called with a stack of one point."""
     def vg(x):
         vals, grad, *aux = value_grad(x[None])
         return (vals[0], grad(0), *(a[0] for a in aux))
 
-    def entries(fn):
-        if fn is None:
-            return None
-        return lambda x, val: fn(x, (val[0], *val[2:]))
+    def on_acc(x, val):
+        on_accept(x, (val[0], *val[2:]))
 
     return _sequential_pga_ascent(
         x0, vg, lambda z: project(z[None])[0], *args,
-        accept_ok=entries(accept_ok), on_accept=entries(on_accept),
-        fw_oracle=fw_oracle)
+        on_accept=None if on_accept is None else on_acc, fw_oracle=fw_oracle)
 
 
 class _BoxQuadratic:
@@ -596,6 +591,75 @@ class _StepRecorder(_BoxQuadratic):
         return [t[:3] for t in out]
 
 
+class TestLineSearch:
+    """`line_search` on a stub stack evaluation: from x = 0 along d = 1 with
+    steps 1, 1/2, 1/4, ..., projected onto the grid of 1/8, so the fifth
+    trial (1/16) is the first that does not move.  ``gains`` maps a trial's
+    step to its value (absent: 0, no gain over L = 0)."""
+
+    @staticmethod
+    def _search(gains, s=1.0, tries=10, per_trial=False):
+        stacks = []
+
+        def evaluate(X):
+            steps = X[:, 0].tolist()
+            stacks.append(steps)
+            vals = np.array([gains.get(st, 0.0) for st in steps])
+            if not per_trial:
+                return [(0, vals, lambda m: X[m].copy())]
+
+            def blocks():
+                # one block per trial; each step is recorded as it is read
+                for i in range(len(steps)):
+                    stacks.append(steps[i])
+                    yield i, vals[i:i + 1], lambda m, i=i: X[i + m].copy()
+            return blocks()
+
+        out = subsolver.line_search(np.zeros(1), 0.0, np.ones(1), s, tries, 0.5,
+                                    1e-4, evaluate, lambda X: np.floor(8.0 * X) / 8.0)
+        return out, stacks
+
+    def test_first_trial_vanishes(self):
+        assert self._search({}, s=1 / 16) == ((None, None, 0), [])
+
+    def test_vanishing_trial_ends_the_search(self):
+        assert self._search({}) == ((None, None, 4), [[1.0, 0.5], [0.25, 0.125]])
+
+    def test_tries_run_out(self):
+        assert self._search({}, tries=3) == ((None, None, 3), [[1.0, 0.5], [0.25]])
+
+    def test_first_passing_trial_across_a_stack_boundary(self):
+        (s, x, tried), stacks = self._search({0.25: 1.0, 0.125: 1.0})
+        assert (s, x.tolist(), tried) == (0.25, [0.25], 3)
+        assert stacks == [[1.0, 0.5], [0.25, 0.125]]
+
+    def test_nan_is_never_adopted(self):
+        (s, x, tried), _ = self._search({1.0: np.nan, 0.5: np.nan, 0.125: 1.0})
+        assert (s, x.tolist(), tried) == (0.125, [0.125], 4)
+        assert self._search({0.5: np.nan})[0] == (None, None, 4)
+
+    def test_blocks_are_read_lazily_in_step_order(self):
+        (s, _, tried), stacks = self._search({0.25: 1.0, 0.125: 1.0}, per_trial=True)
+        assert (s, tried) == (0.25, 3)
+        # the second stack's blocks stop at its first, adopted, trial
+        assert stacks == [[1.0, 0.5], 1.0, 0.5, [0.25, 0.125], 0.25]
+
+    def test_pga_ascent_searches_through_it(self, monkeypatch):
+        searches = []
+
+        def counting(*args, _real=subsolver.line_search):
+            searches.append(_real(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(subsolver, "line_search", counting)
+        box = _BoxQuadratic()
+        x, _, _ = _pga_ascent(np.array([-0.9, 0.8]), box.value_grad, box.project,
+                              0.05, 40, 0.5, 1e-4, 0.0, 80, fw_oracle=box.fw_oracle)
+        assert len(searches) >= 3
+        assert any(np.array_equal(x, found[1][0]) for found in searches
+                   if found[1] is not None)
+
+
 class TestPgaStepRule:
     """`_pga_ascent` warm-starts both the gradient and the FW step."""
 
@@ -658,19 +722,25 @@ class TestSequentialReference:
 
     @pytest.mark.parametrize("veto", [False, True])
     def test_box_quadratic(self, veto):
-        # the veto rejects some Armijo-passing candidates, so the adopted
-        # one is not always the first to pass the Armijo test
-        def ok(x, entries):
-            return x[0] <= 0.2
+        # the veto (x[0] <= 0.2, as a NaN objective elsewhere) rejects some
+        # Armijo-passing candidates, so the adopted one is not always the
+        # first to pass the Armijo test
+        def vetoed(value_grad):
+            def vg(X):
+                vals, grad = value_grad(X)
+                return np.where(X[:, 0] <= 0.2, vals, np.nan), grad
+            return vg
 
         outs = []
         for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
             box = _BoxQuadratic()
-            outs.append([ascent(np.array([-0.9, 0.8]), box.value_grad,
+            vg = vetoed(box.value_grad) if veto else box.value_grad
+            outs.append([ascent(np.array([-0.9, 0.8]), vg,
                                 box.project, 0.05, 40, 0.5, 1e-4, 0.0, 80,
-                                accept_ok=ok if veto else None,
                                 fw_oracle=box.fw_oracle)])
         _same_ascents(*outs)
+        # the unconstrained maximum lies at x[0] = 0.3
+        assert (outs[0][0][0][0] <= 0.2) == veto
         assert outs[0][0][1] > _BoxQuadratic().value_grad(
             np.array([[-0.9, 0.8]]))[0][0]
 

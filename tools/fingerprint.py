@@ -10,8 +10,14 @@ also contribute the return value of every position-block call inside them
 (placements, channels, states, ``eta``, ``AlmInfo``).  Channel tags are left
 out: they count channel builds, not results.
 
-Two checkouts produce bit-identical results on these units exactly when
-their outputs are equal.  From the root of each checkout:
+It then runs two presets in-process through ``harness.load_config`` and
+``run_preset`` and prints one sha256 line each for the rows of
+``--profile trend --preset convergence --trials 3 --seed 1 --workers 1``
+(``wall_ms`` left out), for that run's trace rows, and for the rows of
+``--profile trend --preset gradcheck --seed 1``.
+
+Two checkouts produce bit-identical results on these units and presets
+exactly when their outputs are equal.  From the root of each checkout:
 
     python3 tools/fingerprint.py > fingerprint.txt
     diff /path/to/other/fingerprint.txt fingerprint.txt
@@ -44,6 +50,11 @@ POSITION_BLOCKS = {
 SKIPPED_FIELDS = {"tag", "channel_tag"}
 RUN_FIELDS = ("wsr", "trace", "outer_iters", "converged", "flags",
               "block_rejects", "rank_flags", "placement")
+PRESETS = {
+    "convergence": dict(profile="trend", preset="convergence", trials=3, seed=1,
+                        workers=1),
+    "gradcheck": dict(profile="trend", preset="gradcheck", seed=1),
+}
 
 
 def feed(h, obj):
@@ -95,6 +106,25 @@ def fingerprint(bench, calls, trial, scheme):
     return h.hexdigest()
 
 
+def digest(obj):
+    h = hashlib.sha256()
+    feed(h, obj)
+    return h.hexdigest()
+
+
+def preset_lines():
+    """(label, sha256) of each preset's rows, ``wall_ms`` left out, and of
+    the trace rows of a preset that writes them."""
+    from nfisac import harness
+
+    for name, overrides in PRESETS.items():
+        rows, trace_rows, _ = harness.run_preset(harness.load_config(None, overrides))
+        yield f"{name} rows", digest([{k: v for k, v in row.items() if k != "wall_ms"}
+                                      for row in rows])
+        if trace_rows:
+            yield f"{name} trace", digest(trace_rows)
+
+
 def main():
     workloads.use_checkout_source()
     calls = []
@@ -104,6 +134,9 @@ def main():
         for trial, scheme in workloads.pool_units(name)[:n_units]:
             print(name, trial, scheme, fingerprint(bench, calls, trial, scheme),
                   flush=True)
+    for label, sha in preset_lines():
+        calls.clear()
+        print(label, sha, flush=True)
 
 
 if __name__ == "__main__":
