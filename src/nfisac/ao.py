@@ -139,6 +139,12 @@ def sense_beam(channels, state, weights, gamma0, params, make_sub, solve, eigpai
 # ---------------------------------------------------------------------------
 # projected-gradient descent and the ALM position loop
 
+# trials in the first stack of a position line search: moving the array,
+# precoding and measuring a stack costs many times what one more candidate
+# adds, and about a third of the searches adopt at trial 3 or later
+FIRST_STACK = 3
+
+
 def descend(scenario, k, x, grad, move, stop, max_steps, params):
     """Projected-gradient descent with Armijo backtracking on one antenna
     array: the BS transmit array (``k`` None) or user k's antennas.
@@ -152,12 +158,13 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
 
     Each step is one ``subsolver.line_search`` on the negated objective
     (exact in IEEE), with at most max_ls trials projected onto the array's
-    region; a spacing violation rejects a trial unevaluated, and the other
-    trials of a stack are evaluated together (see ``_evaluate`` for
-    errors).  A trial that projects to no move ends the descent; an
-    adopted step s makes 2s the next first trial.  Returns (x, steps,
-    exhausted), exhausted when a line search rejected all its trials:
-    max_ls of them, or every one before its step vanished.
+    region, in stacks of 3, 6, 12, ... (``FIRST_STACK``); a spacing
+    violation rejects a trial unevaluated, and the other trials of a stack
+    are evaluated together (see ``_evaluate`` for errors).  A trial that
+    projects to no move ends the descent; an adopted step s makes 2s the
+    next first trial.  Returns (x, steps, exhausted), exhausted when a line
+    search rejected all its trials: max_ls of them, or every one before its
+    step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
 
@@ -172,7 +179,7 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
         d[:, :2] = -grad(x)
         s, x_new, tried = subsolver.line_search(
             pos, -x[-1], d, step, params.max_ls, params.tau, params.delta,
-            functools.partial(_evaluate, move, x, scenario.d_min), project)
+            functools.partial(_evaluate, move, x, scenario.d_min), project, FIRST_STACK)
         if x_new is None:
             return x, steps, tried == params.max_ls or tried > 0
         x_prev, x = x, x_new

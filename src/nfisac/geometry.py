@@ -18,7 +18,7 @@ its own 2-D call.  ``candidate`` takes one candidate out of such a stack.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,12 +183,12 @@ class Placement:
         object.__setattr__(self, "q", tuple(np.asarray(qk, dtype=float) for qk in self.q))
 
     def with_t(self, t):
-        return replace(self, t=np.asarray(t, dtype=float))
+        return Placement(t, self.q)
 
     def with_q(self, k, qk):
         q = list(self.q)
-        q[k] = np.asarray(qk, dtype=float)
-        return replace(self, q=tuple(q))
+        q[k] = qk
+        return Placement(self.t, q)
 
     def array(self, k):
         """Positions of the BS transmit array (``k`` None) or of user k."""
@@ -231,6 +231,14 @@ class ChannelSet:
     noise_user: np.ndarray      # carried along for metric evaluation
     noise_radar: float
     tag: int = field(default_factory=lambda: next(_channel_tag))
+
+    def moved(self, H, G=None, f_t=None):
+        """These channels with H (and G and f_t, if given) replaced and a
+        fresh tag.  Built directly: ``dataclasses.replace`` costs about three
+        times as much, and every line search stack and adopted candidate
+        makes one."""
+        return ChannelSet(H, self.G if G is None else G, self.f_t if f_t is None else f_t,
+                          self.f_r, self.rho, self.rho_s, self.noise_user, self.noise_radar)
 
 
 def receive_ula_positions(scenario):
@@ -331,7 +339,7 @@ def rebuild_user_channel(scenario, channels, placement, k):
     """ChannelSet with only user k's matrix refreshed (BS antennas unchanged)."""
     H = list(channels.H)
     H[k] = build_user_channel(placement.t, placement.q[k], channels.rho[k], scenario.lam)
-    return replace(channels, H=tuple(H), tag=next(_channel_tag))
+    return channels.moved(tuple(H))
 
 
 def move_array(scenario, placement, channels, k, positions):
@@ -349,8 +357,7 @@ def move_array(scenario, placement, channels, k, positions):
     placement = placement.with_t(positions)
     H = _user_channels(scenario, placement, channels.rho)
     f_t = _response(placement.t, scenario.target, scenario.lam)
-    return placement, replace(channels, H=H, G=_echo(channels.f_r, f_t, channels.rho_s),
-                              f_t=f_t, tag=next(_channel_tag))
+    return placement, channels.moved(H, _echo(channels.f_r, f_t, channels.rho_s), f_t)
 
 
 def candidate(placement, channels, k, i):
@@ -358,12 +365,11 @@ def candidate(placement, channels, k, i):
     Placement and a ChannelSet with a fresh tag."""
     pos = placement.array(k)[i]
     if k is None:
-        return placement.with_t(pos), replace(
-            channels, H=tuple(Hj[i] for Hj in channels.H), G=channels.G[i],
-            f_t=channels.f_t[i], tag=next(_channel_tag))
+        return placement.with_t(pos), channels.moved(
+            tuple(Hj[i] for Hj in channels.H), channels.G[i], channels.f_t[i])
     H = list(channels.H)
     H[k] = H[k][i]
-    return placement.with_q(k, pos), replace(channels, H=tuple(H), tag=next(_channel_tag))
+    return placement.with_q(k, pos), channels.moved(tuple(H))
 
 
 def project_points_to_region(points, region):

@@ -61,12 +61,14 @@ def power_project(Ws, p_max):
     return np.where((tr > p_max)[..., None, None, None], Ws * scale, Ws)
 
 
-def line_search(x, L, d, s, tries, tau, armijo, evaluate, project):
+def line_search(x, L, d, s, tries, tau, armijo, evaluate, project, first=2):
     """One backtracking Armijo try along d from x, for a maximum.
 
     The trials are project(x + s_j d) with s_j = s tau^j, j < tries, taken
-    in stacks of 2, 4, 8, ...; a trial that projects to x ends the search,
-    and no trial from it on is evaluated.  ``evaluate(X)`` takes a stack X
+    in stacks of ``first``, then twice the last (2, 4, 8, ... by default);
+    a trial that projects to x ends the search, and no trial from it on is
+    evaluated.  The stack sizes change only how many trials are evaluated
+    together, never which trial is adopted.  ``evaluate(X)`` takes a stack X
     of trials and gives their values in blocks (i, values, take), in step
     order: values[m] is the value of trial i + m, and ``take(m)`` the
     caller's record of that trial, asked for only for the adopted one.  A
@@ -78,7 +80,7 @@ def line_search(x, L, d, s, tries, tau, armijo, evaluate, project):
     tried); tried counts the trials made: through the adopted one, before
     the one that did not move, or all ``tries``.
     """
-    made, size = 0, 2
+    made, size = 0, first
     while made < tries:
         steps = []
         for _ in range(min(size, tries - made)):

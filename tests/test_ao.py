@@ -114,14 +114,13 @@ class TestDescend:
     def test_backtracks_by_tau_and_doubles_after_accept(
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.25, delta=1e-12)
-        # the first search rejects 1e-4 and 2.5e-5, then two trials of its
-        # second stack pass and the first of them is adopted; the next
-        # search starts at twice it and adopts the second trial of its stack
+        # the first search rejects 1e-4 and 2.5e-5 and adopts the third
+        # trial of its stack; the next search starts at twice it and adopts
+        # the second trial of its stack
         x, steps, exhausted, stacks = self._run(
             scenario, placement, self._near(6.25e-6, 1.5625e-6, 3.125e-6), params,
             max_steps=2)
-        expect = [[1e-4, 2.5e-5], [6.25e-6, 1.5625e-6, 3.90625e-7, 9.765625e-8],
-                  [1.25e-5, 3.125e-6]]
+        expect = [[1e-4, 2.5e-5, 6.25e-6], [1.25e-5, 3.125e-6, 7.8125e-7]]
         assert [len(st) for st in stacks] == [len(st) for st in expect]
         for got, want in zip(stacks, expect):
             np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -146,8 +145,8 @@ class TestDescend:
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: True, params, max_steps=1,
             unevaluable=self._near(5e-5))
-        assert checks == [2, 4]                      # one check per stack
-        expect = [[5e-5], [2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6]]
+        assert checks == [3]                         # one check per stack
+        expect = [[5e-5, 2.5e-5]]
         assert [len(st) for st in stacks] == [len(st) for st in expect]
         for got, want in zip(stacks, expect):
             np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -161,13 +160,14 @@ class TestDescend:
 
         def spacing(pos, d_min):
             ok = np.ones(len(pos), dtype=bool)
-            ok[1] = len(pos) < 4                     # 1.25e-5, mid second stack
+            ok[0] = len(pos) < 6                     # 1.25e-5, heading the second stack
             return ok
 
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
         x, steps, _, stacks = self._run(
             scenario, placement, lambda s: s < 2e-5, params, max_steps=1)
-        expect = [[1e-4, 5e-5], [2.5e-5, 6.25e-6, 3.125e-6]]
+        expect = [[1e-4, 5e-5, 2.5e-5],
+                  [6.25e-6, 3.125e-6, 1.5625e-6, 7.8125e-7, 3.90625e-7]]
         assert [len(st) for st in stacks] == [len(st) for st in expect]
         for got, want in zip(stacks, expect):
             np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -175,6 +175,25 @@ class TestDescend:
         assert steps == 1
         np.testing.assert_allclose(
             x[0].q[0][:, :2], placement.q[0][:, :2] + 6.25e-6 * self.GRAD,
+            rtol=0, atol=1e-12)
+
+    def test_adopted_trial_past_a_veto_is_taken_by_its_step(
+            self, scenario, placement, monkeypatch):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+
+        def spacing(pos, d_min):
+            ok = np.ones(len(pos), dtype=bool)
+            ok[1] = False                            # 5e-5, mid first stack
+            return ok
+
+        monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
+        x, steps, _, stacks = self._run(
+            scenario, placement, lambda s: s < 8e-5, params, max_steps=1)
+        np.testing.assert_allclose(stacks, [[1e-4, 2.5e-5]], rtol=1e-6)
+        # the vetoed trial would pass; the trial after the gap is adopted
+        assert steps == 1 and x[1] == -1.0
+        np.testing.assert_allclose(
+            x[0].q[0][:, :2], placement.q[0][:, :2] + 2.5e-5 * self.GRAD,
             rtol=0, atol=1e-12)
 
     def test_every_line_search_is_the_shared_one(self, scenario, placement,
@@ -195,7 +214,7 @@ class TestDescend:
     def test_rank_deficient_candidate_in_a_stack_is_the_only_reject(
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
-        bad = self._near(5e-5 / 4)                  # the 4th trial, mid second stack
+        bad = self._near(5e-5 / 4)                  # the 4th trial, heading the second stack
 
         def raises(steps):
             return RankDeficiencyError(np.inf) if any(bad(s) for s in steps) else None
@@ -205,8 +224,9 @@ class TestDescend:
             max_steps=1, raises=raises)
         # the stack that raised is evaluated again one trial at a time, in
         # step order, up to the first that passes
-        expect = [[1e-4, 5e-5], [2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6],
-                  [2.5e-5], [1.25e-5], [6.25e-6]]
+        expect = [[1e-4, 5e-5, 2.5e-5],
+                  [1.25e-5, 6.25e-6, 3.125e-6, 1.5625e-6, 7.8125e-7, 3.90625e-7],
+                  [1.25e-5], [6.25e-6]]
         assert [len(st) for st in stacks] == [len(st) for st in expect]
         for got, want in zip(stacks, expect):
             np.testing.assert_allclose(got, want, rtol=1e-6)
@@ -226,7 +246,7 @@ class TestDescend:
         _, steps, _, stacks = self._run(
             scenario, placement, self._near(1.25e-5), params, max_steps=1,
             raises=raises)
-        assert [len(st) for st in stacks] == [2, 4, 1, 1]
+        assert [len(st) for st in stacks] == [3, 6, 1]
         assert steps == 1
         with pytest.raises(NumericalError):
             self._run(scenario, placement, lambda s: False, params, max_steps=1,
@@ -257,8 +277,8 @@ class TestDescend:
             scenario, placement, lambda s: False, params)
         sizes = [len(st) for st in stacks]
         assert sum(sizes) == first_still
-        assert sizes[:-1] == [2 ** (j + 1) for j in range(len(sizes) - 1)]
-        assert 0 < sizes[-1] <= 2 ** len(sizes)
+        assert sizes[:-1] == [3 * 2 ** j for j in range(len(sizes) - 1)]
+        assert 0 < sizes[-1] <= 3 * 2 ** (len(sizes) - 1)
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
@@ -266,7 +286,7 @@ class TestDescend:
         params = AlgoParams(step0=1e-4, max_ls=3)
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: False, params)
-        assert [len(st) for st in stacks] == [2, 1]
+        assert [len(st) for st in stacks] == [3]
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
@@ -282,7 +302,7 @@ class TestDescend:
             scenario, placement, lambda s: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
         assert (steps, exhausted) == (1, False)
-        assert [len(st) for st in stacks] == [2]
+        assert [len(st) for st in stacks] == [3]
 
 
 def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
@@ -469,9 +489,9 @@ class TestAlmPositions:
             scenario, placement, channels, st, self.WEIGHTS, 0.0, params, 0.0,
             self._growing_rates(evals), self._shift(scenario.n_t))
         t0 = placement.t
-        # the first stack raises, so its two trials are evaluated one at a
-        # time: the first is rejected, the second adopted
-        assert [len(m) for m in moves] == [2, 1, 1]
+        # the first stack raises, so its trials are evaluated one at a time:
+        # the first is rejected, the second adopted
+        assert [len(m) for m in moves] == [3, 1, 1]
         assert moves[1][0].tobytes() == moves[0][0].tobytes()
         assert moves[2][0].tobytes() == moves[0][1].tobytes()
         assert len(at_calls) == 4 and len(evals) == 2

@@ -598,7 +598,7 @@ class TestLineSearch:
     step to its value (absent: 0, no gain over L = 0)."""
 
     @staticmethod
-    def _search(gains, s=1.0, tries=10, per_trial=False):
+    def _search(gains, s=1.0, tries=10, per_trial=False, first=2):
         stacks = []
 
         def evaluate(X):
@@ -616,7 +616,8 @@ class TestLineSearch:
             return blocks()
 
         out = subsolver.line_search(np.zeros(1), 0.0, np.ones(1), s, tries, 0.5,
-                                    1e-4, evaluate, lambda X: np.floor(8.0 * X) / 8.0)
+                                    1e-4, evaluate, lambda X: np.floor(8.0 * X) / 8.0,
+                                    first=first)
         return out, stacks
 
     def test_first_trial_vanishes(self):
@@ -643,6 +644,32 @@ class TestLineSearch:
         assert (s, tried) == (0.25, 3)
         # the second stack's blocks stop at its first, adopted, trial
         assert stacks == [[1.0, 0.5], 1.0, 0.5, [0.25, 0.125], 0.25]
+
+    @pytest.mark.parametrize("first", [1, 2, 3, 4])
+    @pytest.mark.parametrize("gains, s, tries", [
+        ({}, 1.0, 10),                                  # the step vanishes
+        ({}, 1 / 16, 10),                               # ... at the first trial
+        ({}, 1.0, 3),                                   # the tries run out
+        ({0.25: 1.0, 0.125: 1.0}, 1.0, 10),
+        ({1.0: np.nan, 0.5: np.nan, 0.125: 1.0}, 1.0, 10),
+        ({0.5: np.nan}, 1.0, 10),
+    ])
+    def test_first_stack_size_changes_no_result(self, gains, s, tries, first):
+        (s_ref, x_ref, tried_ref), _ = self._search(gains, s, tries)
+        made = [s * 0.5 ** j for j in range(tried_ref)]
+        for per_trial in (False, True):
+            (s_j, x, tried), stacks = self._search(gains, s, tries, per_trial, first)
+            assert (s_j, tried) == (s_ref, tried_ref)
+            assert (x is None) == (x_ref is None)
+            if x is not None:
+                assert x.tolist() == x_ref.tolist()
+            evaluated = [st for stack in stacks if isinstance(stack, list) for st in stack]
+            assert evaluated[:tried] == made
+            sizes = [len(stack) for stack in stacks if isinstance(stack, list)]
+            assert all(n <= first * 2 ** j for j, n in enumerate(sizes))
+            if per_trial:
+                # the blocks are read lazily: exactly the trials up to adoption
+                assert [st for st in stacks if not isinstance(st, list)] == made
 
     def test_pga_ascent_searches_through_it(self, monkeypatch):
         searches = []
