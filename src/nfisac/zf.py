@@ -11,8 +11,6 @@ analytic gradients, with ``ZfWorkspace`` holding what the gradients share.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import ao, geometry, metrics
@@ -44,25 +42,26 @@ class ZfWorkspace:
     beam, combiner and Gram inverse it uses; n_u is assumed common to all
     users so the stacked-channel row block of user k starts at k * n_u.
     ``beta2`` is the squared ZF gain p_max / tr_gram_inv, equal to
-    ``ZfState.gain ** 2`` from ``metrics.zf_precoder``.  The terms only the
-    SINR-deficit gradients read (``pinv`` through ``quad_sens_ct``) are
-    built when one first asks for them: most gradients are unpenalized.
+    ``ZfState.gain ** 2`` from ``metrics.zf_precoder``.
     """
 
     def __init__(self, channels, state, p_max, gamma0):
         if state.channel_tag != channels.tag:
             raise ContractViolation("ZF workspace needs the state of these channels")
         v = self.v = state.v
-        self.u = state.u
+        u = self.u = state.u
         self.p_max = float(p_max)
         self.gamma0 = float(gamma0)
-        self._G = channels.G
-        H_stack = self._H_stack = np.vstack(channels.H)
-        Ai = self._Ai = state.gram_inv
-        Ai2 = self._Ai2 = Ai @ Ai
+        H_stack = np.vstack(channels.H)
+        Ai = state.gram_inv
+        Ai2 = Ai @ Ai
         self.tr_gram_inv = float(np.real(np.trace(Ai)))
         self.beta2 = self.p_max / self.tr_gram_inv
         self.tr_sens = H_stack.conj().T @ Ai2             # sensitivity of Tr(gram^-1) to H entries
+        self.pinv = H_stack.conj().T @ Ai                 # right pseudo-inverse of the stacked channel
+        self.g = channels.G.conj().T @ u
+        p1g = self.pinv.conj().T @ self.g
+        self.pinv_g2 = float(np.real(np.vdot(p1g, p1g)))
         self.tr_f_inv = []          # per-user Tr of the signal-plus-noise inverse
         self.beam_sens = []         # own-channel sensitivity through the sensing beam
         for k, Hk in enumerate(channels.H):
@@ -73,49 +72,24 @@ class ZfWorkspace:
             Fi = np.linalg.inv(F)
             self.tr_f_inv.append(float(np.real(np.trace(Fi))))
             self.beam_sens.append(np.outer(v, hv.conj() @ (Fi - np.linalg.inv(E))))
-
-    @cached_property
-    def pinv(self):
-        """Right pseudo-inverse of the stacked channel."""
-        return self._H_stack.conj().T @ self._Ai
-
-    @cached_property
-    def g(self):
-        return self._G.conj().T @ self.u
-
-    @cached_property
-    def _p1g(self):
-        return self.pinv.conj().T @ self.g
-
-    @cached_property
-    def pinv_g2(self):
-        return float(np.real(np.vdot(self._p1g, self._p1g)))
-
-    @cached_property
-    def _D(self):
-        return np.outer(self._p1g, self.g.conj())      # (K n_u, n_t)
-
-    @cached_property
-    def quad_sens(self):
-        Hh = self._H_stack.conj().T
-        return Hh @ self._D @ Hh @ self._Ai2
-
-    @cached_property
-    def quad_sens_ct(self):
-        D = self._D
-        return (self._Ai @ D - D @ self._H_stack.conj().T @ self._Ai2 @ self._H_stack).T
+        D = np.outer(p1g, self.g.conj())              # (K n_u, n_t)
+        self.quad_sens = H_stack.conj().T @ D @ H_stack.conj().T @ Ai2
+        self.quad_sens_ct = (Ai @ D - D @ H_stack.conj().T @ Ai2 @ H_stack).T
 
 
-def _user_geometry(scenario, placement, channels, k):
+def user_geometry(placement, channels, k):
+    """User k's channel phases, distances (user by BS) and xy offsets of its
+    antennas from the BS antennas: the ``geo`` of user k's gradients."""
     phases = channels.H[k] / channels.rho[k]
     dist = geometry.pairwise_distances(placement.q[k], placement.t)
     diff_user = placement.q[k][:, None, :2] - placement.t[None, :, :2]
     return phases, dist, diff_user
 
 
-def _bs_geometry(placement, channels):
+def bs_geometry(placement, channels):
     """Per user: the stacked-channel columns, phases, distances (both BS by
-    user) and xy offsets of the BS antennas from the user's."""
+    user) and xy offsets of the BS antennas from the user's: the ``geo`` of
+    the BS gradients."""
     t = placement.t
     geo = []
     for k, Hk in enumerate(channels.H):
@@ -127,26 +101,26 @@ def _bs_geometry(placement, channels):
     return geo
 
 
-def grad_user_wsr_zf(scenario, placement, channels, ws, weights, k, geo=None):
-    """Weighted sum over users of the per-user ZF rate gradients; ``geo``
-    is user k's ``_user_geometry`` if the caller has it."""
+def grad_user_wsr_zf(scenario, channels, ws, geo, weights, k):
+    """Weighted sum over users of the per-user ZF rate gradients; ``geo`` is
+    ``user_geometry`` of user k."""
     n_u = channels.H[k].shape[0]
     s_w = ws.p_max * ws.tr_gram_inv ** -2 * float(
         np.asarray(weights) @ np.asarray(ws.tr_f_inv))
     cols = slice(k * n_u, (k + 1) * n_u)
     coef = s_w * ws.tr_sens[:, cols] + weights[k] * ws.beam_sens[k]
-    phases, dist, diff = geo or _user_geometry(scenario, placement, channels, k)
+    phases, dist, diff = geo
     core = coef.T * phases / dist
     pref = -FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
 
-def grad_user_sinr_deficit_zf(scenario, placement, channels, ws, k, geo=None):
+def grad_user_sinr_deficit_zf(scenario, channels, ws, geo, k):
     """d sinr_deficit / d(x,y) of user k's antennas under the ZF precoder,
     shape (n_u, 2); ``geo`` as for ``grad_user_wsr_zf``."""
     n_u = channels.H[k].shape[0]
     cols = slice(k * n_u, (k + 1) * n_u)
-    phases, dist, diff = geo or _user_geometry(scenario, placement, channels, k)
+    phases, dist, diff = geo
     pref = FOUR_PI * channels.rho[k] / scenario.lam
     core1 = ws.tr_sens[:, cols].T * phases / dist
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
@@ -155,13 +129,12 @@ def grad_user_sinr_deficit_zf(scenario, placement, channels, ws, k, geo=None):
             + ws.gamma0 * ws.beta2 * pref * geometry.chain_xy(core2, diff))
 
 
-def grad_bs_wsr_zf(scenario, placement, channels, ws, weights, geo=None):
+def grad_bs_wsr_zf(scenario, channels, ws, geo, weights):
     """Weighted sum over users of d R_{Z,user} / d(x,y) of the BS transmit
-    antennas, shape (n_t, 2).  Each user's phases, distances and offsets
-    (``_bs_geometry``, built here unless the caller passes ``geo``) serve
-    every user's rate gradient; these are summed in user order."""
-    geo = geo or _bs_geometry(placement, channels)
-    g = np.zeros((placement.t.shape[0], 2))
+    antennas, shape (n_t, 2); ``geo`` is ``bs_geometry``, whose per-user
+    terms serve every user's rate gradient.  These are summed in user
+    order."""
+    g = np.zeros((ws.tr_sens.shape[0], 2))
     for user, w in enumerate(weights):
         if w == 0.0:
             continue
@@ -177,7 +150,7 @@ def grad_bs_wsr_zf(scenario, placement, channels, ws, weights, geo=None):
     return g
 
 
-def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo=None):
+def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo):
     """d sinr_deficit / d(x,y) of the BS transmit antennas under the ZF
     precoder, shape (n_t, 2); ``geo`` as for ``grad_bs_wsr_zf``."""
     t = placement.t
@@ -191,7 +164,6 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo=None):
     core_s = e * channels.f_t / d_s
     out = -(FOUR_PI * channels.rho_s / scenario.lam) * np.imag(core_s[:, None] * diff_s)
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
-    geo = geo or _bs_geometry(placement, channels)
     for k, (cols, phases_t, dist_t, diff) in enumerate(geo):
         core1 = ws.tr_sens[:, cols] * phases_t / dist_t
         core2 = (ws.quad_sens[:, cols] * phases_t + ws.quad_sens_ct[:, cols] * phases_t.conj()) / dist_t
@@ -223,16 +195,16 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
     def descent(pl, ch, st, penalized):
         ws = ZfWorkspace(ch, st, scenario.p_max, gamma0)
         if user is None:
-            geo = _bs_geometry(pl, ch)
-            grad = -grad_bs_wsr_zf(scenario, pl, ch, ws, weights, geo)
+            geo = bs_geometry(pl, ch)
+            grad = -grad_bs_wsr_zf(scenario, ch, ws, geo, weights)
         else:
-            geo = _user_geometry(scenario, pl, ch, user)
-            grad = -grad_user_wsr_zf(scenario, pl, ch, ws, weights, user, geo)
+            geo = user_geometry(pl, ch, user)
+            grad = -grad_user_wsr_zf(scenario, ch, ws, geo, weights, user)
         if not penalized:
             return grad, None
         if user is None:
             return grad, grad_bs_sinr_deficit_zf(scenario, pl, ch, ws, geo)
-        return grad, grad_user_sinr_deficit_zf(scenario, pl, ch, ws, user, geo)
+        return grad, grad_user_sinr_deficit_zf(scenario, ch, ws, geo, user)
 
     return ao.alm_positions(scenario, placement, channels, state, weights, gamma0,
                             params, eta, metrics.zf_rates, descent, user)

@@ -214,25 +214,26 @@ class TestDescend:
     def test_rank_deficient_candidate_in_a_stack_is_the_only_reject(
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
-        bad = self._near(5e-5 / 4)                  # the 4th trial, heading the second stack
+        bad = self._near(5e-5 / 8)                  # the 5th trial, mid second stack
 
         def raises(steps):
             return RankDeficiencyError(np.inf) if any(bad(s) for s in steps) else None
 
         x, steps, exhausted, stacks = self._run(
-            scenario, placement, lambda s: s < 2e-5 and not bad(s), params,
+            scenario, placement, lambda s: s < 1e-5 and not bad(s), params,
             max_steps=1, raises=raises)
         # the stack that raised is evaluated again one trial at a time, in
-        # step order, up to the first that passes
+        # step order, up to the first that passes: the trial ahead of the
+        # raising one fails the Armijo test, the raising one is rejected
         expect = [[1e-4, 5e-5, 2.5e-5],
                   [1.25e-5, 6.25e-6, 3.125e-6, 1.5625e-6, 7.8125e-7, 3.90625e-7],
-                  [1.25e-5], [6.25e-6]]
+                  [1.25e-5], [6.25e-6], [3.125e-6]]
         assert [len(st) for st in stacks] == [len(st) for st in expect]
         for got, want in zip(stacks, expect):
             np.testing.assert_allclose(got, want, rtol=1e-6)
         assert steps == 1 and not exhausted
         np.testing.assert_allclose(
-            x[0].q[0][:, :2], placement.q[0][:, :2] + 6.25e-6 * self.GRAD,
+            x[0].q[0][:, :2], placement.q[0][:, :2] + 3.125e-6 * self.GRAD,
             rtol=0, atol=1e-12)
 
     def test_other_errors_surface_only_where_reached_one_at_a_time(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -242,6 +243,18 @@ class TestChannelSetInvariants:
         assert c2.tag > c1.tag
         c3 = geometry.rebuild_user_channel(scenario, c2, placement, 0)
         assert c3.tag > c2.tag
+
+    @pytest.mark.parametrize("new", ["H", "H G f_t"])
+    def test_moved_is_replace_with_a_fresh_tag(self, new):
+        # every field a distinct object, so one that ``moved`` resets to its
+        # default or takes from the wrong place shows
+        fields = [f.name for f in dataclasses.fields(geometry.ChannelSet)]
+        base = geometry.ChannelSet(**{name: object() for name in fields if name != "tag"})
+        new = {name: object() for name in new.split()}
+        got, want = base.moved(**new), dataclasses.replace(base, **new)
+        assert got.tag > base.tag
+        assert all(getattr(got, name) is getattr(want, name)
+                   for name in fields if name != "tag")
 
 
 class TestPlacementValidation:

@@ -179,7 +179,8 @@ class TestZfWorkspaceConsistency:
     def test_kronecker_delta_structure(self, scenario, placement, channels, zf_state):
         # the own-user gradient includes the G_k term, the cross gradient does not
         ws = zf.ZfWorkspace(channels, zf_state, scenario.p_max, scenario.gamma0)
+        geo = zf.user_geometry(placement, channels, 0)
         one_hot = np.eye(scenario.n_users)
-        g_own = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[0], 0)
-        g_cross = zf.grad_user_wsr_zf(scenario, placement, channels, ws, one_hot[1], 0)
+        g_own = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[0], 0)
+        g_cross = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[1], 0)
         assert not np.allclose(g_own, g_cross)
