@@ -72,8 +72,10 @@ def chain_xy(core, diff):
     it, ``diff`` (n, m, 2) the xy offsets of the moving points from their
     counterparts.
     """
-    return np.stack([np.imag(np.sum(core * diff[:, :, a], axis=1)) for a in range(2)],
-                    axis=1)
+    # C order keeps each sum on a contiguous axis, in numpy's pairwise
+    # order; a sum over a strided axis rounds differently from m = 8 on
+    prod = np.multiply(core[:, None, :], diff.transpose(0, 2, 1), order="C")
+    return prod.sum(axis=-1).imag
 
 
 @dataclass(frozen=True)
@@ -305,11 +307,27 @@ def build_sensing_channel(t, rx_positions, s, rho_s, lam):
     return f_t, f_r, _echo(f_r, f_t, rho_s)
 
 
-def _user_channels(scenario, placement, rho):
-    """Every user's H_k between the placement's arrays (a stack if the BS
-    array is one)."""
-    return tuple(build_user_channel(placement.t, q_k, rho_k, scenario.lam)
-                 for q_k, rho_k in zip(placement.q, rho))
+def _transmit_side(scenario, placement, rho):
+    """Every user's H_k and the transmit response f_t of the placement's BS
+    array (a stack if it is one), from one distance and one phase call over
+    all user antennas and the target.  Both are elementwise, so each entry
+    is exactly that of ``build_user_channel`` or ``_response``."""
+    for rho_k in rho:
+        if not rho_k > 0:
+            raise GeometryError(f"path loss must be positive, got {rho_k}")
+    points = np.concatenate(placement.q + (scenario.target[None, :],))
+    d = _extended_distances(points, placement.t)
+    zero = d == 0.0
+    if zero.any():
+        if zero[..., :-1, :].any():
+            raise GeometryError("transmit antenna coincides with a user antenna")
+        raise GeometryError("target coincides with an antenna")
+    phases = unit_phase(d, scenario.lam)
+    H, start = [], 0
+    for q_k, rho_k in zip(placement.q, rho):
+        H.append(rho_k * phases[..., start:start + len(q_k), :])
+        start += len(q_k)
+    return tuple(H), phases[..., -1, :]
 
 
 def build_channels(scenario, placement):
@@ -326,11 +344,10 @@ def build_channels(scenario, placement):
         path_loss_comm(o_t, region.center, lam) for region in scenario.user_regions
     ])
     rho_s = path_loss_sense(o_t, scenario.rx_mid, scenario.target, lam)
-    H = _user_channels(scenario, placement, rho)
-    f_t, f_r, G = build_sensing_channel(placement.t, receive_ula_positions(scenario),
-                                        scenario.target, rho_s, lam)
+    H, f_t = _transmit_side(scenario, placement, rho)
+    f_r = _response(receive_ula_positions(scenario), scenario.target, lam)
     return ChannelSet(
-        H=H, G=G, f_t=f_t, f_r=f_r, rho=rho, rho_s=rho_s,
+        H=H, G=_echo(f_r, f_t, rho_s), f_t=f_t, f_r=f_r, rho=rho, rho_s=rho_s,
         noise_user=scenario.noise_user.copy(), noise_radar=scenario.noise_radar,
     )
 
@@ -355,8 +372,7 @@ def move_array(scenario, placement, channels, k, positions):
         placement = placement.with_q(k, positions)
         return placement, rebuild_user_channel(scenario, channels, placement, k)
     placement = placement.with_t(positions)
-    H = _user_channels(scenario, placement, channels.rho)
-    f_t = _response(placement.t, scenario.target, scenario.lam)
+    H, f_t = _transmit_side(scenario, placement, channels.rho)
     return placement, channels.moved(H, _echo(channels.f_r, f_t, channels.rho_s), f_t)
 
 

@@ -40,8 +40,18 @@ def optimal_combiner_lp(channels, W):
 # ---------------------------------------------------------------------------
 # analytic gradients (user and BS positions, rate and constraint)
 
-def _lp_rate_workspace(channels, W, v, k):
-    """Coefficient matrices of user k's rate differential w.r.t. its channel.
+def transmit_covariance(W, v):
+    """Transmit covariance sum_u W_u W_u^H + v v^H of precoders W and beam v."""
+    cov_all = np.zeros((v.shape[0],) * 2, dtype=complex)
+    for Wu in W:
+        cov_all += Wu @ Wu.conj().T
+    cov_all += np.outer(v, v.conj())
+    return cov_all
+
+
+def _lp_rate_workspace(channels, W, cov_all, k):
+    """Coefficient matrices of user k's rate differential w.r.t. its channel,
+    given the ``transmit_covariance`` of W and the beam.
 
     ``coef_all`` covers the signal-plus-interference log-det, ``coef_rest``
     the interference-only one; the rate gradient is their difference pushed
@@ -49,11 +59,6 @@ def _lp_rate_workspace(channels, W, v, k):
     """
     Hk = channels.H[k]
     n_u = Hk.shape[0]
-    n_t = Hk.shape[1]
-    cov_all = np.zeros((n_t, n_t), dtype=complex)
-    for Wu in W:
-        cov_all += Wu @ Wu.conj().T
-    cov_all += np.outer(v, v.conj())
     cov_rest = cov_all - W[k] @ W[k].conj().T
     eye = channels.noise_user[k] * np.eye(n_u, dtype=complex)
     rx_all = Hk @ cov_all @ Hk.conj().T + eye
@@ -65,7 +70,7 @@ def _lp_rate_workspace(channels, W, v, k):
 
 def grad_user_rate_lp(scenario, placement, channels, W, v, k):
     """d R_{L,k} / d(x,y) of user k's antennas, shape (n_u, 2)."""
-    coef_all, coef_rest = _lp_rate_workspace(channels, W, v, k)
+    coef_all, coef_rest = _lp_rate_workspace(channels, W, transmit_covariance(W, v), k)
     Hk = channels.H[k]
     phases = Hk / channels.rho[k]                    # unit-modulus e^{j 2 pi d / lam}
     q = placement.q[k]
@@ -77,9 +82,11 @@ def grad_user_rate_lp(scenario, placement, channels, W, v, k):
     return pref * geometry.chain_xy(core, diff)
 
 
-def grad_bs_rate_lp(scenario, placement, channels, W, v, k):
-    """d R_{L,k} / d(x,y) of the BS transmit antennas, shape (n_t, 2)."""
-    coef_all, coef_rest = _lp_rate_workspace(channels, W, v, k)
+def grad_bs_rate_lp(scenario, placement, channels, W, cov_all, k):
+    """d R_{L,k} / d(x,y) of the BS transmit antennas, shape (n_t, 2);
+    ``cov_all`` is the ``transmit_covariance`` of W and the beam, which
+    every user's gradient at one point shares."""
+    coef_all, coef_rest = _lp_rate_workspace(channels, W, cov_all, k)
     Hk = channels.H[k]
     phases = Hk / channels.rho[k]
     q = placement.q[k]
@@ -175,8 +182,9 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
 
     def descent(pl, ch, st, penalized):
         grad = np.zeros((scenario.n_t, 2))
+        cov_all = transmit_covariance(W, v)
         for k in range(scenario.n_users):
-            grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, v, k)
+            grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, cov_all, k)
         if not penalized:
             return grad, None
         return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0)

@@ -156,7 +156,7 @@ def logdet_hpd(m):
         except np.linalg.LinAlgError as exc:
             raise NumericalError("matrix not positive definite even after jitter") from exc
         regularized = True
-    ld = 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    ld = 2.0 * np.log(chol.diagonal(0, -2, -1).real).sum(axis=-1)
     return (float(ld) if m.ndim == 2 else ld), regularized
 
 
@@ -247,8 +247,14 @@ def sinr_parts(channels, precoders, v, u):
     den = channels.noise_radar * float(np.real(np.vdot(u, u)))
     for Wu in precoders:
         leak = (Wu.conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
-        den = den + per_row(lambda r: float(np.linalg.norm(r) ** 2), leak)
+        den = den + per_row(_norm2, leak)
     return num, den
+
+
+def _norm2(r):
+    """||r||^2 of a complex vector by the arithmetic of ``np.linalg.norm(r) ** 2``."""
+    re, im = r.real, r.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
 
 
 def sinr(channels, precoders, v, u):

@@ -422,7 +422,9 @@ class CovarianceSubproblem:
         self.zeta = float(zeta)
         self.sinr_deficit_scale = metrics.sinr_deficit_scale(channels, gamma0)
         self.g = channels.G.conj().T @ self.u
+        self._g_conj = self.g.conj()
         _, self.lead_vec = leading_eigpair(self.V0)
+        self._lead_conj = self.lead_vec.conj()
 
         if mode == "lp":
             if W is None:
@@ -467,7 +469,7 @@ class CovarianceSubproblem:
         B0 = np.stack(base) + self.H @ self.V0 @ self.HH
         self.c0, _ = metrics.logdet_hpd(B0)
         self.taylor = self.HH @ np.linalg.solve(B0, self.H)
-        self._pen_grad = self.zeta * (np.outer(self.lead_vec, self.lead_vec.conj())
+        self._pen_grad = self.zeta * (np.outer(self.lead_vec, self._lead_conj)
                                       - np.eye(self.V0.shape[0], dtype=complex))
         self._kap_grad = -np.outer(self.g, self.g.conj()) / self.sinr_deficit_scale
 
@@ -477,7 +479,7 @@ class CovarianceSubproblem:
         Vk = V[..., None, :, :]
         B = self.offs + self.H @ Vk @ self.HH
         ld, _ = metrics.logdet_hpd(B)
-        tr = np.real(np.trace(self.taylor @ (Vk - self.V0), axis1=-2, axis2=-1))
+        tr = (self.taylor @ (Vk - self.V0)).trace(0, -2, -1).real
         return ld - self.c0 - tr, B
 
     def bound_values(self, V):
@@ -486,8 +488,8 @@ class CovarianceSubproblem:
 
     def penalty(self, V):
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
-        lead = metrics.per_row(lambda r: r @ self.lead_vec, self.lead_vec.conj() @ V)
-        return np.real(lead) - np.real(np.trace(V, axis1=-2, axis2=-1))
+        lead = metrics.per_row(lambda r: r @ self.lead_vec, self._lead_conj @ V)
+        return lead.real - V.trace(0, -2, -1).real
 
     def objective(self, V):
         return float(self.weights @ self.bound_values(V)) + self.zeta * self.penalty(V)
@@ -518,8 +520,8 @@ class CovarianceSubproblem:
 
     def deficit(self, V):
         """SINR deficit at one covariance or at each matrix of a stack."""
-        gVg = metrics.per_row(lambda r: r @ self.g, self.g.conj() @ V)
-        return self._deficit_offset - np.real(gVg)
+        gVg = metrics.per_row(lambda r: r @ self.g, self._g_conj @ V)
+        return self._deficit_offset - gVg.real
 
 
 def solve_covariance_subproblem(sub, params=None):

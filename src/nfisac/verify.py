@@ -148,12 +148,13 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
         return precise_sinr_deficit_zf_scaled(scenario, pl, ch, zv, zu, gamma0)
 
     one_hot = np.eye(scenario.n_users)
+    cov_all = lp.transmit_covariance(W, v)
     for k in range(scenario.n_users):
         out[f"lp_rate_grad_user_q{k}"] = pair(
             k, lambda pl, ch, k=k: lp.grad_user_rate_lp(scenario, pl, ch, W, v, k),
             lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
         out[f"lp_rate_grad_bs_k{k}"] = pair(
-            None, lambda pl, ch, k=k: lp.grad_bs_rate_lp(scenario, pl, ch, W, v, k),
+            None, lambda pl, ch, k=k: lp.grad_bs_rate_lp(scenario, pl, ch, W, cov_all, k),
             lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
         out[f"zf_deficit_grad_user_q{k}"] = pair(
             k, lambda pl, ch, k=k: zf.grad_user_sinr_deficit_zf(

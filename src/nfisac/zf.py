@@ -52,29 +52,31 @@ class ZfWorkspace:
         u = self.u = state.u
         self.p_max = float(p_max)
         self.gamma0 = float(gamma0)
-        H_stack = np.vstack(channels.H)
+        H_stack = np.concatenate(channels.H)
+        HH = H_stack.conj().T
         Ai = state.gram_inv
         Ai2 = Ai @ Ai
-        self.tr_gram_inv = float(np.real(np.trace(Ai)))
+        self.tr_gram_inv = float(Ai.trace().real)
         self.beta2 = self.p_max / self.tr_gram_inv
-        self.tr_sens = H_stack.conj().T @ Ai2             # sensitivity of Tr(gram^-1) to H entries
-        self.pinv = H_stack.conj().T @ Ai                 # right pseudo-inverse of the stacked channel
+        self.tr_sens = HH @ Ai2                           # sensitivity of Tr(gram^-1) to H entries
+        self.pinv = HH @ Ai                               # right pseudo-inverse of the stacked channel
         self.g = channels.G.conj().T @ u
         p1g = self.pinv.conj().T @ self.g
-        self.pinv_g2 = float(np.real(np.vdot(p1g, p1g)))
-        self.tr_f_inv = []          # per-user Tr of the signal-plus-noise inverse
-        self.beam_sens = []         # own-channel sensitivity through the sensing beam
-        for k, Hk in enumerate(channels.H):
-            n_u = Hk.shape[0]
-            hv = Hk @ v
-            E = np.outer(hv, hv.conj()) + channels.noise_user[k] * np.eye(n_u, dtype=complex)
-            F = E + self.beta2 * np.eye(n_u, dtype=complex)
-            Fi = np.linalg.inv(F)
-            self.tr_f_inv.append(float(np.real(np.trace(Fi))))
-            self.beam_sens.append(np.outer(v, hv.conj() @ (Fi - np.linalg.inv(E))))
-        D = np.outer(p1g, self.g.conj())              # (K n_u, n_t)
-        self.quad_sens = H_stack.conj().T @ D @ H_stack.conj().T @ Ai2
-        self.quad_sens_ct = (Ai @ D - D @ H_stack.conj().T @ Ai2 @ H_stack).T
+        self.pinv_g2 = float(np.vdot(p1g, p1g).real)
+        # every user's E = hv hv^H + sigma_k^2 I and F = E + beta^2 I, built
+        # elementwise over the users and inverted in one stacked call (LAPACK
+        # still runs once per matrix, so each equals its own 2-D inverse)
+        hv = np.array([Hk @ v for Hk in channels.H])    # (K, n_u)
+        eye = np.eye(hv.shape[1], dtype=complex)
+        E = hv[:, :, None] * hv.conj()[:, None, :] + channels.noise_user[:, None, None] * eye
+        Fi, Ei = np.linalg.inv(np.stack((E + self.beta2 * eye, E)))
+        # per-user Tr of the signal-plus-noise inverse, and the own-channel
+        # sensitivity through the sensing beam
+        self.tr_f_inv = [float(m.trace().real) for m in Fi]
+        self.beam_sens = [v[:, None] * (h.conj() @ d)[None, :] for h, d in zip(hv, Fi - Ei)]
+        D = p1g[:, None] * self.g.conj()[None, :]        # (K n_u, n_t)
+        self.quad_sens = HH @ D @ HH @ Ai2
+        self.quad_sens_ct = (Ai @ D - D @ HH @ Ai2 @ H_stack).T
 
 
 def user_geometry(placement, channels, k):
@@ -91,13 +93,15 @@ def bs_geometry(placement, channels):
     user) and xy offsets of the BS antennas from the user's: the ``geo`` of
     the BS gradients."""
     t = placement.t
+    # every user's distances from one call; each entry is elementwise
+    dist = geometry.pairwise_distances(np.concatenate(placement.q), t).T
     geo = []
     for k, Hk in enumerate(channels.H):
         n_u = Hk.shape[0]
+        cols = slice(k * n_u, (k + 1) * n_u)
         phases = Hk / channels.rho[k]
-        dist = geometry.pairwise_distances(placement.q[k], t)
         diff = t[:, None, :2] - placement.q[k][None, :, :2]
-        geo.append((slice(k * n_u, (k + 1) * n_u), phases.T, dist.T, diff))
+        geo.append((cols, phases.T, dist[:, cols], diff))
     return geo
 
 

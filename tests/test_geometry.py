@@ -257,6 +257,21 @@ class TestChannelSetInvariants:
                    for name in fields if name != "tag")
 
 
+class TestChainXy:
+    @pytest.mark.parametrize("m", [2, 4, 8, 9, 16])
+    def test_matches_per_axis_sums(self, m):
+        # against the per-axis reference form; diff is a non-contiguous view
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            core = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
+            diff = rng.normal(size=(m, 5, 3)).transpose(1, 0, 2)[:, :, :2]
+            assert not diff.flags.c_contiguous
+            ref = np.stack([np.imag(np.sum(core * diff[:, :, a], axis=1))
+                            for a in range(2)], axis=1)
+            got = geometry.chain_xy(core, diff)
+            assert got.shape == (5, 2) and got.tobytes() == ref.tobytes()
+
+
 class TestPlacementValidation:
     def test_valid_placement_passes(self, scenario, placement):
         placement.validate(scenario)
@@ -308,6 +323,45 @@ class TestMoveArray:
         for a, b in zip(ch.H, ref.H):
             assert a.tobytes() == b.tobytes()
         assert ch.rho_s == ref.rho_s
+
+    def test_bs_move_at_desk_scale_matches_the_per_user_builders(self):
+        # N_t = 8 > K N_u: the one distance-and-phase pass over every user
+        # antenna and the target gives each user's build_user_channel and
+        # the sensing channel's f_t and G, byte for byte
+        from nfisac import harness
+
+        sc = harness.build_scenario(
+            harness.apply_profile(harness.ExperimentConfig(), "desk"))
+        assert sc.n_t == 8
+        pl = harness.initial_placement(sc, harness.trial_rng(7, 0))
+        ch = geometry.build_channels(sc, pl)
+        t = self._moved(pl.t, sc.tx_region, 0.004)
+        _, moved = geometry.move_array(sc, pl, ch, None, t)
+        ref = geometry.build_channels(sc, pl.with_t(t))
+        f_t, f_r, G = build_sensing_channel(t, geometry.receive_ula_positions(sc),
+                                            sc.target, ref.rho_s, sc.lam)
+        for got in (moved, ref):
+            for k, Hk in enumerate(got.H):
+                want = build_user_channel(t, pl.q[k], ref.rho[k], sc.lam)
+                assert Hk.tobytes() == want.tobytes()
+            for name, want in (("f_t", f_t), ("f_r", f_r), ("G", G)):
+                assert getattr(got, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("onto, message", [
+        ("user", "transmit antenna coincides with a user antenna"),
+        ("target", "target coincides with an antenna"),
+    ])
+    def test_bs_candidate_on_a_point_raises(self, scenario, placement, channels,
+                                            onto, message):
+        point = placement.q[1][0] if onto == "user" else scenario.target
+        t = placement.t.copy()
+        t[2] = point
+        stack = np.stack([placement.t, t])
+        for pos in (t, stack):
+            with pytest.raises(GeometryError, match=f"^{message}$"):
+                geometry.move_array(scenario, placement, channels, None, pos)
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            geometry.build_channels(scenario, placement.with_t(t))
 
 
 class TestStackedCandidates:

@@ -250,7 +250,7 @@ class TestAlignedGeometryZeros:
         rng = np.random.Generator(np.random.Philox(key=[53, 1]))
         st = verify.random_lp_state(sc, ch, rng)
         g_user = lp.grad_user_rate_lp(sc, pl, ch, st.W, st.v, 0)
-        g_bs = lp.grad_bs_rate_lp(sc, pl, ch, st.W, st.v, 0)
+        g_bs = lp.grad_bs_rate_lp(sc, pl, ch, st.W, lp.transmit_covariance(st.W, st.v), 0)
         np.testing.assert_allclose(g_bs, -g_user, rtol=1e-12)
 
     def test_bs_sinr_deficit_zero_when_unconstrained(self, scenario, placement, channels):

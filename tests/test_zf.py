@@ -184,3 +184,17 @@ class TestZfWorkspaceConsistency:
         g_own = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[0], 0)
         g_cross = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[1], 0)
         assert not np.allclose(g_own, g_cross)
+
+    def test_stacked_inverse_matches_per_user_inv(self, scenario, channels, zf_state):
+        ws = zf.ZfWorkspace(channels, zf_state, scenario.p_max, scenario.gamma0)
+        v = zf_state.v
+        assert len(ws.tr_f_inv) == len(ws.beam_sens) == scenario.n_users
+        for k, Hk in enumerate(channels.H):
+            eye = np.eye(Hk.shape[0], dtype=complex)
+            hv = Hk @ v
+            E = np.outer(hv, hv.conj()) + channels.noise_user[k] * eye
+            Fi = np.linalg.inv(E + ws.beta2 * eye)
+            tr = float(np.real(np.trace(Fi)))
+            beam = np.outer(v, hv.conj() @ (Fi - np.linalg.inv(E)))
+            assert ws.tr_f_inv[k] == tr
+            assert ws.beam_sens[k].tobytes() == beam.tobytes()
