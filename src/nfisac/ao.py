@@ -304,8 +304,8 @@ def _measure(channels, state, rates_of, weights, gamma0, scale):
     """(rates, WSR, scaled SINR deficit) of a state on its channels; on a
     stack of candidates, one entry per candidate (the WSR per row)."""
     rates = rates_of(channels, state)
-    weights = np.asarray(weights)
-    return (rates, metrics.per_row(lambda r: float(weights @ r), rates),
+    wsr = metrics.row_dot(rates, np.asarray(weights))
+    return (rates, float(wsr) if rates.ndim == 1 else wsr,
             metrics.sinr_deficit(channels, state.precoders, state.v, state.u,
                                  gamma0) / scale)
 

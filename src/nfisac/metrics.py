@@ -7,8 +7,7 @@ The rates, the ZF precoder and the sensing SINR also take channels that
 hold a stack of candidates (a leading axis, see ``geometry.move_array``)
 and give one entry per candidate, each exactly the value of its own 2-D
 call: matrix products and factorizations run per matrix of the stack, and
-vector products that a stacked call could round differently run per row
-(``per_row``).
+scalar products run per row (``row_dot``).
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# the LAPACK gufuncs behind np.linalg, called by eigh, cholesky and solve below
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError, RankDeficiencyError
 
@@ -116,16 +117,68 @@ class TraceRecord:
     flags: tuple = ()
 
 
-def per_row(fn, rows):
-    """fn of one vector, or an array of fn over the rows of a stack.
+def row_dot(a, b):
+    """a_i . b_i (no conjugation) over the last axis: for 1-D a and b the
+    numpy scalar ``a @ b``, for a stack of rows one entry per row.
 
-    Scalar products and norms run one 1-D call per row: a stacked
-    matrix-vector product can round differently from the 1-D call one
-    vector gets, and a stack must give each row its own value.
+    Each row is its own (1, n) @ (n, 1) product, which numpy evaluates with
+    the dot kernel of the 1-D ``a @ b``, so every entry has its bytes.
+    ``b`` is one vector or a stack of rows like ``a``.
     """
-    if rows.ndim == 1:
-        return fn(rows)
-    return np.array([fn(r) for r in rows])
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norm2(r):
+    """||r||^2 of a complex vector, or of each row of a stack, by the
+    arithmetic of ``np.linalg.norm(r) ** 2``."""
+    re, im = r.real, r.imag
+    return np.float_power(np.sqrt(row_dot(re, re) + row_dot(im, im)), 2.0)
+
+
+def _float(x):
+    """A 0-d result as a float, a stacked one as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _raiser(message):
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return handler
+
+
+_NOT_PD = _raiser("Matrix is not positive definite")
+_SINGULAR = _raiser("Singular matrix")
+_NO_CONVERGENCE = _raiser("Eigenvalues did not converge")
+
+
+def eigh(a):
+    """(eigenvalues, eigenvectors) of a complex Hermitian matrix or stack:
+    the bytes of ``np.linalg.eigh(a)``, from the gufunc it calls, without
+    its per-call wrapper (dtype checks, result conversion).
+
+    It raises LinAlgError where ``np.linalg.eigh`` does, and also on a NaN
+    eigenvalue, which a NaN input gives (``np.linalg.eigh`` returns it).
+    """
+    with np.errstate(call=_NO_CONVERGENCE, invalid="call"):
+        vals, vecs = _umath_linalg.eigh_lo(a, signature="D->dD")
+    if np.isnan(vals).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return vals, vecs
+
+
+def cholesky(a):
+    """Lower Cholesky factor of a complex Hermitian matrix or stack, as
+    ``np.linalg.cholesky(a)`` gives it (see ``eigh``); LinAlgError if a
+    matrix is not positive definite."""
+    with np.errstate(call=_NOT_PD, invalid="call"):
+        return _umath_linalg.cholesky_lo(a, signature="D->D")
+
+
+def solve(a, b):
+    """``np.linalg.solve(a, b)`` for complex matrices (or stacks) a and b
+    (see ``eigh``); LinAlgError if a matrix of a is singular."""
+    with np.errstate(call=_SINGULAR, invalid="call"):
+        return _umath_linalg.solve(a, b, signature="DD->D")
 
 
 def logdet_hpd(m):
@@ -143,7 +196,7 @@ def logdet_hpd(m):
     m = np.asarray(m)
     regularized = False
     try:
-        chol = np.linalg.cholesky(m)
+        chol = cholesky(m)
     except np.linalg.LinAlgError:
         if m.ndim > 2:
             parts = [logdet_hpd(mi) for mi in m.reshape((-1,) + m.shape[-2:])]
@@ -152,7 +205,7 @@ def logdet_hpd(m):
         n = m.shape[0]
         jitter = 1e-14 * float(np.real(np.trace(m))) / n
         try:
-            chol = np.linalg.cholesky(m + jitter * np.eye(n))
+            chol = cholesky(m + jitter * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("matrix not positive definite even after jitter") from exc
         regularized = True
@@ -240,21 +293,16 @@ def sinr_parts(channels, precoders, v, u):
     ``precoders`` is the LP list W or the ZF (P,); each precoder adds its
     echo leakage ||P^H G^H u||^2 to the denominator.  A stack of candidates
     (a leading axis on G or on a precoder) gives arrays; their scalar
-    products and norms run per candidate (``per_row``).
+    products and norms run per candidate (``row_dot``).
     """
     g = channels.G.conj().swapaxes(-1, -2) @ u          # G^H u
-    num = per_row(lambda gi: float(np.abs(np.vdot(gi, v)) ** 2), g)
+    # |g^H v|^2 by the arithmetic of np.abs(np.vdot(g, v)) ** 2
+    num = np.float_power(np.abs(row_dot(g.conj(), v)), 2.0)
     den = channels.noise_radar * float(np.real(np.vdot(u, u)))
     for Wu in precoders:
         leak = (Wu.conj().swapaxes(-1, -2) @ g[..., None])[..., 0]
-        den = den + per_row(_norm2, leak)
-    return num, den
-
-
-def _norm2(r):
-    """||r||^2 of a complex vector by the arithmetic of ``np.linalg.norm(r) ** 2``."""
-    re, im = r.real, r.imag
-    return float(np.sqrt(re.dot(re) + im.dot(im)) ** 2)
+        den = den + row_norm2(leak)
+    return _float(num), _float(den)
 
 
 def sinr(channels, precoders, v, u):

@@ -42,7 +42,7 @@ def psd_trace_project(V):
     (leading axes) is projected matrix by matrix with one stacked ``eigh``.
     """
     V = 0.5 * (V + V.conj().swapaxes(-1, -2))
-    vals, vecs = np.linalg.eigh(V)
+    vals, vecs = metrics.eigh(V)
     vals = np.maximum(vals, 0.0)
     # 1 / max(Tr, 1) is exactly 1 where Tr <= 1, so those matrices keep
     # their clipped eigenvalues unscaled
@@ -353,19 +353,15 @@ class PrecoderSubproblem:
     def deficit(self, Ws):
         """SINR deficit at one precoder set or at each set of a stack."""
         Wg = Ws.conj().swapaxes(-1, -2) @ self.g          # W_j^H g per set and user
-        sq = metrics.per_row(lambda r: np.linalg.norm(r) ** 2,
-                             Wg.reshape(-1, Wg.shape[-1]))
-        sq = sq.reshape(Wg.shape[:-1])
+        sq = metrics.row_norm2(Wg)
         val = self._deficit_offset
         for j in range(self.K):
             val = val + self.gamma0 * sq[..., j]
         return val
 
     def deficit_grad(self, Ws):
-        g = np.empty_like(Ws)
-        for j in range(self.K):
-            g[j] = self.gamma0 * np.outer(self.g, self.g.conj() @ Ws[j])
-        return g
+        gW = self.g.conj() @ Ws                           # g^H W_j per user
+        return self.gamma0 * (self.g[:, None] * gW[:, None, :])
 
 
 def solve_precoder_subproblem(sub, params=None):
@@ -488,7 +484,7 @@ class CovarianceSubproblem:
 
     def penalty(self, V):
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
-        lead = metrics.per_row(lambda r: r @ self.lead_vec, self._lead_conj @ V)
+        lead = metrics.row_dot(self._lead_conj @ V, self.lead_vec)
         return lead.real - V.trace(0, -2, -1).real
 
     def objective(self, V):
@@ -506,21 +502,22 @@ class CovarianceSubproblem:
         per user, in user order.
         """
         bounds, B = self._bounds(V)
+        weighted = bounds * self.weights
         val = self.zeta * self.penalty(V)
         for k in range(self.K):
-            val = val + self.weights[k] * bounds[..., k]
+            val = val + weighted[..., k]
 
         def grad(i=()):
-            dgrad = self.HH @ np.linalg.solve(B[i], self.H) - self.taylor
-            g = np.array(self._pen_grad, copy=True)
-            for k in range(self.K):
+            dgrad = self.HH @ metrics.solve(B[i], self.H) - self.taylor
+            g = self._pen_grad + self.weights[0] * dgrad[0]
+            for k in range(1, self.K):
                 g += self.weights[k] * dgrad[k]
             return 0.5 * (g + g.conj().T)
         return val, grad
 
     def deficit(self, V):
         """SINR deficit at one covariance or at each matrix of a stack."""
-        gVg = metrics.per_row(lambda r: r @ self.g, self._g_conj @ V)
+        gVg = metrics.row_dot(self._g_conj @ V, self.g)
         return self._deficit_offset - gVg.real
 
 
@@ -568,10 +565,10 @@ def solve_covariance_subproblem(sub, params=None):
 
     def fw_oracle(V, g):
         # best extreme point of {V >= 0, Tr <= 1} for the linearized gain
-        vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+        vals, vecs = metrics.eigh(0.5 * (g + g.conj().T))
         if vals[-1] > 0.0:
             x = vecs[:, -1]
-            return np.outer(x, x.conj()) - V
+            return x[:, None] * x.conj() - V
         return -V if float(np.real(np.trace(V))) > 0.0 else None
 
     V = _constrained_ascent(sub.V0, sub.objective_and_grad, kap, kap_grad,

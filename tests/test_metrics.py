@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,111 @@ class TestLogdetHpd:
             metrics.logdet_hpd(M)
         with pytest.raises(NumericalError):
             metrics.logdet_hpd(M[0])
+
+
+def _reference_logdet(m):
+    """logdet_hpd as written on np.linalg.cholesky: the reference the LAPACK
+    shim must reproduce, value and flag."""
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if m.ndim > 2:
+            parts = [_reference_logdet(mi) for mi in m.reshape((-1,) + m.shape[-2:])]
+            return (np.array([p[0] for p in parts]).reshape(m.shape[:-2]),
+                    any(p[1] for p in parts))
+        n = m.shape[0]
+        jitter = 1e-14 * float(np.real(np.trace(m))) / n
+        chol = np.linalg.cholesky(m + jitter * np.eye(n))
+        ld = 2.0 * np.log(chol.diagonal(0, -2, -1).real).sum(axis=-1)
+        return float(ld), True
+    ld = 2.0 * np.log(chol.diagonal(0, -2, -1).real).sum(axis=-1)
+    return (float(ld) if m.ndim == 2 else ld), False
+
+
+class TestLapackShim:
+    """metrics.eigh, cholesky and solve call np.linalg's own gufuncs: the
+    same bytes as np.linalg, the same LinAlgError, and no warning.  If numpy
+    moves its private gufunc module these tests fail at import."""
+
+    @staticmethod
+    def _cases(seed):
+        rng = np.random.Generator(np.random.Philox(key=[43, seed]))
+        for n in (1, 2, 4, 8, 16):
+            for m in rng.integers(1, 17, size=6):
+                yield rng, (int(m),), n
+            yield rng, (), n
+
+    def test_bytes_equal_np_linalg(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rng, shape, n in self._cases(0):
+                M = _random_hpd_stack(rng, shape, n)
+                B = rng.normal(size=shape + (n, 3)) + 1j * rng.normal(size=shape + (n, 3))
+                vals, vecs = metrics.eigh(M)
+                ref_vals, ref_vecs = np.linalg.eigh(M)
+                assert vals.tobytes() == ref_vals.tobytes()
+                assert vecs.tobytes() == ref_vecs.tobytes()
+                assert (metrics.cholesky(M).tobytes()
+                        == np.linalg.cholesky(M).tobytes())
+                assert metrics.solve(M, B).tobytes() == np.linalg.solve(M, B).tobytes()
+
+    def test_not_positive_definite_logdet_as_on_np_linalg(self):
+        rng = np.random.Generator(np.random.Philox(key=[43, 1]))
+        M = _random_hpd_stack(rng, (4,), 3)
+        M[2] = np.diag([2.0, 1.0, 0.0])     # PSD but singular: the jitter path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (M, M[2]):
+                val, flag = metrics.logdet_hpd(m)
+                ref_val, ref_flag = _reference_logdet(m)
+                assert flag and ref_flag
+                assert np.asarray(val).tobytes() == np.asarray(ref_val).tobytes()
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.cholesky(M)
+
+    def test_failures_raise_without_warning(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.solve(singular, np.eye(2, dtype=complex))
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.solve(np.stack([np.eye(2, dtype=complex), singular]),
+                              np.ones((2, 2, 1), dtype=complex))
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.eigh(nan)
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.eigh(np.stack([np.eye(2, dtype=complex), nan]))
+            with pytest.raises(np.linalg.LinAlgError):
+                metrics.cholesky(-np.eye(2, dtype=complex))
+
+
+class TestRowDot:
+    def test_equals_the_1d_product(self):
+        # each row's entry is the 1-D r @ vec, byte for byte, real and complex
+        rng = np.random.Generator(np.random.Philox(key=[47, 0]))
+        for n in range(1, 65):
+            for cplx in (False, True):
+                m = int(rng.integers(1, 17))
+                rows = rng.normal(size=(m, n))
+                vec = rng.normal(size=n)
+                if cplx:
+                    rows = rows + 1j * rng.normal(size=(m, n))
+                    vec = vec + 1j * rng.normal(size=n)
+                got = metrics.row_dot(rows, vec)
+                assert got.shape == (m,)
+                for i, r in enumerate(rows):
+                    assert got[i].tobytes() == (r @ vec).tobytes()
+                assert metrics.row_dot(rows[0], vec).tobytes() == (rows[0] @ vec).tobytes()
+
+    def test_row_norm2_equals_np_linalg_norm(self):
+        rng = np.random.Generator(np.random.Philox(key=[47, 1]))
+        for n in range(1, 17):
+            Z = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+            got = metrics.row_norm2(Z)
+            for i, z in enumerate(Z):
+                assert repr(float(got[i])) == repr(float(np.linalg.norm(z) ** 2))
 
 
 class TestRateLp:

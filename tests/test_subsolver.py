@@ -824,6 +824,32 @@ class TestStackedKernels:
         sub = _cov_sub(scenario, channels, None, V0, mode="zf", zf_state=zf_state)
         self._check_covariance(sub, scenario.n_t, 1)
 
+    @staticmethod
+    def _desk():
+        """The conftest fixtures rebuilt at desk scale (N_t = 8)."""
+        from nfisac import geometry, harness
+
+        sc = harness.build_scenario(
+            harness.apply_profile(harness.ExperimentConfig(), "desk"))
+        assert sc.n_t == 8
+        ch = geometry.build_channels(
+            sc, harness.initial_placement(sc, harness.trial_rng(11, 0)))
+        lp = verify.random_lp_state(sc, ch, np.random.Generator(np.random.Philox(key=[5, 0])))
+        rng = np.random.Generator(np.random.Philox(key=[5, 1]))
+        v, u = verify._random_unit(rng, sc.n_t), verify._random_unit(rng, sc.n_r)
+        return sc, ch, lp, metrics.make_zf_state(ch, v, u, sc.p_max)
+
+    def test_lp_covariance_desk(self):
+        sc, ch, lp, _ = self._desk()
+        V0 = np.outer(lp.v, lp.v.conj())
+        self._check_covariance(_cov_sub(sc, ch, lp, V0), sc.n_t, 4)
+
+    def test_zf_covariance_desk(self):
+        sc, ch, _, zst = self._desk()
+        V0 = np.outer(zst.v, zst.v.conj())
+        sub = _cov_sub(sc, ch, None, V0, mode="zf", zf_state=zst)
+        self._check_covariance(sub, sc.n_t, 5)
+
     def test_psd_trace_project(self):
         # traces below and above 1, so both the clipped-only and the
         # rescaled branches run
@@ -857,6 +883,17 @@ class TestStackedKernels:
                 assert np.array_equal(grad(i), grad2())
                 assert deficits[i] == sub.deficit(W)
                 assert np.array_equal(projected[i], power_project(W, scenario.p_max))
+
+    def test_precoder_deficit_grad(self, scenario, channels, lp_state):
+        # one broadcast product gives each user's outer product, bytes and all
+        sub = _precoder_sub(scenario, channels, lp_state)
+        rng = np.random.Generator(np.random.Philox(key=[61, 6]))
+        for _ in range(20):
+            Ws = rng.normal(size=sub.W0.shape) + 1j * rng.normal(size=sub.W0.shape)
+            got = sub.deficit_grad(Ws)
+            for j in range(sub.K):
+                want = sub.gamma0 * np.outer(sub.g, sub.g.conj() @ Ws[j])
+                assert got[j].tobytes() == want.tobytes()
 
 
 class TestCovarianceSolveCost:
