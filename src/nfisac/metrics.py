@@ -141,6 +141,10 @@ def _float(x):
 
 
 def _raiser(message):
+    """An ``np.errstate`` call handler raising LinAlgError(message): a
+    gufunc flags a failed matrix as an invalid value, and np.linalg turns
+    that flag into its error the same way, so no NaN check is needed and no
+    RuntimeWarning is emitted."""
     def handler(err, flag):
         raise np.linalg.LinAlgError(message)
     return handler
@@ -148,7 +152,6 @@ def _raiser(message):
 
 _NOT_PD = _raiser("Matrix is not positive definite")
 _SINGULAR = _raiser("Singular matrix")
-_NO_CONVERGENCE = _raiser("Eigenvalues did not converge")
 
 
 def eigh(a):
@@ -159,7 +162,8 @@ def eigh(a):
     It raises LinAlgError where ``np.linalg.eigh`` does, and also on a NaN
     eigenvalue, which a NaN input gives (``np.linalg.eigh`` returns it).
     """
-    with np.errstate(call=_NO_CONVERGENCE, invalid="call"):
+    # a failed matrix comes back as NaN, which the check below catches
+    with np.errstate(invalid="ignore"):
         vals, vecs = _umath_linalg.eigh_lo(a, signature="D->dD")
     if np.isnan(vals).any():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
