@@ -130,7 +130,8 @@ def row_dot(a, b):
 
 def row_norm2(r):
     """||r||^2 of a complex vector, or of each row of a stack, by the
-    arithmetic of ``np.linalg.norm(r) ** 2``."""
+    arithmetic of ``np.linalg.norm(r) ** 2`` (``np.float_power`` is libm
+    pow, as ``** 2`` on a scalar takes it; x * x rounds differently)."""
     re, im = r.real, r.imag
     return np.float_power(np.sqrt(row_dot(re, re) + row_dot(im, im)), 2.0)
 
