@@ -5,8 +5,8 @@ SCA block, the sensing-beam update, the projected-gradient descent of every
 position block and the ALM loop around it; the engine measures every point
 itself.  A stack supplies only what is scheme-specific: its state, whose
 ``precoders`` (LP W, ZF (P,)) enter the sensing SINR and whose ``at``
-follows an antenna move, its rates, combiner and blocks, and the
-subproblem, objective and gradient functions the inner loops call.
+follows an antenna move, its rates, combiner, blocks and interference
+model, and the subproblem, objective and gradient functions of the inner loops.
 """
 
 from __future__ import annotations
@@ -112,16 +112,24 @@ def sca(x, make_sub, solve, value, params):
     return x, rounds
 
 
-def sense_beam(channels, state, weights, gamma0, params, make_sub, solve, eigpair):
+def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eigpair):
     """SCA + rank-1 penalty update of the sensing transmit beamformer.
 
-    ``make_sub(V)`` builds the stack's covariance subproblem around V;
+    ``model(channels, state, gamma0)`` is the stack's interference model
+    (see ``subsolver.CovarianceSubproblem``), built once here: the precoders
+    stay fixed over the block, so every SCA round's subproblem shares it.
     ``solve`` and ``eigpair`` are the stack's subproblem solver and
     eigen-extraction.  Returns (v, rank_ratio, flags).  The eigen-extracted
     vector is renormalized to unit norm, which can only decrease the SINR
     deficit under ``state.precoders``; if even the renormalized vector is
     infeasible the scaled vector is returned and flagged for the caller.
     """
+    interference = model(channels, state, gamma0)
+
+    def make_sub(V):
+        return subsolver.CovarianceSubproblem(channels, V, weights, gamma0, state.u,
+                                              zeta, interference)
+
     V, _ = sca(np.outer(state.v, state.v.conj()), make_sub, solve,
                lambda sub, V: float(np.asarray(weights) @ sub.bound_values(V)), params)
     beta_max, chi = eigpair(V)

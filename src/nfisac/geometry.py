@@ -25,6 +25,7 @@ import numpy as np
 from .errors import GeometryError, ScenarioError
 
 TWO_PI = 2.0 * np.pi
+FOUR_PI = 4.0 * np.pi
 
 _channel_tag = itertools.count(1)
 
@@ -76,6 +77,47 @@ def chain_xy(core, diff):
     # order; a sum over a strided axis rounds differently from m = 8 on
     prod = np.multiply(core[:, None, :], diff.transpose(0, 2, 1), order="C")
     return prod.sum(axis=-1).imag
+
+
+def target_term(scenario, placement, channels, u, M):
+    """xy gradient over the BS transmit antennas of u^H G M G^H u through
+    the transmit response f_t of G, shape (n_t, 2): the sensing-channel
+    term of a BS SINR-deficit gradient, M the stack's precoder covariance
+    term minus the beam's."""
+    e = np.vdot(channels.f_r, u) * (u.conj() @ channels.G @ M)   # (n_t,)
+    t = placement.t
+    s = scenario.target
+    d_s = np.linalg.norm(t - s[None, :], axis=1)
+    diff = t[:, :2] - s[None, :2]
+    core = e * channels.f_t / d_s
+    pref = -FOUR_PI * channels.rho_s / scenario.lam
+    return pref * np.imag(core[:, None] * diff)
+
+
+def user_geometry(placement, channels, k):
+    """User k's channel phases, distances (user by BS) and xy offsets of its
+    antennas from the BS antennas: the ``geo`` of user k's gradients."""
+    phases = channels.H[k] / channels.rho[k]
+    dist = pairwise_distances(placement.q[k], placement.t)
+    diff_user = placement.q[k][:, None, :2] - placement.t[None, :, :2]
+    return phases, dist, diff_user
+
+
+def bs_geometry(placement, channels):
+    """Per user: the stacked-channel columns, phases, distances (both BS by
+    user) and xy offsets of the BS antennas from the user's: the ``geo`` of
+    the BS gradients."""
+    t = placement.t
+    # every user's distances from one call; each entry is elementwise
+    dist = pairwise_distances(np.concatenate(placement.q), t).T
+    geo = []
+    for k, Hk in enumerate(channels.H):
+        n_u = Hk.shape[0]
+        cols = slice(k * n_u, (k + 1) * n_u)
+        phases = Hk / channels.rho[k]
+        diff = t[:, None, :2] - placement.q[k][None, :, :2]
+        geo.append((cols, phases.T, dist[:, cols], diff))
+    return geo
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.n_users != 2:
             raise ConfigError("the experiment presets assume exactly two users")
+        if self.gradcheck_configs < 1:
+            raise ConfigError("gradcheck_configs must be >= 1")
+        if not 0.0 <= self.zeta < math.inf:
+            raise ConfigError("zeta must be finite and >= 0")
         if not 0.0 <= self.w1 <= 1.0:
             raise ConfigError("w1 must lie in [0, 1]")
         if self.dtk <= 0:
@@ -99,6 +103,15 @@ class ExperimentConfig:
         grid = self.sweep_grid()
         if not grid:
             raise ConfigError("sweep grid is empty")
+        for point in (_at_sweep(self, s) for s in grid):
+            if point.n_t < 1:
+                raise ConfigError("n_t must be >= 1")
+            if point.n_u < 1:
+                raise ConfigError("n_u must be >= 1")
+            if not 0.0 < point.lam < math.inf:
+                raise ConfigError("lam must be finite and positive")
+            if not 0.0 < point.p_max < math.inf:
+                raise ConfigError("p_max must be finite and positive")
         if any(s.startswith("ZF") for s in self.schemes):
             n_u_max = max(grid) if self.preset == "nk" else self.n_u
             if self.n_users * n_u_max > self.n_t:
@@ -259,18 +272,19 @@ class TrialSpec:
     trial: int
 
 
-def _scenario_for(cfg, sweep):
+def _at_sweep(cfg, sweep):
+    """The config of one sweep point of the preset."""
     if cfg.preset == "convergence":
-        cfg = replace(cfg, dtk=sweep)
-    elif cfg.preset == "weights":
-        cfg = replace(cfg, w1=sweep)
-    elif cfg.preset == "power":
-        cfg = replace(cfg, p_max=sweep)
-    elif cfg.preset == "nk":
-        cfg = replace(cfg, n_u=int(sweep))
-    elif cfg.preset == "gamma0":
-        cfg = replace(cfg, gamma0=sweep)
-    return build_scenario(cfg)
+        return replace(cfg, dtk=sweep)
+    if cfg.preset == "weights":
+        return replace(cfg, w1=sweep)
+    if cfg.preset == "power":
+        return replace(cfg, p_max=sweep)
+    if cfg.preset == "nk":
+        return replace(cfg, n_u=int(sweep))
+    if cfg.preset == "gamma0":
+        return replace(cfg, gamma0=sweep)
+    return cfg
 
 
 def run_trial(spec):
@@ -280,7 +294,7 @@ def run_trial(spec):
     the row under ``"error"``, a key outside the CSV schema.
     """
     cfg = spec.cfg
-    scenario = _scenario_for(cfg, spec.sweep)
+    scenario = build_scenario(_at_sweep(cfg, spec.sweep))
     rng = trial_rng(cfg.seed, spec.trial)
     row = {"preset": cfg.preset, "scheme": spec.scheme, "sweep": spec.sweep,
            "trial": spec.trial, "seed": cfg.seed, "wsr_bits": float("nan"),
@@ -343,7 +357,7 @@ def run_preset(cfg):
         rows = _run_gradcheck(cfg)
         return rows, [], sum(1 for r in rows if not r["passed"])
     for sweep in cfg.sweep_grid():
-        _scenario_for(cfg, sweep)       # reject unreachable gamma0 before any trial
+        build_scenario(_at_sweep(cfg, sweep))   # reject unreachable gamma0 before any trial
     specs = [TrialSpec(cfg, scheme, sweep, trial)
              for sweep in cfg.sweep_grid()
              for scheme in cfg.schemes

@@ -1,8 +1,8 @@
 """Linear-precoding solution stack.
 
 The scheme-specific parts of the alternating optimization in ``ao``: the
-closed-form receive combiner, the SCA precoder update, the covariance
-subproblem of the sensing beam, per-user projected gradient ascent on the
+closed-form receive combiner, the SCA precoder update, the interference
+model of the sensing beam's covariance subproblem, per-user projected gradient ascent on the
 antenna positions (the shared descent, stopped on a relative rate gain),
 the BS-position gradients and the rates for the shared ALM loop, and the
 sensing-aware warm start.
@@ -16,11 +16,11 @@ from . import ao, geometry, metrics
 from .errors import ScenarioError
 from .params import AlgoParams
 from .subsolver import (
-    CovarianceSubproblem, PrecoderSubproblem, leading_eigpair,
-    solve_covariance_subproblem, solve_precoder_subproblem,
+    PrecoderSubproblem, leading_eigpair, solve_covariance_subproblem,
+    solve_precoder_subproblem,
 )
 
-FOUR_PI = 4.0 * np.pi
+FOUR_PI = geometry.FOUR_PI
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,9 @@ def _lp_rate_workspace(channels, W, cov_all, k):
 
     ``coef_all`` covers the signal-plus-interference log-det, ``coef_rest``
     the interference-only one; the rate gradient is their difference pushed
-    through the per-entry channel phase derivatives.
+    through the per-entry channel phase derivatives.  Both receive
+    covariances are inverted in one stacked call (LAPACK still runs once
+    per matrix, so each equals its own 2-D inverse).
     """
     Hk = channels.H[k]
     n_u = Hk.shape[0]
@@ -63,37 +65,28 @@ def _lp_rate_workspace(channels, W, cov_all, k):
     eye = channels.noise_user[k] * np.eye(n_u, dtype=complex)
     rx_all = Hk @ cov_all @ Hk.conj().T + eye
     rx_rest = Hk @ cov_rest @ Hk.conj().T + eye
-    coef_all = cov_all @ Hk.conj().T @ np.linalg.inv(rx_all)
-    coef_rest = cov_rest @ Hk.conj().T @ np.linalg.inv(rx_rest)
-    return coef_all, coef_rest
+    inv_all, inv_rest = np.linalg.inv(np.stack((rx_all, rx_rest)))
+    return cov_all @ Hk.conj().T @ inv_all, cov_rest @ Hk.conj().T @ inv_rest
 
 
-def grad_user_rate_lp(scenario, placement, channels, W, v, k):
-    """d R_{L,k} / d(x,y) of user k's antennas, shape (n_u, 2)."""
+def grad_user_rate_lp(scenario, channels, W, v, geo, k):
+    """d R_{L,k} / d(x,y) of user k's antennas, shape (n_u, 2); ``geo`` is
+    ``geometry.user_geometry`` of user k."""
     coef_all, coef_rest = _lp_rate_workspace(channels, W, transmit_covariance(W, v), k)
-    Hk = channels.H[k]
-    phases = Hk / channels.rho[k]                    # unit-modulus e^{j 2 pi d / lam}
-    q = placement.q[k]
-    t = placement.t
-    dist = geometry.pairwise_distances(q, t)         # (n_u, n_t)
+    phases, dist, diff = geo
     core = (coef_rest - coef_all).T * phases / dist  # indexed [b, m]
-    diff = q[:, None, :2] - t[None, :, :2]           # x_{k,b} - x_m
     pref = FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
 
-def grad_bs_rate_lp(scenario, placement, channels, W, cov_all, k):
+def grad_bs_rate_lp(scenario, channels, W, cov_all, geo, k):
     """d R_{L,k} / d(x,y) of the BS transmit antennas, shape (n_t, 2);
-    ``cov_all`` is the ``transmit_covariance`` of W and the beam, which
-    every user's gradient at one point shares."""
+    ``cov_all`` is the ``transmit_covariance`` of W and the beam and ``geo``
+    the ``geometry.bs_geometry``, which every user's gradient at one point
+    shares."""
     coef_all, coef_rest = _lp_rate_workspace(channels, W, cov_all, k)
-    Hk = channels.H[k]
-    phases = Hk / channels.rho[k]
-    q = placement.q[k]
-    t = placement.t
-    dist = geometry.pairwise_distances(q, t)
-    core = (coef_rest - coef_all) * phases.T / dist.T   # indexed [m, b]
-    diff = t[:, None, :2] - q[None, :, :2]           # x_m - x_{k,b}
+    _, phases_t, dist_t, diff = geo[k]
+    core = (coef_rest - coef_all) * phases_t / dist_t   # indexed [m, b]
     pref = FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
@@ -104,14 +97,32 @@ def grad_bs_sinr_deficit_lp(scenario, placement, channels, W, v, u, gamma0):
     M = -np.outer(v, v.conj())
     for Wu in W:
         M += gamma0 * (Wu @ Wu.conj().T)
-    e = np.vdot(channels.f_r, u) * (u.conj() @ channels.G @ M)   # (n_t,)
-    t = placement.t
-    s = scenario.target
-    d_s = np.linalg.norm(t - s[None, :], axis=1)
-    diff = t[:, :2] - s[None, :2]
-    core = e * channels.f_t / d_s
-    pref = -FOUR_PI * channels.rho_s / scenario.lam
-    return pref * np.imag(core[:, None] * diff)
+    return geometry.target_term(scenario, placement, channels, u, M)
+
+
+def interference_model(channels, state, gamma0):
+    """The LP interference model of the sensing-beam update at the state's
+    precoders (see ``subsolver.CovarianceSubproblem``): per user, stacked,
+    C_k = sigma_k I + sum_{j != k} H_k W_j W_j^H H_k^H and C_k plus
+    H_k W_k W_k^H H_k^H, and the deficit offset
+    gamma0 sigma_z^2 ||u||^2 + sum_k gamma0 ||W_k^H G^H u||^2."""
+    W, u = state.W, state.u
+    eye = np.eye(channels.H[0].shape[0], dtype=complex)
+    C, own = [], []
+    for k, Hk in enumerate(channels.H):
+        Ck = channels.noise_user[k] * eye
+        for j, Wj in enumerate(W):
+            if j != k:
+                S = Hk @ Wj
+                Ck += S @ S.conj().T
+        Sk = Hk @ W[k]
+        C.append(Ck)
+        own.append(Ck + Sk @ Sk.conj().T)
+    g = channels.G.conj().T @ u
+    offset = gamma0 * channels.noise_radar * float(np.real(np.vdot(u, u)))
+    for Wk in W:
+        offset += gamma0 * float(np.linalg.norm(Wk.conj().T @ g) ** 2)
+    return np.stack(C), np.stack(own), offset
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,8 @@ def optimize_precoders(channels, state, weights, p_max, gamma0, params=None):
         return PrecoderSubproblem(channels, W, state.v, state.u, weights, p_max, gamma0)
 
     return ao.sca(state.W, make_sub, solve_precoder_subproblem,
-                  lambda sub, W: sub.surrogate_wsr(np.stack(W)), params or AlgoParams())
+                  lambda sub, W: sub.surrogate_and_grad(np.stack(W))[0],
+                  params or AlgoParams())
 
 
 def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
@@ -131,12 +143,9 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
 
     Returns (v, rank_ratio, flags); see ``ao.sense_beam``.
     """
-    def make_sub(V):
-        return CovarianceSubproblem("lp", channels, V, weights, gamma0, state.u,
-                                    zeta, W=state.W)
-
-    return ao.sense_beam(channels, state, weights, gamma0, params or AlgoParams(),
-                         make_sub, solve_covariance_subproblem, leading_eigpair)
+    return ao.sense_beam(channels, state, weights, gamma0, zeta, params or AlgoParams(),
+                         interference_model, solve_covariance_subproblem,
+                         leading_eigpair)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +162,8 @@ def optimize_user_positions(scenario, placement, channels, state, k, params=None
     W, v = state.W, state.v
 
     def grad(x):
-        return -grad_user_rate_lp(scenario, x[0], x[1], W, v, k)
+        geo = geometry.user_geometry(x[0], x[1], k)
+        return -grad_user_rate_lp(scenario, x[1], W, v, geo, k)
 
     def move(x, q):
         pl, ch = geometry.move_array(scenario, x[0], x[1], k, q)
@@ -183,8 +193,9 @@ def optimize_bs_positions_alm(scenario, placement, channels, state, weights,
     def descent(pl, ch, st, penalized):
         grad = np.zeros((scenario.n_t, 2))
         cov_all = transmit_covariance(W, v)
+        geo = geometry.bs_geometry(pl, ch)
         for k in range(scenario.n_users):
-            grad -= weights[k] * grad_bs_rate_lp(scenario, pl, ch, W, cov_all, k)
+            grad -= weights[k] * grad_bs_rate_lp(scenario, ch, W, cov_all, geo, k)
         if not penalized:
             return grad, None
         return grad, grad_bs_sinr_deficit_lp(scenario, pl, ch, W, v, u, gamma0)

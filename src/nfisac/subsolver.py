@@ -322,14 +322,6 @@ class PrecoderSubproblem:
             out[k] = val
         return out
 
-    def surrogate_wsr(self, Ws):
-        Ws = np.asarray(Ws)
-        val = float(self.weights @ self.base)
-        for j in range(self.K):
-            val += 2.0 * self.weights[j] * float(np.real(np.trace(self.lin[j].conj().T @ Ws[j])))
-            val -= float(np.real(np.trace(Ws[j].conj().T @ self.quad_sum @ Ws[j])))
-        return val
-
     def surrogate_and_grad(self, Ws):
         """Surrogate WSR at one precoder set (K, n_t, n_u) or a stack of
         them (leading axes), and the conjugate gradient of one on demand.
@@ -396,73 +388,34 @@ def solve_precoder_subproblem(sub, params=None):
 
 
 class CovarianceSubproblem:
-    """Concave surrogate for the sensing-covariance update (LP or ZF form).
+    """Concave surrogate for the sensing-covariance update.
 
-    ``mode`` selects which rate bound is linearized; the rank-1 penalty uses
-    the leading eigenpair of the expansion covariance.
+    ``model`` is a stack's interference model at its current precoders:
+    (C, C_own, deficit_offset), C the users' stacked beam-free interference
+    plus noise, C_own that plus each user's own signal, and the V-independent
+    part of the SINR deficit.  The rate bounds linearize the subtracted
+    log-det at V0; the rank-1 penalty uses the leading eigenpair of V0.
     """
 
-    def __init__(self, mode, channels, V0, weights, gamma0, u, zeta,
-                 W=None, gain=None, P=None):
-        if mode not in ("lp", "zf"):
-            raise ContractViolation(f"unknown covariance mode {mode!r}")
-        self.mode = mode
+    def __init__(self, channels, V0, weights, gamma0, u, zeta, model):
         self.K = len(channels.H)
         self.V0 = 0.5 * (np.asarray(V0, dtype=complex) + np.asarray(V0, dtype=complex).conj().T)
         ev = np.linalg.eigvalsh(self.V0)
         if ev.min() < -1e-10:
             raise ContractViolation("expansion covariance must be PSD")
         self.weights = np.asarray(weights, dtype=float)
-        self.gamma0 = float(gamma0)
-        self.u = np.asarray(u, dtype=complex)
         self.zeta = float(zeta)
         self.sinr_deficit_scale = metrics.sinr_deficit_scale(channels, gamma0)
-        self.g = channels.G.conj().T @ self.u
+        self.g = channels.G.conj().T @ np.asarray(u, dtype=complex)
         self._g_conj = self.g.conj()
         _, self.lead_vec = leading_eigpair(self.V0)
         self._lead_conj = self.lead_vec.conj()
+        base, self.offs, self._deficit_offset = model
 
-        if mode == "lp":
-            if W is None:
-                raise ContractViolation("LP covariance subproblem needs the precoders")
-            self.W = [np.asarray(Wk, dtype=complex) for Wk in W]
-            off = self.gamma0 * channels.noise_radar * float(np.real(np.vdot(self.u, self.u)))
-            for Wk in self.W:
-                off += self.gamma0 * float(np.linalg.norm(Wk.conj().T @ self.g) ** 2)
-            self._deficit_offset = off
-        else:
-            if gain is None or P is None:
-                raise ContractViolation("ZF covariance subproblem needs the precoder and gain")
-            self.gain = float(gain)
-            self._deficit_offset = self.gamma0 * (
-                channels.noise_radar * float(np.real(np.vdot(self.u, self.u)))
-                + float(np.linalg.norm(np.asarray(P).conj().T @ self.g) ** 2)
-            )
-
-        # Per-user pieces, stacked over the users (every user has n_u
-        # antennas): a V-independent offset inside the log-det and the Taylor
-        # coefficient of the subtracted term at V0.
+        # the Taylor coefficient of the subtracted log-det at V0, per user
         self.H = np.stack(channels.H)
         self.HH = self.H.conj().transpose(0, 2, 1)
-        eye = np.eye(self.H.shape[1], dtype=complex)
-        offs, base = [], []
-        for k in range(self.K):
-            Hk = channels.H[k]
-            sig = channels.noise_user[k]
-            if mode == "lp":
-                C = sig * eye
-                for j in range(self.K):
-                    if j != k:
-                        S = Hk @ self.W[j]
-                        C += S @ S.conj().T
-                Sk = Hk @ self.W[k]
-                offs.append(C + Sk @ Sk.conj().T)
-                base.append(C)
-            else:
-                offs.append((self.gain**2 + sig) * eye)
-                base.append(sig * eye)
-        self.offs = np.stack(offs)
-        B0 = np.stack(base) + self.H @ self.V0 @ self.HH
+        B0 = base + self.H @ self.V0 @ self.HH
         self.c0, _ = metrics.logdet_hpd(B0)
         self.taylor = self.HH @ np.linalg.solve(B0, self.H)
         self._pen_grad = self.zeta * (np.outer(self.lead_vec, self._lead_conj)
@@ -486,9 +439,6 @@ class CovarianceSubproblem:
         """Linearized rank-1 reward: beta_max lower bound minus the trace."""
         lead = metrics.row_dot(self._lead_conj @ V, self.lead_vec)
         return lead.real - V.trace(0, -2, -1).real
-
-    def objective(self, V):
-        return float(self.weights @ self.bound_values(V)) + self.zeta * self.penalty(V)
 
     def objective_and_grad(self, V):
         """Value at a covariance or a stack of them (leading axes), and the

@@ -151,23 +151,27 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
     cov_all = lp.transmit_covariance(W, v)
     for k in range(scenario.n_users):
         out[f"lp_rate_grad_user_q{k}"] = pair(
-            k, lambda pl, ch, k=k: lp.grad_user_rate_lp(scenario, pl, ch, W, v, k),
+            k, lambda pl, ch, k=k: lp.grad_user_rate_lp(
+                scenario, ch, W, v, geometry.user_geometry(pl, ch, k), k),
             lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
         out[f"lp_rate_grad_bs_k{k}"] = pair(
-            None, lambda pl, ch, k=k: lp.grad_bs_rate_lp(scenario, pl, ch, W, cov_all, k),
+            None, lambda pl, ch, k=k: lp.grad_bs_rate_lp(
+                scenario, ch, W, cov_all, geometry.bs_geometry(pl, ch), k),
             lambda pl, ch, k=k: metrics.rate_lp_w(ch, W, v, k))
         out[f"zf_deficit_grad_user_q{k}"] = pair(
             k, lambda pl, ch, k=k: zf.grad_user_sinr_deficit_zf(
-                scenario, ch, zf_workspace(ch), zf.user_geometry(pl, ch, k), k) / scale,
+                scenario, ch, zf_workspace(ch), geometry.user_geometry(pl, ch, k),
+                k) / scale,
             zf_deficit)
         out[f"zf_rate_grad_bs_u{k}"] = pair(
             None, lambda pl, ch, w=one_hot[k]: zf.grad_bs_wsr_zf(
-                scenario, ch, zf_workspace(ch), zf.bs_geometry(pl, ch), w),
+                scenario, ch, zf_workspace(ch), geometry.bs_geometry(pl, ch), w),
             lambda pl, ch, k=k: precise_rate_zf(scenario, pl, ch, zv, k))
         for user in range(scenario.n_users):
             out[f"zf_rate_grad_u{user}_q{k}"] = pair(
                 k, lambda pl, ch, k=k, w=one_hot[user]: zf.grad_user_wsr_zf(
-                    scenario, ch, zf_workspace(ch), zf.user_geometry(pl, ch, k), w, k),
+                    scenario, ch, zf_workspace(ch), geometry.user_geometry(pl, ch, k),
+                    w, k),
                 lambda pl, ch, user=user: precise_rate_zf(scenario, pl, ch, zv, user))
     out["lp_deficit_grad_bs"] = pair(
         None, lambda pl, ch: lp.grad_bs_sinr_deficit_lp(
@@ -175,7 +179,8 @@ def gradient_checks(scenario, placement, lp_state, zf_uv):
         lambda pl, ch: metrics.sinr_deficit(ch, W, v, u, gamma0) / scale)
     out["zf_deficit_grad_bs"] = pair(
         None, lambda pl, ch: zf.grad_bs_sinr_deficit_zf(
-            scenario, pl, ch, zf_workspace(ch), zf.bs_geometry(pl, ch)) / scale, zf_deficit)
+            scenario, pl, ch, zf_workspace(ch), geometry.bs_geometry(pl, ch)) / scale,
+        zf_deficit)
     return out
 
 

@@ -16,11 +16,9 @@ import numpy as np
 from . import ao, geometry, metrics
 from .errors import ContractViolation
 from .params import AlgoParams
-from .subsolver import (
-    CovarianceSubproblem, leading_eigpair, solve_covariance_subproblem,
-)
+from .subsolver import leading_eigpair, solve_covariance_subproblem
 
-FOUR_PI = 4.0 * np.pi
+FOUR_PI = geometry.FOUR_PI
 
 
 def optimal_combiner_zf(channels, state):
@@ -79,35 +77,9 @@ class ZfWorkspace:
         self.quad_sens_ct = (Ai @ D - D @ HH @ Ai2 @ H_stack).T
 
 
-def user_geometry(placement, channels, k):
-    """User k's channel phases, distances (user by BS) and xy offsets of its
-    antennas from the BS antennas: the ``geo`` of user k's gradients."""
-    phases = channels.H[k] / channels.rho[k]
-    dist = geometry.pairwise_distances(placement.q[k], placement.t)
-    diff_user = placement.q[k][:, None, :2] - placement.t[None, :, :2]
-    return phases, dist, diff_user
-
-
-def bs_geometry(placement, channels):
-    """Per user: the stacked-channel columns, phases, distances (both BS by
-    user) and xy offsets of the BS antennas from the user's: the ``geo`` of
-    the BS gradients."""
-    t = placement.t
-    # every user's distances from one call; each entry is elementwise
-    dist = geometry.pairwise_distances(np.concatenate(placement.q), t).T
-    geo = []
-    for k, Hk in enumerate(channels.H):
-        n_u = Hk.shape[0]
-        cols = slice(k * n_u, (k + 1) * n_u)
-        phases = Hk / channels.rho[k]
-        diff = t[:, None, :2] - placement.q[k][None, :, :2]
-        geo.append((cols, phases.T, dist[:, cols], diff))
-    return geo
-
-
 def grad_user_wsr_zf(scenario, channels, ws, geo, weights, k):
     """Weighted sum over users of the per-user ZF rate gradients; ``geo`` is
-    ``user_geometry`` of user k."""
+    ``geometry.user_geometry`` of user k."""
     n_u = channels.H[k].shape[0]
     s_w = ws.p_max * ws.tr_gram_inv ** -2 * float(
         np.asarray(weights) @ np.asarray(ws.tr_f_inv))
@@ -135,7 +107,7 @@ def grad_user_sinr_deficit_zf(scenario, channels, ws, geo, k):
 
 def grad_bs_wsr_zf(scenario, channels, ws, geo, weights):
     """Weighted sum over users of d R_{Z,user} / d(x,y) of the BS transmit
-    antennas, shape (n_t, 2); ``geo`` is ``bs_geometry``, whose per-user
+    antennas, shape (n_t, 2); ``geo`` is ``geometry.bs_geometry``, whose per-user
     terms serve every user's rate gradient.  These are summed in user
     order."""
     g = np.zeros((ws.tr_sens.shape[0], 2))
@@ -157,16 +129,8 @@ def grad_bs_wsr_zf(scenario, channels, ws, geo, weights):
 def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo):
     """d sinr_deficit / d(x,y) of the BS transmit antennas under the ZF
     precoder, shape (n_t, 2); ``geo`` as for ``grad_bs_wsr_zf``."""
-    t = placement.t
-    # sensing-channel term through f_t, weighted by the precoder covariance
-    # minus the beam covariance
     M = ws.gamma0 * ws.beta2 * (ws.pinv @ ws.pinv.conj().T) - np.outer(ws.v, ws.v.conj())
-    e = np.vdot(channels.f_r, ws.u) * (ws.u.conj() @ channels.G @ M)
-    s = scenario.target
-    d_s = np.linalg.norm(t - s[None, :], axis=1)
-    diff_s = t[:, :2] - s[None, :2]
-    core_s = e * channels.f_t / d_s
-    out = -(FOUR_PI * channels.rho_s / scenario.lam) * np.imag(core_s[:, None] * diff_s)
+    out = geometry.target_term(scenario, placement, channels, ws.u, M)
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
     for k, (cols, phases_t, dist_t, diff) in enumerate(geo):
         core1 = ws.tr_sens[:, cols] * phases_t / dist_t
@@ -180,14 +144,25 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo):
 # ---------------------------------------------------------------------------
 # blocks
 
+def interference_model(channels, state, gamma0):
+    """The ZF interference model of the sensing-beam update at the state's
+    precoder (see ``subsolver.CovarianceSubproblem``): per user, stacked,
+    C_k = sigma_k I and C_k plus the ZF gain's beta^2 I, and the deficit
+    offset gamma0 (sigma_z^2 ||u||^2 + ||P^H G^H u||^2)."""
+    u = state.u
+    eye = np.eye(channels.H[0].shape[0], dtype=complex)
+    noise = channels.noise_user[:, None, None]
+    g = channels.G.conj().T @ u
+    offset = gamma0 * (channels.noise_radar * float(np.real(np.vdot(u, u)))
+                       + float(np.linalg.norm(state.P.conj().T @ g) ** 2))
+    return noise * eye, (float(state.gain) ** 2 + noise) * eye, offset
+
+
 def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
     """SCA + rank-1 penalty update of v for the ZF scheme; see ``ao.sense_beam``."""
-    def make_sub(V):
-        return CovarianceSubproblem("zf", channels, V, weights, gamma0, state.u,
-                                    zeta, gain=state.gain, P=state.P)
-
-    return ao.sense_beam(channels, state, weights, gamma0, params or AlgoParams(),
-                         make_sub, solve_covariance_subproblem, leading_eigpair)
+    return ao.sense_beam(channels, state, weights, gamma0, zeta, params or AlgoParams(),
+                         interference_model, solve_covariance_subproblem,
+                         leading_eigpair)
 
 
 def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
@@ -199,10 +174,10 @@ def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
     def descent(pl, ch, st, penalized):
         ws = ZfWorkspace(ch, st, scenario.p_max, gamma0)
         if user is None:
-            geo = bs_geometry(pl, ch)
+            geo = geometry.bs_geometry(pl, ch)
             grad = -grad_bs_wsr_zf(scenario, ch, ws, geo, weights)
         else:
-            geo = user_geometry(pl, ch, user)
+            geo = geometry.user_geometry(pl, ch, user)
             grad = -grad_user_wsr_zf(scenario, ch, ws, geo, weights, user)
         if not penalized:
             return grad, None

@@ -197,11 +197,10 @@ def test_criterion_3_sca_bound_suite(scenario):
 
     # covariance bounds, LP and ZF forms
     V0 = np.outer(st.v, st.v.conj())
-    sub_l = CovarianceSubproblem("lp", ch, V0, scenario.weights,
-                                 scenario.gamma0, st.u, 1.0, W=st.W)
-    sub_z = CovarianceSubproblem("zf", ch, V0, scenario.weights,
-                                 scenario.gamma0, st.u, 1.0,
-                                 gain=zst.gain, P=zst.P)
+    sub_l = CovarianceSubproblem(ch, V0, scenario.weights, scenario.gamma0, st.u,
+                                 1.0, lp.interference_model(ch, st, scenario.gamma0))
+    sub_z = CovarianceSubproblem(ch, V0, scenario.weights, scenario.gamma0, st.u,
+                                 1.0, zf.interference_model(ch, zst, scenario.gamma0))
     for k in range(scenario.n_users):
         if abs(sub_l.bound_values(V0)[k] - metrics.rate_lp_cov(ch, st.W, V0, k)) > 1e-9:
             tight_ok = False

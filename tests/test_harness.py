@@ -138,6 +138,27 @@ class TestConfig:
         for w1 in cfg.sweep_grid():
             assert 0 < w1 < 1  # w2 = 1 - w1 stays a valid weight pair
 
+    # model values no trial can use, each rejected with its own message
+    # before any trial runs; the last two reach the model through the sweep
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_u": 0}, "n_u must be >= 1"),
+        ({"lam": -0.01}, "lam must be finite and positive"),
+        ({"n_t": 0}, "n_t must be >= 1"),
+        ({"p_max": math.inf}, "p_max must be finite and positive"),
+        ({"zeta": -0.5}, "zeta must be finite and >= 0"),
+        ({"preset": "gradcheck", "gradcheck_configs": 0}, "gradcheck_configs must be >= 1"),
+        ({"preset": "power", "sweep": (0.5, math.inf)}, "p_max must be finite and positive"),
+        ({"preset": "nk", "sweep": (0.0, 1.0)}, "n_u must be >= 1"),
+    ])
+    def test_unusable_model_value_rejected(self, monkeypatch, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            harness.load_config(None, {"profile": "trend", **overrides})
+        started = []
+        monkeypatch.setattr(harness, "run_trial", started.append)
+        with pytest.raises(ConfigError, match=message):
+            harness.run_preset(desk_config(workers=1, **overrides))
+        assert started == []
+
 
 class TestEmit:
     ROWS = [
@@ -327,6 +348,13 @@ class TestCli:
         rc = cli.main(["--preset", "weights", "--trials", "0",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_unusable_model_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "nu0.csv"
+        rc = cli.main(["--profile", "trend", "--nu", "0", "--out", str(out)])
+        assert rc == 2
+        assert "config error: n_u must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_profile_exit_code(self, tmp_path, capsys):
         out = tmp_path / "full.csv"

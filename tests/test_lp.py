@@ -71,7 +71,7 @@ class TestPrecoderBlock:
                                      scenario.weights, scenario.p_max,
                                      scenario.gamma0)
             W = solve_precoder_subproblem(sub, params)
-            hats.append(sub.surrogate_wsr(np.stack(W)))
+            hats.append(sub.surrogate_and_grad(np.stack(W))[0])
         assert all(b >= a - 1e-9 for a, b in zip(hats, hats[1:]))
 
 
@@ -122,7 +122,8 @@ class TestUserPgm:
                         for _ in range(scenario.n_users)],
                      v=np.zeros(scenario.n_t, dtype=complex),
                      u=channels.f_r / math.sqrt(scenario.n_r))
-        g = lp.grad_user_rate_lp(scenario, placement, channels, st.W, st.v, 0)
+        g = lp.grad_user_rate_lp(scenario, channels, st.W, st.v,
+                                 geometry.user_geometry(placement, channels, 0), 0)
         np.testing.assert_allclose(g, 0.0, atol=1e-30)
         pl2, ch2, steps = lp.optimize_user_positions(
             scenario, placement, channels, st, 0, AlgoParams())
@@ -161,7 +162,8 @@ def _reference_user_positions(scenario, placement, channels, state, k, params):
     mu = params.step0
     steps = 0
     for _ in range(params.pgm_max_steps):
-        grad = lp.grad_user_rate_lp(scenario, placement, channels, state.W, state.v, k)
+        grad = lp.grad_user_rate_lp(scenario, channels, state.W, state.v,
+                                    geometry.user_geometry(placement, channels, k), k)
         s = mu
         accepted = False
         for _ls in range(params.max_ls):
@@ -235,7 +237,7 @@ class TestAlignedGeometryZeros:
         ch = geometry.build_channels(sc, pl)
         rng = np.random.Generator(np.random.Philox(key=[37, 0]))
         st = verify.random_lp_state(sc, ch, rng)
-        g = lp.grad_user_rate_lp(sc, pl, ch, st.W, st.v, 0)
+        g = lp.grad_user_rate_lp(sc, ch, st.W, st.v, geometry.user_geometry(pl, ch, 0), 0)
         assert abs(g[0, 0]) < 1e-25 * max(1.0, abs(g[0, 1]))
 
     def test_bs_user_gradient_antisymmetry_1x1(self):
@@ -249,8 +251,10 @@ class TestAlignedGeometryZeros:
         ch = geometry.build_channels(sc, pl)
         rng = np.random.Generator(np.random.Philox(key=[53, 1]))
         st = verify.random_lp_state(sc, ch, rng)
-        g_user = lp.grad_user_rate_lp(sc, pl, ch, st.W, st.v, 0)
-        g_bs = lp.grad_bs_rate_lp(sc, pl, ch, st.W, lp.transmit_covariance(st.W, st.v), 0)
+        g_user = lp.grad_user_rate_lp(sc, ch, st.W, st.v,
+                                      geometry.user_geometry(pl, ch, 0), 0)
+        g_bs = lp.grad_bs_rate_lp(sc, ch, st.W, lp.transmit_covariance(st.W, st.v),
+                                  geometry.bs_geometry(pl, ch), 0)
         np.testing.assert_allclose(g_bs, -g_user, rtol=1e-12)
 
     def test_bs_sinr_deficit_zero_when_unconstrained(self, scenario, placement, channels):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfisac import metrics, subsolver, verify
+from nfisac import lp, metrics, subsolver, verify, zf
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
 from nfisac.params import AlgoParams
 from nfisac.subsolver import (
@@ -148,15 +148,15 @@ class TestPrecoderSolve:
             sub = PrecoderSubproblem(channels, W, state.v, state.u,
                                      scenario.weights, scenario.p_max, 0.0)
             W = solve_precoder_subproblem(sub, AlgoParams())
-            cur = sub.surrogate_wsr(np.stack(W))
+            cur = sub.surrogate_and_grad(np.stack(W))[0]
             if cur - prev < 1e-8:
                 break
             prev = cur
         sub2 = PrecoderSubproblem(channels, W, state.v, state.u,
                                   scenario.weights, scenario.p_max, 0.0)
         W_again = solve_precoder_subproblem(sub2, AlgoParams())
-        before = sub2.surrogate_wsr(np.stack(W))
-        after = sub2.surrogate_wsr(np.stack(W_again))
+        before = sub2.surrogate_and_grad(np.stack(W))[0]
+        after = sub2.surrogate_and_grad(np.stack(W_again))[0]
         assert after >= before - 1e-9
         assert after - before < 1e-6 * (1 + abs(before))
 
@@ -176,11 +176,11 @@ class TestPrecoderSolve:
                                  np.array([1.0 + 0j]), np.array([1.0]),
                                  p_max=2.0, gamma0=0.0)
         W = solve_precoder_subproblem(sub, AlgoParams())
-        achieved = sub.surrogate_wsr(np.stack(W))
+        achieved = sub.surrogate_and_grad(np.stack(W))[0]
 
         def surr_of_r(r):
-            return sub.surrogate_wsr(np.stack(
-                [np.array([[r * np.exp(1j * np.angle(sub.lin[0][0, 0]))]])]))
+            return sub.surrogate_and_grad(np.stack(
+                [np.array([[r * np.exp(1j * np.angle(sub.lin[0][0, 0]))]])]))[0]
 
         lo, hi = 0.0, math.sqrt(2.0)
         phi = (math.sqrt(5) - 1) / 2
@@ -214,19 +214,18 @@ class TestPrecoderSolve:
         W = solve_precoder_subproblem(sub, AlgoParams())
         kap = sub.deficit(np.stack(W)) / sub.sinr_deficit_scale
         assert kap <= AlgoParams().tol_feas
-        assert sub.surrogate_wsr(np.stack(W)) >= \
-            sub.surrogate_wsr(sub.W0) - 1e-9
+        assert sub.surrogate_and_grad(np.stack(W))[0] >= \
+            sub.surrogate_and_grad(sub.W0)[0] - 1e-9
 
 
 def _cov_sub(scenario, channels, state, V0, zeta=1.0, gamma0=None, mode="lp",
              zf_state=None):
+    """The covariance subproblem at V0 on a stack's interference model: the
+    LP stack's at ``state``, or the ZF stack's at ``zf_state``."""
     gamma0 = scenario.gamma0 if gamma0 is None else gamma0
-    if mode == "lp":
-        return CovarianceSubproblem("lp", channels, V0, scenario.weights,
-                                    gamma0, state.u, zeta, W=state.W)
-    return CovarianceSubproblem("zf", channels, V0, scenario.weights, gamma0,
-                                zf_state.u, zeta, gain=zf_state.gain,
-                                P=zf_state.P)
+    stack, st = (lp, state) if mode == "lp" else (zf, zf_state)
+    return CovarianceSubproblem(channels, V0, scenario.weights, gamma0, st.u, zeta,
+                                stack.interference_model(channels, st, gamma0))
 
 
 def _scalar_cov_sub():
@@ -239,8 +238,9 @@ def _scalar_cov_sub():
         noise_user=np.array([0.4]), noise_radar=1.0)
     W = [np.array([[1.1 - 0.3j]])]
     V0 = np.array([[0.5 + 0j]])
-    return CovarianceSubproblem("lp", ch, V0, np.array([1.0]), 0.0,
-                                np.array([1.0 + 0j]), zeta=1.0, W=W), ch, W
+    st = metrics.LpState(W=W, v=np.zeros(1, dtype=complex), u=np.array([1.0 + 0j]))
+    return CovarianceSubproblem(ch, V0, np.array([1.0]), 0.0, st.u, 1.0,
+                                lp.interference_model(ch, st, 0.0)), ch, W
 
 
 class _PerUserCovariance:
@@ -383,8 +383,8 @@ class TestCovarianceSolve:
         V1 = solve_covariance_subproblem(sub, AlgoParams())
         sub2 = _cov_sub(scenario, channels, lp_state, V1, zeta=1.0, gamma0=0.0)
         V2 = solve_covariance_subproblem(sub2, AlgoParams())
-        obj1 = sub2.objective(V1)
-        obj2 = sub2.objective(V2)
+        obj1 = sub2.objective_and_grad(V1)[0]
+        obj2 = sub2.objective_and_grad(V2)[0]
         assert obj2 >= obj1 - 1e-9
 
     def test_scalar_grid_oracle(self):
@@ -392,8 +392,8 @@ class TestCovarianceSolve:
         sub, _, _ = _scalar_cov_sub()
         V = solve_covariance_subproblem(sub, AlgoParams())
         grid = np.linspace(0, 1, 20001)
-        vals = [sub.objective(np.array([[g + 0j]])) for g in grid]
-        assert sub.objective(V) >= max(vals) - 1e-6
+        vals = [sub.objective_and_grad(np.array([[g + 0j]]))[0] for g in grid]
+        assert sub.objective_and_grad(V)[0] >= max(vals) - 1e-6
 
     def test_rank_one_drive(self, scenario, channels, lp_state):
         # single user weight, sensing constraint reduced to a floor that
@@ -405,15 +405,16 @@ class TestCovarianceSolve:
         u = channels.f_r / np.sqrt(scenario.n_r)
         state = lp_state.copy()
         state.W = [1e-3 * Wk for Wk in state.W]
+        state.u = u
         gamma0 = 0.05 * channels.rho_s**2 * scenario.n_t * scenario.n_r \
             / channels.noise_radar
+        model = lp.interference_model(channels, state, gamma0)
         ratios = []
         for zeta in (1.0, 10.0, 100.0):
             V = V0.copy()
             for _ in range(6):
                 sub = CovarianceSubproblem(
-                    "lp", channels, V, np.array([1.0, 0.0]), gamma0, u,
-                    zeta, W=state.W)
+                    channels, V, np.array([1.0, 0.0]), gamma0, u, zeta, model)
                 V = solve_covariance_subproblem(sub, AlgoParams())
             vals = np.linalg.eigvalsh(V)
             assert vals.sum() > 0
@@ -894,6 +895,32 @@ class TestStackedKernels:
             for j in range(sub.K):
                 want = sub.gamma0 * np.outer(sub.g, sub.g.conj() @ Ws[j])
                 assert got[j].tobytes() == want.tobytes()
+
+
+class TestInterferenceModel:
+    """A stack's interference model plus the beam term gives that stack's
+    own rates and SINR deficit, so the covariance subproblem's model cannot
+    drift from the rate model."""
+
+    @pytest.mark.parametrize("scale", ["trend", "desk"])
+    @pytest.mark.parametrize("stack", ["lp", "zf"])
+    def test_model_gives_rates(self, request, stack, scale):
+        if scale == "desk":
+            sc, ch, lp_st, zf_st = TestStackedKernels._desk()
+        else:
+            sc, ch, lp_st, zf_st = (request.getfixturevalue(name) for name in
+                                    ("scenario", "channels", "lp_state", "zf_state"))
+        module, state, rates_of = {"lp": (lp, lp_st, metrics.lp_rates),
+                                   "zf": (zf, zf_st, metrics.zf_rates)}[stack]
+        C, C_own, offset = module.interference_model(ch, state, sc.gamma0)
+        hv = np.stack(ch.H) @ state.v
+        beam = hv[:, :, None] * hv.conj()[:, None, :]
+        rates = metrics.logdet_hpd(C_own + beam)[0] - metrics.logdet_hpd(C + beam)[0]
+        np.testing.assert_allclose(rates, rates_of(ch, state), rtol=0, atol=1e-12)
+        g = ch.G.conj().T @ state.u
+        deficit = offset - abs(np.vdot(g, state.v)) ** 2
+        want = metrics.sinr_deficit(ch, state.precoders, state.v, state.u, sc.gamma0)
+        assert deficit == pytest.approx(want, rel=1e-12)
 
 
 class TestCovarianceSolveCost:

@@ -58,11 +58,11 @@ class TestSenseBeamZf:
         state.u = channels.f_r / math.sqrt(scenario.n_r)
         state.v = channels.f_t / math.sqrt(scenario.n_t)
         V = np.outer(state.v, state.v.conj())
+        model = zf.interference_model(channels, state, scenario.gamma0)
         objs = []
         for _ in range(5):
-            sub = CovarianceSubproblem("zf", channels, V, scenario.weights,
-                                       scenario.gamma0, state.u, 1.0,
-                                       gain=state.gain, P=state.P)
+            sub = CovarianceSubproblem(channels, V, scenario.weights,
+                                       scenario.gamma0, state.u, 1.0, model)
             V = solve_covariance_subproblem(sub, params)
             objs.append(float(scenario.weights @ sub.bound_values(V)))
         true_rates = [metrics.rate_zf_cov(channels, state.gain, V, k)
@@ -179,7 +179,7 @@ class TestZfWorkspaceConsistency:
     def test_kronecker_delta_structure(self, scenario, placement, channels, zf_state):
         # the own-user gradient includes the G_k term, the cross gradient does not
         ws = zf.ZfWorkspace(channels, zf_state, scenario.p_max, scenario.gamma0)
-        geo = zf.user_geometry(placement, channels, 0)
+        geo = geometry.user_geometry(placement, channels, 0)
         one_hot = np.eye(scenario.n_users)
         g_own = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[0], 0)
         g_cross = zf.grad_user_wsr_zf(scenario, channels, ws, geo, one_hot[1], 0)
