@@ -21,6 +21,9 @@ from .errors import (
     InfeasibleSubproblemError, NfIsacError, NumericalError, OptimizationAbort,
     RankDeficiencyError,
 )
+from .params import (
+    EPS_F, EPS_L, EPS_S, MAX_OUTER, P0, P_CAP, THETA, TOL_FEAS, WSR_SLACK,
+)
 
 
 @dataclass
@@ -48,7 +51,7 @@ class AlmInfo:
     line_search_exhausted: bool = False
 
 
-def initial_sense_beam(channels, precoders, u, gamma0, tol_feas):
+def initial_sense_beam(channels, precoders, u, gamma0):
     """Feasible unit beam with the least user interference.
 
     Starts from the bottom eigenvector of sum_k H_k^H H_k and blends toward
@@ -59,7 +62,7 @@ def initial_sense_beam(channels, precoders, u, gamma0, tol_feas):
     the interference incentive per SCA round is small, hiding the
     sensing/communication trade-off.
     """
-    tol = tol_feas * metrics.sinr_deficit_scale(channels, gamma0)
+    tol = TOL_FEAS * metrics.sinr_deficit_scale(channels, gamma0)
 
     def deficit(v):
         return metrics.sinr_deficit(channels, precoders, v, u, gamma0)
@@ -96,7 +99,7 @@ def initial_sense_beam(channels, precoders, u, gamma0, tol_feas):
 def sca(x, make_sub, solve, value, params):
     """SCA rounds from ``x``: ``make_sub(x)`` builds the convex subproblem at
     the current point and ``solve(sub, params)`` gives the next point, until
-    the surrogate ``value(sub, x)`` gains less than eps_s over the previous
+    the surrogate ``value(sub, x)`` gains less than EPS_S over the previous
     round or sca_max rounds ran.  Returns (x, rounds), counting the last round.
     """
     prev = None
@@ -106,7 +109,7 @@ def sca(x, make_sub, solve, value, params):
         x = solve(sub, params)
         cur = value(sub, x)
         rounds += 1
-        if prev is not None and cur - prev < params.eps_s:
+        if prev is not None and cur - prev < EPS_S:
             break
         prev = cur
     return x, rounds
@@ -136,7 +139,7 @@ def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eig
     tr = float(np.real(np.trace(V)))
     ratio = beta_max / tr if tr > 0 else 1.0
     flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
-    tol = params.tol_feas * metrics.sinr_deficit_scale(channels, gamma0)
+    tol = TOL_FEAS * metrics.sinr_deficit_scale(channels, gamma0)
     v_unit = chi / np.linalg.norm(chi)
     if metrics.sinr_deficit(channels, state.precoders, v_unit, state.u, gamma0) <= tol:
         return v_unit, ratio, flags
@@ -259,12 +262,12 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
     x = (placement, channels, *evaluate(channels, state))
     wsr_prev, kap = x[3:]
     info = AlmInfo(sinr_deficit_scaled=kap)
-    p0 = params.p0
+    p0 = P0
 
     def stop(prev, cur):
         L_prev, L_cur = prev[-1], cur[-1]
         denom = max(abs(L_cur), 1e-12 * (1.0 + abs(L_prev)))
-        return abs(L_prev - L_cur) / denom < params.eps_l
+        return abs(L_prev - L_cur) / denom < EPS_L
 
     for outer in range(params.alm_max_outer):
         p = 0.0 if (kap <= 0.0 and eta == 0.0) else p0
@@ -295,9 +298,9 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
         info.line_search_exhausted |= exhausted
         wsr_c, kap = x[3], x[4]
         eta = max(0.0, eta + p0 * kap)
-        p0 = min(p0 * params.theta, params.p_cap)
+        p0 = min(p0 * THETA, P_CAP)
         info.outer_rounds = outer + 1
-        if abs(wsr_c - wsr_prev) < params.eps_f and (kap <= params.tol_feas or eta == 0.0):
+        if abs(wsr_c - wsr_prev) < EPS_F and (kap <= TOL_FEAS or eta == 0.0):
             break
         wsr_prev = wsr_c
     info.sinr_deficit_scaled = kap
@@ -318,20 +321,20 @@ def _measure(channels, state, rates_of, weights, gamma0, scale):
                                  gamma0) / scale)
 
 
-def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max, params):
+def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max):
     """The block gate: the candidate keeps the power budget and the unit
     combiner and beam norms, does not worsen a violated sensing constraint,
     and does not lose WSR."""
     return (cand.power() <= p_max * (1.0 + 1e-6)
             and abs(np.linalg.norm(cand.u) - 1.0) <= 1e-9
             and np.linalg.norm(cand.v) <= 1.0 + 1e-9
-            and c_kap <= max(params.tol_feas, kap)
-            and c_wsr >= wsr_cur - params.wsr_slack)
+            and c_kap <= max(TOL_FEAS, kap)
+            and c_wsr >= wsr_cur - WSR_SLACK)
 
 
 def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     """Alternating optimization: the combiner, then each block in turn,
-    until the WSR change across an outer iteration falls below eps_f.
+    until the WSR change across an outer iteration falls below EPS_F.
 
     ``initial_state(scenario, channels, params)`` gives the warm start;
     ``rates_of(channels, state)`` gives the per-user rates, and the state's
@@ -356,7 +359,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     state = initial_state(scenario, channels, params)
     rates, wsr_cur, gam, kap = measure(channels, state)
     run_flags = set()
-    if kap > params.tol_feas:
+    if kap > TOL_FEAS:
         run_flags.add("initial_sinr_infeasible")
     trace = [metrics.TraceRecord(0, "init", wsr_cur, gam, kap * scale,
                                  state.power(), tuple(rates))]
@@ -370,7 +373,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     fail_streak = 0
     converged = False
     outer = 0
-    for outer in range(1, params.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         wsr_start = wsr_cur
         loop_failed = False
         state.u = combiner(channels, state)
@@ -383,7 +386,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
                 if "rank1_ratio_low" in flags:
                     rank_flags += 1
                 c_rates, c_wsr, c_gam, c_kap = measure(ch_c, cand)
-                if _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, scenario.p_max, params):
+                if _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, scenario.p_max):
                     placement, channels, state = pl_c, ch_c, cand
                     rates, wsr_cur, gam, kap = c_rates, c_wsr, c_gam, c_kap
                 else:
@@ -399,7 +402,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
         if fail_streak >= 2:
             raise OptimizationAbort(
                 f"two consecutive failed AO loops at iteration {outer}")
-        if abs(wsr_cur - wsr_start) < params.eps_f:
+        if abs(wsr_cur - wsr_start) < EPS_F:
             converged = True
             break
 

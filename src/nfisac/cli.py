@@ -23,7 +23,7 @@ def build_parser():
     parser.add_argument("--profile", choices=sorted(harness.PROFILES))
     parser.add_argument("--preset", choices=harness.PRESETS)
     parser.add_argument("--scheme", action="append", choices=harness.SCHEMES,
-                        help="repeatable; default LP-MA and ZF-MA")
+                        dest="schemes", help="repeatable; default LP-MA and ZF-MA")
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
@@ -41,17 +41,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        "profile": args.profile, "preset": args.preset,
-        "schemes": tuple(args.scheme) if args.scheme else None,
-        "trials": args.trials, "seed": args.seed, "out": args.out,
-        "format": args.format, "dtk": args.dtk, "p_max": args.p_max,
-        "gamma0": args.gamma0, "n_u": args.n_u, "w1": args.w1,
-        "workers": args.workers,
-    }
+    overrides = vars(parser.parse_args(argv))
+    config = overrides.pop("config")
+    if overrides["schemes"]:
+        overrides["schemes"] = tuple(overrides["schemes"])
     try:
-        cfg = harness.load_config(args.config, overrides)
+        cfg = harness.load_config(config, overrides)
         rows, trace_rows, n_failed = harness.run_preset(cfg)
         if cfg.preset == "gradcheck":
             harness.emit(rows, cfg.out, cfg.format,

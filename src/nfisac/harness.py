@@ -24,7 +24,17 @@ from .params import AlgoParams
 LN2 = math.log(2.0)
 
 SCHEMES = ("LP-MA", "ZF-MA", "LP-FIX", "ZF-FIX")
-PRESETS = ("convergence", "weights", "power", "nk", "gamma0", "gradcheck")
+# preset -> (the ExperimentConfig field a sweep point sets, the default grid
+# of a config); gradcheck sweeps nothing
+SWEEPS = {
+    "convergence": ("dtk", lambda cfg: [10.0, 20.0, 30.0]),
+    "weights": ("w1", lambda cfg: [0.1, 0.3, 0.5, 0.7, 0.9]),
+    "power": ("p_max", lambda cfg: [0.1, 0.25, 0.5, 1.0]),
+    "nk": ("n_u", lambda cfg: [1, 2, 3, 4]),
+    "gamma0": ("gamma0", lambda cfg: [cfg.gamma0, 10.0 * cfg.gamma0]),
+    "gradcheck": (None, lambda cfg: [0.0]),
+}
+PRESETS = tuple(SWEEPS)
 
 CSV_HEADER = "preset,scheme,sweep,trial,seed,wsr_bits,gamma_s,ps_db,iters,wall_ms"
 TRACE_HEADER = "preset,scheme,sweep,trial,seed,iteration,block,wsr_bits,gamma_s,sinr_deficit,power"
@@ -39,11 +49,11 @@ GRADCHECK_HEADER = "check,config,coord,analytic,fd,abs_err,rel_err,passed"
 # beamformer cannot hide in the users' null space, which keeps the SINR
 # constraint active and the gamma0 sweep informative.
 PROFILES = {
-    "full": dict(n_t=16, n_r=8, n_users=2, n_u=4, noise_user=1e-10,
+    "full": dict(n_t=16, n_r=8, n_u=4, noise_user=1e-10,
                   noise_radar=1e-10, gamma0=1e-2, trials=50),
-    "desk": dict(n_t=8, n_r=4, n_users=2, n_u=2, noise_user=1e-19,
+    "desk": dict(n_t=8, n_r=4, n_u=2, noise_user=1e-19,
                  noise_radar=1e-19, gamma0=1e-5, trials=20),
-    "trend": dict(n_t=4, n_r=4, n_users=2, n_u=2, noise_user=1e-19,
+    "trend": dict(n_t=4, n_r=4, n_u=2, noise_user=1e-19,
                   noise_radar=1e-19, gamma0=1e-5, trials=20),
 }
 
@@ -59,7 +69,6 @@ class ExperimentConfig:
     workers: int = 0                    # 0 = auto
     n_t: int = 8
     n_r: int = 4
-    n_users: int = 2
     n_u: int = 2
     lam: float = 0.01
     dtk: float = 30.0
@@ -90,19 +99,14 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 0 (0 = auto)")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        if self.n_users != 2:
-            raise ConfigError("the experiment presets assume exactly two users")
         if self.gradcheck_configs < 1:
             raise ConfigError("gradcheck_configs must be >= 1")
         if not 0.0 <= self.zeta < math.inf:
             raise ConfigError("zeta must be finite and >= 0")
-        if not 0.0 <= self.w1 <= 1.0:
-            raise ConfigError("w1 must lie in [0, 1]")
-        if self.dtk <= 0:
-            raise ConfigError("dtk must be positive")
         grid = self.sweep_grid()
         if not grid:
             raise ConfigError("sweep grid is empty")
+        zf_scheme = any(s.startswith("ZF") for s in self.schemes)
         for point in (_at_sweep(self, s) for s in grid):
             if point.n_t < 1:
                 raise ConfigError("n_t must be >= 1")
@@ -112,27 +116,19 @@ class ExperimentConfig:
                 raise ConfigError("lam must be finite and positive")
             if not 0.0 < point.p_max < math.inf:
                 raise ConfigError("p_max must be finite and positive")
-        if any(s.startswith("ZF") for s in self.schemes):
-            n_u_max = max(grid) if self.preset == "nk" else self.n_u
-            if self.n_users * n_u_max > self.n_t:
+            if not 0.0 <= point.w1 <= 1.0:
+                raise ConfigError("w1 must lie in [0, 1]")
+            if point.dtk <= 0:
+                raise ConfigError("dtk must be positive")
+            # build_scenario places two users
+            if zf_scheme and 2 * point.n_u > point.n_t:
                 raise ConfigError(
-                    "ZF needs K*N_u <= N_t "
-                    f"(got {self.n_users}*{n_u_max} > {self.n_t})")
+                    f"ZF needs K*N_u <= N_t (got 2*{point.n_u} > {point.n_t})")
 
     def sweep_grid(self):
         if self.sweep:
             return list(self.sweep)
-        if self.preset == "convergence":
-            return [10.0, 20.0, 30.0]
-        if self.preset == "weights":
-            return [0.1, 0.3, 0.5, 0.7, 0.9]
-        if self.preset == "power":
-            return [0.1, 0.25, 0.5, 1.0]
-        if self.preset == "nk":
-            return [1, 2, 3, 4]
-        if self.preset == "gamma0":
-            return [self.gamma0, 10.0 * self.gamma0]
-        return [0.0]  # gradcheck
+        return SWEEPS[self.preset][1](self)
 
 
 # config-file key -> type of its value, read off the ExperimentConfig defaults
@@ -221,7 +217,7 @@ def build_scenario(cfg):
             f"gamma0={gamma0:g} is unreachable: the highest reachable gamma0 "
             f"is {echo_max / cfg.noise_radar:.3g} (rho_s^2 n_r n_t / sigma_z^2)")
     return geometry.Scenario(
-        lam=cfg.lam, n_t=cfg.n_t, n_r=cfg.n_r, n_users=cfg.n_users, n_u=cfg.n_u,
+        lam=cfg.lam, n_t=cfg.n_t, n_r=cfg.n_r, n_users=len(centers), n_u=cfg.n_u,
         tx_region=geometry.SquareRegion(center=o_t, side=cfg.l_t),
         rx_mid=o_r, rx_len=cfg.l_r,
         user_regions=tuple(geometry.SquareRegion(center=c, side=cfg.a_k)
@@ -273,18 +269,20 @@ class TrialSpec:
 
 
 def _at_sweep(cfg, sweep):
-    """The config of one sweep point of the preset."""
-    if cfg.preset == "convergence":
-        return replace(cfg, dtk=sweep)
-    if cfg.preset == "weights":
-        return replace(cfg, w1=sweep)
-    if cfg.preset == "power":
-        return replace(cfg, p_max=sweep)
-    if cfg.preset == "nk":
-        return replace(cfg, n_u=int(sweep))
-    if cfg.preset == "gamma0":
-        return replace(cfg, gamma0=sweep)
-    return cfg
+    """The config of one sweep point of the preset: its field set to
+    ``sweep`` in the field's type, a ConfigError if that changes the value."""
+    name = SWEEPS[cfg.preset][0]
+    if name is None:
+        return cfg
+    kind = _CONFIG_FIELDS[name]
+    try:
+        value = kind(sweep)
+    except (ValueError, OverflowError):       # int() of nan or inf
+        value = None
+    if value != sweep:
+        raise ConfigError(
+            f"sweep value {sweep!r} is not a valid {name} ({kind.__name__})")
+    return replace(cfg, **{name: value})
 
 
 def run_trial(spec):

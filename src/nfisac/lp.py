@@ -14,13 +14,11 @@ import numpy as np
 
 from . import ao, geometry, metrics
 from .errors import ScenarioError
-from .params import AlgoParams
+from .params import PGM_MAX_STEPS, PGM_TOL, TOL_FEAS, AlgoParams
 from .subsolver import (
     PrecoderSubproblem, leading_eigpair, solve_covariance_subproblem,
     solve_precoder_subproblem,
 )
-
-FOUR_PI = geometry.FOUR_PI
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def grad_user_rate_lp(scenario, channels, W, v, geo, k):
     coef_all, coef_rest = _lp_rate_workspace(channels, W, transmit_covariance(W, v), k)
     phases, dist, diff = geo
     core = (coef_rest - coef_all).T * phases / dist  # indexed [b, m]
-    pref = FOUR_PI * channels.rho[k] / scenario.lam
+    pref = geometry.FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
 
@@ -87,7 +85,7 @@ def grad_bs_rate_lp(scenario, channels, W, cov_all, geo, k):
     coef_all, coef_rest = _lp_rate_workspace(channels, W, cov_all, k)
     _, phases_t, dist_t, diff = geo[k]
     core = (coef_rest - coef_all) * phases_t / dist_t   # indexed [m, b]
-    pref = FOUR_PI * channels.rho[k] / scenario.lam
+    pref = geometry.FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
 
@@ -153,7 +151,7 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
 
 def optimize_user_positions(scenario, placement, channels, state, k, params=None):
     """Projected gradient ascent on R_{L,k} over user k's antenna positions:
-    ``ao.descend`` on -R_{L,k}, stopped once a step gains less than pgm_tol
+    ``ao.descend`` on -R_{L,k}, stopped once a step gains less than PGM_TOL
     relative to the rate.  The precoders and beam stay fixed.
 
     Returns (placement, channels, steps).
@@ -171,11 +169,11 @@ def optimize_user_positions(scenario, placement, channels, state, k, params=None
         return values, lambda i: (*geometry.candidate(pl, ch, k, i), float(values[i]))
 
     def stop(prev, cur):
-        return prev[-1] - cur[-1] < params.pgm_tol * (1.0 + abs(cur[-1]))
+        return prev[-1] - cur[-1] < PGM_TOL * (1.0 + abs(cur[-1]))
 
     x = (placement, channels, -metrics.rate_lp(channels, state, k))
     (placement, channels, _), steps, _ = ao.descend(
-        scenario, k, x, grad, move, stop, params.pgm_max_steps, params)
+        scenario, k, x, grad, move, stop, PGM_MAX_STEPS, params)
     return placement, channels, steps
 
 
@@ -213,13 +211,12 @@ def initial_lp_state(scenario, channels, params=None):
     """Sensing-aware warm start: conjugate-matched precoders at 90% power,
     the least-interfering feasible sensing beam, boresight combiner;
     precoders rescaled if the sensing constraint still needs headroom."""
-    params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
-    tol = params.tol_feas * metrics.sinr_deficit_scale(channels, scenario.gamma0)
+    tol = TOL_FEAS * metrics.sinr_deficit_scale(channels, scenario.gamma0)
     gram = sum(float(np.sum(np.abs(Hk) ** 2)) for Hk in channels.H)
     c = np.sqrt(0.9 * scenario.p_max / gram)
     W = [c * Hk.conj().T for Hk in channels.H]
-    v0 = ao.initial_sense_beam(channels, W, u0, scenario.gamma0, params.tol_feas)
+    v0 = ao.initial_sense_beam(channels, W, u0, scenario.gamma0)
     state = metrics.LpState(W=W, v=v0, u=u0)
     kap = metrics.sinr_deficit(channels, W, v0, u0, scenario.gamma0)
     if kap > tol:

@@ -20,7 +20,10 @@ import numpy as np
 
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
-from .params import AlgoParams
+from .params import (
+    ALM_ROUNDS, ARMIJO, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_REL_TOL, PGA_STEP0,
+    POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
+)
 
 
 def leading_eigpair(V):
@@ -183,12 +186,14 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
     per-point values, ``f_grad`` with the lazy gradient of ``_pga_ascent``;
     ``kap_grad`` takes one point.
     """
-    tol = params.tol_feas
     best = [None, None]
 
     def consider(x, f, kv):
-        if kv <= tol and (best[0] is None or f > best[0]):
+        if kv <= TOL_FEAS and (best[0] is None or f > best[0]):
             best[0], best[1] = f, x.copy()
+
+    def on_accept(z, val):
+        consider(z, val[1], val[2])
 
     x = project(np.array(x0, copy=True))
     f0, _ = f_grad(x)
@@ -203,9 +208,9 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
             raise InfeasibleSubproblemError("restoration produced an infeasible point")
 
     eta = 0.0
-    p0 = params.p0
-    step = params.pga_step0
-    for _rnd in range(params.alm_rounds):
+    p0 = P0
+    step = PGA_STEP0
+    for _rnd in range(ALM_ROUNDS):
         kcur = kap(x)
         p = 0.0 if (kcur <= 0.0 and eta == 0.0) else p0
 
@@ -219,19 +224,15 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
                 return grad_f(i) - (eta + p * kv[i]) * kap_grad(z[i])
             return f - eta * kv - 0.5 * p * kv * kv, grad, f, kv
 
-        def on_acc(z, val):
-            consider(z, val[1], val[2])
-
         x, _, step = _pga_ascent(
-            x, vg, project, step, params.pga_iters, params.tau, params.armijo,
-            params.pga_rel_tol, params.max_backtracks, on_accept=on_acc,
-            fw_oracle=fw_oracle,
+            x, vg, project, step, PGA_ITERS, params.tau, ARMIJO, PGA_REL_TOL,
+            MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
         )
         kv = kap(x)
-        if eta == 0.0 and p == 0.0 and kv <= tol:
+        if eta == 0.0 and p == 0.0 and kv <= TOL_FEAS:
             break  # optimum of the relaxation is feasible: done
         eta = max(0.0, eta + p0 * kv)
-        p0 = min(p0 * params.theta, params.p_cap)
+        p0 = min(p0 * THETA, P_CAP)
 
     # Polish: ascend f itself from the best feasible point; a step that
     # would leave the feasible set has the objective NaN, which rejects it.
@@ -240,15 +241,11 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
     def vg2(z):
         f, grad_f = f_grad(z)
         kv = kap(z)
-        return np.where(kv <= tol, f, np.nan), grad_f, f, kv
-
-    def on_acc2(z, val):
-        consider(z, val[1], val[2])
+        return np.where(kv <= TOL_FEAS, f, np.nan), grad_f, f, kv
 
     _pga_ascent(
-        x, vg2, project, step, params.polish_iters, params.tau, params.armijo,
-        params.pga_rel_tol, params.max_backtracks, on_accept=on_acc2,
-        fw_oracle=fw_oracle,
+        x, vg2, project, step, POLISH_ITERS, params.tau, ARMIJO, PGA_REL_TOL,
+        MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
     )
     return best[1]
 
@@ -360,7 +357,6 @@ def solve_precoder_subproblem(sub, params=None):
     """Maximize the surrogate WSR over the power ball with the SINR deficit <= 0."""
     params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
-    tol = params.tol_feas
 
     def kap(Ws):
         return sub.deficit(Ws) / scale
@@ -374,12 +370,12 @@ def solve_precoder_subproblem(sub, params=None):
     def restore(Ws):
         # deficit(c W) = c^2 a + b: shrink toward zero if that can help.
         b = sub._deficit_offset
-        if b > tol * scale:
+        if b > TOL_FEAS * scale:
             return None
         a = sub.deficit(Ws) - b
         if a <= 0.0:
             return Ws
-        c2 = max(0.0, (tol * scale - b)) / a
+        c2 = max(0.0, (TOL_FEAS * scale - b)) / a
         return Ws * min(1.0, np.sqrt(c2) * (1.0 - 1e-12))
 
     Ws = _constrained_ascent(sub.W0, sub.surrogate_and_grad, kap, kap_grad, project,
@@ -475,7 +471,6 @@ def solve_covariance_subproblem(sub, params=None):
     """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}."""
     params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
-    tol = params.tol_feas
     gnorm2 = float(np.real(np.vdot(sub.g, sub.g)))
 
     def kap(V):
@@ -487,7 +482,7 @@ def solve_covariance_subproblem(sub, params=None):
     def restore(V):
         # Blend toward the aligned rank-1 direction; the deficit is monotone in
         # the blend weight, so bisection finds the smallest feasible push.
-        if gnorm2 <= 0.0 or sub._deficit_offset - gnorm2 > tol * scale:
+        if gnorm2 <= 0.0 or sub._deficit_offset - gnorm2 > TOL_FEAS * scale:
             return None
         P = np.outer(sub.g, sub.g.conj()) / gnorm2
 
@@ -500,14 +495,14 @@ def solve_covariance_subproblem(sub, params=None):
 
         lo, hi = 0.0, 1.0
         for _ in range(200):
-            if kap(blended(hi)) <= tol * 0.5:
+            if kap(blended(hi)) <= TOL_FEAS * 0.5:
                 break
             hi *= 2.0
             if hi > 1e12:
                 return None
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if kap(blended(mid)) <= tol * 0.5:
+            if kap(blended(mid)) <= TOL_FEAS * 0.5:
                 hi = mid
             else:
                 lo = mid

@@ -18,8 +18,6 @@ from .errors import ContractViolation
 from .params import AlgoParams
 from .subsolver import leading_eigpair, solve_covariance_subproblem
 
-FOUR_PI = geometry.FOUR_PI
-
 
 def optimal_combiner_zf(channels, state):
     """SINR-optimal unit-norm receive combiner D_z^{-1} f_r / ||.||."""
@@ -87,7 +85,7 @@ def grad_user_wsr_zf(scenario, channels, ws, geo, weights, k):
     coef = s_w * ws.tr_sens[:, cols] + weights[k] * ws.beam_sens[k]
     phases, dist, diff = geo
     core = coef.T * phases / dist
-    pref = -FOUR_PI * channels.rho[k] / scenario.lam
+    pref = -geometry.FOUR_PI * channels.rho[k] / scenario.lam
     return pref * geometry.chain_xy(core, diff)
 
 
@@ -97,7 +95,7 @@ def grad_user_sinr_deficit_zf(scenario, channels, ws, geo, k):
     n_u = channels.H[k].shape[0]
     cols = slice(k * n_u, (k + 1) * n_u)
     phases, dist, diff = geo
-    pref = FOUR_PI * channels.rho[k] / scenario.lam
+    pref = geometry.FOUR_PI * channels.rho[k] / scenario.lam
     core1 = ws.tr_sens[:, cols].T * phases / dist
     c_beta = ws.gamma0 * ws.pinv_g2 * ws.p_max * ws.tr_gram_inv ** -2
     core2 = (ws.quad_sens[:, cols].T * phases + ws.quad_sens_ct[:, cols].T * phases.conj()) / dist
@@ -121,7 +119,7 @@ def grad_bs_wsr_zf(scenario, channels, ws, geo, weights):
             if k == user:
                 coef = coef + channels.rho[user] * ws.beam_sens[user]
             core = coef * phases_t / dist_t               # (n_t, n_u)
-            rate -= (FOUR_PI / scenario.lam) * geometry.chain_xy(core, diff)
+            rate -= (geometry.FOUR_PI / scenario.lam) * geometry.chain_xy(core, diff)
         g += w * rate
     return g
 
@@ -135,7 +133,7 @@ def grad_bs_sinr_deficit_zf(scenario, placement, channels, ws, geo):
     for k, (cols, phases_t, dist_t, diff) in enumerate(geo):
         core1 = ws.tr_sens[:, cols] * phases_t / dist_t
         core2 = (ws.quad_sens[:, cols] * phases_t + ws.quad_sens_ct[:, cols] * phases_t.conj()) / dist_t
-        pref = FOUR_PI * channels.rho[k] / scenario.lam
+        pref = geometry.FOUR_PI * channels.rho[k] / scenario.lam
         out += (-c_beta * pref * geometry.chain_xy(core1, diff)
                 + ws.gamma0 * ws.beta2 * pref * geometry.chain_xy(core2, diff))
     return out
@@ -205,10 +203,9 @@ def optimize_bs_positions_alm_zf(scenario, placement, channels, state,
 # the stack handed to the AO engine
 
 def initial_zf_state(scenario, channels, params=None):
-    params = params or AlgoParams()
     u0 = channels.f_r / np.sqrt(scenario.n_r)
     P, gain, gram_inv = metrics.zf_precoder(channels, scenario.p_max)
-    v0 = ao.initial_sense_beam(channels, (P,), u0, scenario.gamma0, params.tol_feas)
+    v0 = ao.initial_sense_beam(channels, (P,), u0, scenario.gamma0)
     return metrics.ZfState(v=v0, u=u0, P=P, gain=gain,
                            channel_tag=channels.tag, gram_inv=gram_inv)
 

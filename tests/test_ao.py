@@ -538,7 +538,7 @@ class TestSca:
         return x, rounds, seen
 
     def test_stops_at_first_small_gain_and_counts_it(self):
-        params = AlgoParams(eps_s=1e-2)
+        params = AlgoParams()
         x, rounds, seen = self._run([0.0, 1.0, 2.0, 2.005, 5.0, 9.0], params)
         assert (x, rounds) == (4, 4)
         assert [sub for sub, _ in seen] == [("sub", 0), ("sub", 1), ("sub", 2), ("sub", 3)]
@@ -566,3 +566,24 @@ class TestParams:
         read = set(re.findall(r"\bparams\.(\w+)", code))
         unread = [f.name for f in dataclasses.fields(AlgoParams) if f.name not in read]
         assert unread == []
+
+    def test_every_field_is_set_by_some_caller(self):
+        # a field no AlgoParams(...) call sets is a constant (see params.py)
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = "\n".join(p.read_text() for d in ("src", "tests", "tools", "perfbench")
+                         for p in sorted((root / d).rglob("*.py")))
+        calls = re.findall(r"\bAlgoParams\(([^)]*)\)", code)
+        passed = {name for args in calls for name in re.findall(r"(\w+)\s*=", args)}
+        unset = [f.name for f in dataclasses.fields(AlgoParams) if f.name not in passed]
+        assert unset == []
+
+    @pytest.mark.parametrize("values, message", [
+        ({"tau": 0.0}, "tau must lie in"), ({"tau": 1.0}, "tau must lie in"),
+        ({"delta": 0.0}, "delta must be positive"),
+        ({"delta": -1e-2}, "delta must be positive"),
+        ({"step0": 0.0}, "step0 must be positive"),
+        ({"step0": -1.0}, "step0 must be positive"),
+    ])
+    def test_out_of_range_value_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            AlgoParams(**values)

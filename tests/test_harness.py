@@ -159,6 +159,33 @@ class TestConfig:
             harness.run_preset(desk_config(workers=1, **overrides))
         assert started == []
 
+    def test_n_users_is_not_a_config_key(self):
+        # build_scenario always places two users
+        with pytest.raises(ConfigError, match="unknown key 'n_users'"):
+            harness.parse_config_text("n_users = 2")
+        with pytest.raises(ConfigError):
+            harness.load_config(None, {"n_users": 2})
+
+    # each sweep point is checked at the value its trials run: the preset's
+    # field, in that field's type
+    def test_nk_sweep_point_must_be_whole(self):
+        with pytest.raises(ConfigError, match="sweep value 1.5 is not a valid n_u"):
+            harness.load_config(None, {"profile": "trend", "preset": "nk",
+                                       "schemes": ("LP-FIX",), "sweep": (1.5,)})
+
+    def test_weights_sweep_point_checked_as_w1(self):
+        with pytest.raises(ConfigError, match=r"w1 must lie in \[0, 1\]"):
+            harness.load_config(None, {"profile": "trend", "preset": "weights",
+                                       "sweep": (0.5, 1.5)})
+
+    def test_zf_rule_checked_at_each_nk_point(self):
+        base = {"profile": "trend", "preset": "nk", "schemes": ("ZF-MA",)}
+        assert harness.load_config(None, {**base, "sweep": (1.0, 2.0)}).n_t == 4
+        with pytest.raises(ConfigError, match="sweep value 2.5 is not a valid n_u"):
+            harness.load_config(None, {**base, "sweep": (2.5,)})
+        with pytest.raises(ConfigError, match=r"got 2\*3 > 4"):
+            harness.load_config(None, {**base, "sweep": (1.0, 3.0)})
+
 
 class TestEmit:
     ROWS = [
@@ -399,6 +426,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "failed trials by class: OptimizationAbort 5" in err
         assert out.read_text().splitlines()[0] == harness.CSV_HEADER
+
+    @pytest.mark.parametrize("flag, value, field, expect", [
+        ("--profile", "trend", "profile", "trend"),
+        ("--preset", "weights", "preset", "weights"),
+        ("--scheme", "LP-FIX", "schemes", ("LP-FIX",)),
+        ("--trials", "3", "trials", 3),
+        ("--seed", "7", "seed", 7),
+        ("--out", "elsewhere.csv", "out", "elsewhere.csv"),
+        ("--format", "json", "format", "json"),
+        ("--dtk", "25", "dtk", 25.0),
+        ("--pmax", "0.5", "p_max", 0.5),
+        ("--gamma0", "2e-5", "gamma0", 2e-5),
+        ("--nu", "1", "n_u", 1),
+        ("--weights", "0.3", "w1", 0.3),
+        ("--workers", "1", "workers", 1),
+    ])
+    def test_each_flag_reaches_its_field(self, monkeypatch, flag, value, field, expect):
+        seen = []
+
+        def stop(cfg):
+            seen.append(cfg)
+            raise ConfigError("stop before any trial")
+
+        monkeypatch.setattr(harness, "run_preset", stop)
+        assert cli.main([flag, value]) == 2
+        cfg, = seen
+        assert getattr(cfg, field) == expect
+        # every other field keeps the value it has without the flag
+        default = harness.load_config(None, {"profile": cfg.profile})
+        assert replace(cfg, **{field: getattr(default, field)}) == default
 
     def test_unknown_flag_value_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import pytest
 
 from nfisac import ao, geometry, harness, lp, metrics, verify
 from nfisac.metrics import LpState
-from nfisac.params import AlgoParams
+from nfisac.params import PGM_MAX_STEPS, PGM_TOL, TOL_FEAS, AlgoParams
 
 
 class TestCombiner:
@@ -38,11 +38,9 @@ class TestCombiner:
 
 def _feasible_state(scenario, channels, lp_state):
     """Random precoders with a sensing-feasible beam and boresight combiner."""
-    params = AlgoParams()
     st = lp_state.copy()
     st.u = channels.f_r / math.sqrt(scenario.n_r)
-    st.v = ao.initial_sense_beam(channels, st.W, st.u, scenario.gamma0,
-                                 params.tol_feas)
+    st.v = ao.initial_sense_beam(channels, st.W, st.u, scenario.gamma0)
     return st
 
 
@@ -96,7 +94,7 @@ class TestSenseBeamBlock:
         if "v_not_renormalized" not in flags:
             kap = metrics.sinr_deficit(channels, state.W, v_new, state.u,
                                        scenario.gamma0)
-            assert kap <= params.tol_feas * scale
+            assert kap <= TOL_FEAS * scale
 
     def test_constraint_forces_alignment(self, scenario, channels):
         # weights zero, gamma0 near the achievable maximum: the solution must
@@ -161,7 +159,7 @@ def _reference_user_positions(scenario, placement, channels, state, k, params):
     rate = metrics.rate_lp(channels, state, k)
     mu = params.step0
     steps = 0
-    for _ in range(params.pgm_max_steps):
+    for _ in range(PGM_MAX_STEPS):
         grad = lp.grad_user_rate_lp(scenario, channels, state.W, state.v,
                                     geometry.user_geometry(placement, channels, k), k)
         s = mu
@@ -189,7 +187,7 @@ def _reference_user_positions(scenario, placement, channels, state, k, params):
             s *= params.tau
         if not accepted:
             break
-        if improvement < params.pgm_tol * (1.0 + abs(rate)):
+        if improvement < PGM_TOL * (1.0 + abs(rate)):
             break
     return placement, channels, steps
 
@@ -291,8 +289,7 @@ class TestBsAlm:
         # deficit <= 0 and eta = 0 at start: the first round optimizes -WSR only
         params = AlgoParams(alm_max_outer=2, inner_pgm_max=25)
         state = lp_state.copy()
-        state.v = ao.initial_sense_beam(channels, state.W, state.u,
-                                        scenario.gamma0, params.tol_feas)
+        state.v = ao.initial_sense_beam(channels, state.W, state.u, scenario.gamma0)
         before = float(scenario.weights @ metrics.lp_rates(channels, state))
         pl2, ch2, eta, info = lp.optimize_bs_positions_alm(
             scenario, placement, channels, state, scenario.weights,

@@ -5,7 +5,7 @@ import pytest
 
 from nfisac import lp, metrics, subsolver, verify, zf
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
-from nfisac.params import AlgoParams
+from nfisac.params import TOL_FEAS, AlgoParams
 from nfisac.subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, _pga_ascent,
     leading_eigpair, power_project, psd_trace_project,
@@ -213,7 +213,7 @@ class TestPrecoderSolve:
         sub = _precoder_sub(scenario, channels, state, gamma0=gamma0)
         W = solve_precoder_subproblem(sub, AlgoParams())
         kap = sub.deficit(np.stack(W)) / sub.sinr_deficit_scale
-        assert kap <= AlgoParams().tol_feas
+        assert kap <= TOL_FEAS
         assert sub.surrogate_and_grad(np.stack(W))[0] >= \
             sub.surrogate_and_grad(sub.W0)[0] - 1e-9
 
@@ -433,10 +433,10 @@ class TestCovarianceSolve:
         x = verify._random_unit(rng, scenario.n_t)
         V0 = np.outer(x, x.conj())
         sub = _cov_sub(scenario, channels, state, V0, gamma0=gamma0)
-        if sub.deficit(V0) / sub.sinr_deficit_scale <= AlgoParams().tol_feas:
+        if sub.deficit(V0) / sub.sinr_deficit_scale <= TOL_FEAS:
             pytest.skip("random start happened to be feasible")
         V = solve_covariance_subproblem(sub, AlgoParams())
-        assert sub.deficit(V) / sub.sinr_deficit_scale <= AlgoParams().tol_feas
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= TOL_FEAS
 
 
 def _sequential_pga_ascent(x0, value_grad, project, step0, max_iters, tau,
@@ -947,7 +947,7 @@ class TestCovarianceSolveCost:
         V = solve_covariance_subproblem(sub, AlgoParams())
         assert calls[0] <= self.MAX_CALLS
         assert candidates[0] <= self.MAX_CANDIDATES
-        assert sub.deficit(V) / sub.sinr_deficit_scale <= AlgoParams().tol_feas
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= TOL_FEAS
         vals = np.linalg.eigvalsh(V)
         assert vals.min() >= -1e-12
         assert vals.sum() <= 1.0 + 1e-12

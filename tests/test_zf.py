@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfisac import geometry, metrics, verify, zf
-from nfisac.params import AlgoParams
+from nfisac.params import TOL_FEAS, AlgoParams
 
 
 class TestCombinerZf:
@@ -49,7 +49,7 @@ class TestSenseBeamZf:
             kap = metrics.sinr_deficit(channels, (state.P,), v_new, state.u,
                                        scenario.gamma0)
             scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
-            assert kap <= params.tol_feas * scale
+            assert kap <= TOL_FEAS * scale
 
     def test_surrogate_rounds_monotone(self, scenario, channels, zf_state):
         from nfisac.subsolver import CovarianceSubproblem, solve_covariance_subproblem

@@ -10,11 +10,13 @@ also contribute the return value of every position-block call inside them
 (placements, channels, states, ``eta``, ``AlmInfo``).  Channel tags are left
 out: they count channel builds, not results.
 
-It then runs two presets in-process through ``harness.load_config`` and
-``run_preset`` and prints one sha256 line each for the rows of
-``--profile trend --preset convergence --trials 3 --seed 1 --workers 1``
-(``wall_ms`` left out), for that run's trace rows, and for the rows of
-``--profile trend --preset gradcheck --seed 1``.
+It then runs every preset in-process through ``harness.load_config`` and
+``run_preset`` (``PRESETS``) and prints one sha256 line each for its rows
+(``wall_ms`` left out) and, for convergence, its trace rows.  All run at
+``trend`` scale with seed 1: convergence with 3 trials, gradcheck with its
+default configs, and weights, power, nk (``LP-MA`` and ``LP-FIX``, since
+ZF needs 2 N_u <= N_t) and gamma0 (on {1e-5, 5e-5}, since trend cannot
+reach the default grid's 1e-4) with one trial each.
 
 Two checkouts produce bit-identical results on these units and presets
 exactly when their outputs are equal.  From the root of each checkout:
@@ -50,10 +52,15 @@ POSITION_BLOCKS = {
 SKIPPED_FIELDS = {"tag", "channel_tag"}
 RUN_FIELDS = ("wsr", "trace", "outer_iters", "converged", "flags",
               "block_rejects", "rank_flags", "placement")
+ONE_TRIAL = dict(profile="trend", trials=1, seed=1, workers=1)
 PRESETS = {
     "convergence": dict(profile="trend", preset="convergence", trials=3, seed=1,
                         workers=1),
     "gradcheck": dict(profile="trend", preset="gradcheck", seed=1),
+    "weights": dict(ONE_TRIAL, preset="weights"),
+    "power": dict(ONE_TRIAL, preset="power"),
+    "nk": dict(ONE_TRIAL, preset="nk", schemes=("LP-MA", "LP-FIX")),
+    "gamma0": dict(ONE_TRIAL, preset="gamma0", sweep=(1e-5, 5e-5)),
 }
 
 
