@@ -332,9 +332,25 @@ def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max):
             and c_wsr >= wsr_cur - WSR_SLACK)
 
 
+# blocks whose result depends only on the channels and the iterate; the
+# position blocks also carry their ALM multiplier from one call to the next
+_REPEATABLE = ("W", "v")
+
+
+def _inputs(channels, state):
+    """What a W or v block reads of the iterate: the channel set's tag and
+    copies of the precoders, the beam and the combiner."""
+    return channels.tag, [np.array(a) for a in (*state.precoders, state.v, state.u)]
+
+
+def _same_inputs(a, b):
+    return (b is not None and a[0] == b[0]
+            and all(np.array_equal(x, y) for x, y in zip(a[1], b[1])))
+
+
 def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     """Alternating optimization: the combiner, then each block in turn,
-    until the WSR change across an outer iteration falls below EPS_F.
+    until an outer iteration converges.
 
     ``initial_state(scenario, channels, params)`` gives the warm start;
     ``rates_of(channels, state)`` gives the per-user rates, and the state's
@@ -346,6 +362,15 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     passes the block gate; otherwise the previous iterate is retained, which
     makes the recorded WSR trace non-decreasing by construction.  Two
     consecutive loops with a failed block raise OptimizationAbort.
+
+    An iteration whose WSR change is below EPS_F ends the run as converged
+    if no block in it was rejected or failed, or if the iteration before it
+    was also below EPS_F: a rejected block leaves the iterate where it was,
+    so one quiet iteration with a reject says nothing about convergence.
+    A W or v block whose inputs (``_inputs``) equal those of its last run,
+    and that run was rejected, is not run again: it would give the same
+    candidate.  It is recorded as rejected with the flag ``repeat``, and an
+    iteration in which every block was skipped so ends the run as converged.
     """
     placement.validate(scenario)
     channels = geometry.build_channels(scenario, placement)
@@ -372,15 +397,27 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     rejects = 0
     fail_streak = 0
     converged = False
+    prev_small = False
+    rejected_inputs = {}              # block name -> inputs of its rejected last run
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
-        wsr_start = wsr_cur
+        wsr_start, rejects_start = wsr_cur, rejects
         loop_failed = False
+        skipped = 0
         state.u = combiner(channels, state)
         rates, wsr_cur, gam, kap = measure(channels, state)
         record("u")
 
         for name, block in blocks:
+            key = _inputs(channels, state) if name in _REPEATABLE else None
+            if key is not None and _same_inputs(key, rejected_inputs.get(name)):
+                rejects += 1
+                skipped += 1
+                flags = (f"{name}_block_rejected", "repeat")
+                run_flags.update(flags)
+                record(name, flags)
+                continue
+            rejected_inputs.pop(name, None)
             try:
                 pl_c, ch_c, cand, flags = block(placement, channels, state)
                 if "rank1_ratio_low" in flags:
@@ -392,6 +429,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
                 else:
                     rejects += 1
                     flags = [*flags, f"{name}_block_rejected"]
+                    rejected_inputs[name] = key
                 run_flags.update(flags)
             except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
                 loop_failed = True
@@ -402,9 +440,12 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
         if fail_streak >= 2:
             raise OptimizationAbort(
                 f"two consecutive failed AO loops at iteration {outer}")
-        if abs(wsr_cur - wsr_start) < EPS_F:
+        small = abs(wsr_cur - wsr_start) < EPS_F
+        clean = not loop_failed and rejects == rejects_start
+        if skipped == len(blocks) or (small and (clean or prev_small)):
             converged = True
             break
+        prev_small = small
 
     return RunResult(state=state, placement=placement, channels=channels,
                      trace=trace, outer_iters=outer, converged=converged,

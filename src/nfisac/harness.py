@@ -118,8 +118,12 @@ class ExperimentConfig:
                 raise ConfigError("p_max must be finite and positive")
             if not 0.0 <= point.w1 <= 1.0:
                 raise ConfigError("w1 must lie in [0, 1]")
-            if point.dtk <= 0:
-                raise ConfigError("dtk must be positive")
+            if not 0.0 < point.dtk < math.inf:
+                raise ConfigError("dtk must be finite and positive")
+            if not 0.0 <= point.gamma0 < math.inf:
+                raise ConfigError("gamma0 must be finite and >= 0")
+            if not 0.0 < point.d_min < math.inf:
+                raise ConfigError("d_min must be finite and positive")
             # build_scenario places two users
             if zf_scheme and 2 * point.n_u > point.n_t:
                 raise ConfigError(
@@ -196,8 +200,8 @@ def build_scenario(cfg):
     parallel to the xy-plane.
     """
     dtk, gamma0 = cfg.dtk, cfg.gamma0
-    if dtk <= 0:
-        raise ConfigError("dtk must be positive")
+    if not 0.0 < dtk < math.inf:
+        raise ConfigError("dtk must be finite and positive")
     o_t = geometry.vec3(-3.0, 10.0, 0.0)
     o_r = geometry.vec3(3.0, 10.0, 0.0)
     centers = [

@@ -7,7 +7,9 @@ gradient ascent wrapped in an augmented-Lagrangian loop on the constraint,
 followed by a polish pass
 that only accepts feasible iterates.  The best feasible point seen is
 returned, so the output never loses surrogate objective relative to a
-feasible expansion point.
+feasible expansion point.  That is all the SCA loop around a solve needs to
+stay monotone, so the multiplier loop stops at its first round that ends
+feasible instead of driving the multiplier to convergence.
 
 The deficit carries physical power units; all feasibility logic here
 operates on its value divided by the natural scale
@@ -181,7 +183,10 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
 
     ALM on the scaled constraint with the paper-style penalty rule
     (p = 0 while feasible with zero multiplier), then a feasibility-
-    preserving polish.  Returns the best feasible point encountered.
+    preserving polish from the best feasible point.  The ALM stops at the
+    first round whose end point is feasible, whatever the multiplier and
+    penalty, or after ALM_ROUNDS rounds.  Returns the best feasible point
+    encountered.
     ``f_grad`` and ``kap`` take one point or a stack of them and return
     per-point values, ``f_grad`` with the lazy gradient of ``_pga_ascent``;
     ``kap_grad`` takes one point.
@@ -229,8 +234,8 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
             MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
         )
         kv = kap(x)
-        if eta == 0.0 and p == 0.0 and kv <= TOL_FEAS:
-            break  # optimum of the relaxation is feasible: done
+        if kv <= TOL_FEAS:
+            break  # the round ended feasible: the polish takes over
         eta = max(0.0, eta + p0 * kv)
         p0 = min(p0 * THETA, P_CAP)
 

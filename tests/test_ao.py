@@ -1,5 +1,6 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
-run_zf with one block replaced by a stub that misbehaves, the shared
+run_zf with one block replaced by a stub that misbehaves, its stop rule and
+repeat skip on stub blocks and states, the shared
 projected-gradient descent and SCA loop on stub objectives, the ALM
 position loop on stub rates and gradients, and the one parameter set."""
 
@@ -12,7 +13,7 @@ import pytest
 
 from nfisac import ao, geometry, lp, metrics, subsolver, zf
 from nfisac.errors import NumericalError, OptimizationAbort, RankDeficiencyError
-from nfisac.params import AlgoParams
+from nfisac.params import EPS_F, AlgoParams
 
 
 def _records(res, block):
@@ -72,6 +73,78 @@ class TestAbort:
         monkeypatch.setattr(zf, "optimize_sense_beam_zf", broken_beam)
         with pytest.raises(OptimizationAbort, match="at iteration 2$"):
             zf.run_zf(scenario, placement, AlgoParams(), 1.0)
+
+
+@dataclasses.dataclass
+class _ScoreState:
+    """A state whose WSR is its ``score`` (``_score_rates``); the precoders,
+    beam and combiner are real ones, for the sensing SINR."""
+
+    score: float
+    precoders: tuple
+    v: np.ndarray
+    u: np.ndarray
+
+    def power(self):
+        return 0.0
+
+
+def _score_rates(channels, state):
+    return np.array([state.score, state.score])
+
+
+class TestStopRule:
+    """``ao.run`` on stub blocks that add a scripted score to the WSR, or
+    lose some (then the gate rejects them): when an AO loop ends the run,
+    and when a W or v block is skipped as a repeat."""
+
+    def _run(self, scenario, placement, name, gains, combiner=None):
+        calls = []
+
+        def initial(sc, ch, params):
+            st = lp.initial_lp_state(sc, ch)
+            return _ScoreState(0.0, tuple(st.precoders), st.v, st.u)
+
+        def block(pl, ch, st):
+            gain = gains[min(len(calls), len(gains) - 1)]
+            calls.append(st)
+            return pl, ch, dataclasses.replace(st, score=st.score + gain), ()
+
+        res = ao.run(scenario, placement, AlgoParams(), initial, _score_rates,
+                     combiner or (lambda ch, st: st.u), [(name, block)])
+        return res, calls
+
+    def test_quiet_loop_with_a_reject_does_not_end_the_run(self, scenario, placement):
+        # loop 1 rejects, loop 2 gains, loop 3 is clean and quiet
+        res, calls = self._run(scenario, placement, "t", [-1.0, 1.0, 0.0])
+        assert (res.outer_iters, res.converged, len(calls)) == (3, True, 3)
+        assert res.block_rejects == 1
+
+    def test_two_quiet_loops_with_rejects_end_it(self, scenario, placement):
+        res, calls = self._run(scenario, placement, "t", [-1.0])
+        assert (res.outer_iters, res.converged, len(calls)) == (2, True, 2)
+        assert res.block_rejects == 2
+
+    def test_clean_quiet_loop_ends_it(self, scenario, placement):
+        res, calls = self._run(scenario, placement, "t", [EPS_F / 2])
+        assert (res.outer_iters, res.converged, len(calls)) == (1, True, 1)
+        assert res.block_rejects == 0
+
+    def test_repeat_is_skipped_and_recorded(self, scenario, placement):
+        res, calls = self._run(scenario, placement, "v", [-1.0])
+        assert (res.outer_iters, res.converged, len(calls)) == (2, True, 1)
+        assert res.block_rejects == 2
+        flags = [rec.flags for rec in res.trace if rec.block == "v"]
+        assert flags == [("v_block_rejected",), ("v_block_rejected", "repeat")]
+        assert "repeat" in res.flags
+
+    def test_changed_combiner_is_no_repeat(self, scenario, placement):
+        def turn(ch, st):
+            return st.u * np.exp(0.1j)
+
+        res, calls = self._run(scenario, placement, "v", [-1.0], combiner=turn)
+        assert (res.outer_iters, res.converged, len(calls)) == (2, True, 2)
+        assert not any("repeat" in rec.flags for rec in res.trace)
 
 
 class TestDescend:

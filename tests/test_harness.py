@@ -159,6 +159,15 @@ class TestConfig:
             harness.run_preset(desk_config(workers=1, **overrides))
         assert started == []
 
+    # NaN fails every comparison, so each check is written to fail on it;
+    # gradcheck sweeps nothing, so the config's own value is the one that runs
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["dtk", "gamma0", "d_min"])
+    def test_non_finite_model_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            harness.load_config(None, {"profile": "trend", "preset": "gradcheck",
+                                       field: value})
+
     def test_n_users_is_not_a_config_key(self):
         # build_scenario always places two users
         with pytest.raises(ConfigError, match="unknown key 'n_users'"):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nfisac import lp, metrics, subsolver, verify, zf
+from nfisac import ao, lp, metrics, subsolver, verify, zf
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
-from nfisac.params import TOL_FEAS, AlgoParams
+from nfisac.params import PGA_ITERS, TOL_FEAS, AlgoParams
 from nfisac.subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, _pga_ascent,
     leading_eigpair, power_project, psd_trace_project,
@@ -420,6 +420,31 @@ class TestCovarianceSolve:
             assert vals.sum() > 0
             ratios.append(vals[-1] / vals.sum())
         assert ratios[-1] >= 0.99
+
+    def test_alm_stops_at_first_feasible_round(self, monkeypatch, scenario, channels,
+                                               lp_state):
+        # from the least-interference feasible beam the sensing constraint
+        # binds: the unpenalized first round ends infeasible, and the ALM
+        # ends with the first round that ends feasible
+        v = ao.initial_sense_beam(channels, lp_state.precoders, lp_state.u,
+                                  scenario.gamma0)
+        V0 = np.outer(v, v.conj())
+        sub = _cov_sub(scenario, channels, lp_state, V0)
+        ends = []
+        ascent = subsolver._pga_ascent
+
+        def counted(x0, value_grad, project, step0, max_iters, *args, **kwargs):
+            out = ascent(x0, value_grad, project, step0, max_iters, *args, **kwargs)
+            if max_iters == PGA_ITERS:                # an ALM round, not the polish
+                ends.append(sub.deficit(out[0]) / sub.sinr_deficit_scale)
+            return out
+
+        monkeypatch.setattr(subsolver, "_pga_ascent", counted)
+        V = solve_covariance_subproblem(sub, AlgoParams())
+        assert len(ends) >= 2 and ends[0] > TOL_FEAS
+        assert all(k > TOL_FEAS for k in ends[:-1]) and ends[-1] <= TOL_FEAS
+        assert sub.deficit(V) / sub.sinr_deficit_scale <= TOL_FEAS
+        assert sub.objective_and_grad(V)[0] >= sub.objective_and_grad(V0)[0]
 
     def test_feasibility_restoration(self, scenario, channels, lp_state):
         # start infeasible: solver must return a feasible covariance

@@ -1,0 +1,75 @@
+"""tools/wsr_gate.py's core on two stub units, in-process: the record of a
+unit on a shifted pool, and the paired comparison of two runs.  No process
+is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from nfisac import geometry, metrics
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("wsr_gate", ROOT / "tools" / "wsr_gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Bench:
+    """Stands in for ``perfbench.workloads.Bench``: a unit's WSR is 1 + its
+    trial, plus ``per_nm`` bits per nm of the BS array's x, and its trace
+    rejects the v block twice, the second time as a repeat."""
+
+    def __init__(self, per_nm):
+        self.per_nm = per_nm
+
+    def _placement(self, trial):
+        return geometry.Placement(np.zeros((2, 3)), ())
+
+    def run_unit(self, trial, scheme):
+        x_nm = self._placement(trial).t[0, 0] * 1e9
+        trace = [metrics.TraceRecord(1, "v", 0.0, 0.0, 0.0, 0.0, (), ("v_block_rejected",)),
+                 metrics.TraceRecord(2, "v", 0.0, 0.0, 0.0, 0.0, (),
+                                     ("v_block_rejected", "repeat"))]
+        run = SimpleNamespace(trace=trace, outer_iters=2, converged=trial == 0)
+        return SimpleNamespace(wsr_bits={scheme: 1.0 + trial + self.per_nm * x_nm},
+                               problem=None, run=run)
+
+
+def _doc(tool, bench):
+    units = [tool.measure(bench, pool, trial, "ZF-MA") for pool in (0, 1) for trial in (0, 1)]
+    return json.loads(json.dumps(dict(pools=1, units=units)))
+
+
+def test_record_of_a_shifted_unit(tool):
+    bench = _Bench(per_nm=0.1)
+    rec = tool.measure(bench, 1, 1, "ZF-MA")
+    assert "_placement" not in vars(bench)          # the wrapper is removed again
+    assert rec.pop("cpu_s") >= 0.0
+    assert rec == dict(pool=1, trial=1, scheme="ZF-MA", wsr_bits=pytest.approx(2.1),
+                       outer_iters=2, converged=False, rejects={"v": 2}, repeats=1,
+                       problem=None)
+
+
+def test_compare_pairs_units_per_pool(tool):
+    parent, change = _doc(tool, _Bench(per_nm=0.0)), _doc(tool, _Bench(per_nm=0.1))
+    lines, stats = tool.compare(parent, change)
+    mean, (lo, hi) = stats["ZF-MA"]
+    # pool 0 unchanged; pool 1 gains 0.1 bits on a parent mean of 1.5 bits
+    assert (lo, hi) == (0.0, pytest.approx(100 * 0.1 / 1.5))
+    assert mean == pytest.approx(50 * 0.1 / 1.5)
+    text = "\n".join(lines)
+    assert "units moved by more than 0.05 bits: 2" in text
+    assert "ZF-MA pool 1 trial 0: 1.0000 -> 1.1000 (+0.1000)" in text
+    rows = [line.split() for line in lines if line.startswith("ZF-MA") and "%" in line]
+    # scheme, pool, units, both means, diff, diff %, moved, cpu, unconverged, failed
+    assert [row[:3] + row[7:8] + row[9:] for row in rows[:2]] == [
+        ["ZF-MA", "0", "2", "0", "1/1", "0/0"], ["ZF-MA", "1", "2", "2", "1/1", "0/0"]]

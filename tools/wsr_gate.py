@@ -1,0 +1,190 @@
+"""WSR gate: every ``mc-trend`` unit on the base pool and on pools whose BS
+array is shifted by 1, 2, ... nm in x.
+
+Runs each unit of ``perfbench.workloads.pool_units("mc-trend")`` through
+``Bench.run_unit`` of a checkout; the shifted pools wrap the Bench's
+``_placement`` in-process, and the benchmark code is imported, never
+modified.  The units are spread over ``--workers`` processes (never more
+than the units).  It writes one JSON with one record per unit: WSR in bits,
+``outer_iters``, ``converged``, process CPU, the per-block reject counts
+read from the ``<block>_block_rejected`` flags of the trace records, the
+records flagged ``repeat`` and the unit's problem (None when clean).
+
+``--compare PARENT.json CHANGE.json`` prints, per scheme and pool, the mean
+WSR of both sides and their paired difference; per scheme that
+difference's mean and range over the pools; every unit that moved by more
+than 0.05 bits; the CPU ratio (parent / change: above 1 means the change is
+faster); and the units that ended ``converged=False`` or failed.  From
+anywhere:
+
+    python3 tools/wsr_gate.py --pools 3 --out change.json
+    python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
+    python3 tools/wsr_gate.py --compare parent.json change.json
+
+The checkout defaults to the one this script is in.  OpenBLAS runs
+single-threaded unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import statistics
+import sys
+import time
+from collections import Counter, defaultdict
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOAD = "mc-trend"
+SHIFT_M = 1e-9              # one pool step: the BS array moves 1 nm in x
+MOVED_BITS = 0.05           # a unit's paired WSR change worth listing
+
+_BENCH = None               # a worker's Bench
+
+
+def _workloads(checkout):
+    """The ``perfbench/workloads.py`` module of a checkout."""
+    sys.path.insert(0, str(Path(checkout) / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def measure(bench, pool, trial, scheme):
+    """Run one unit with the BS array shifted by ``pool`` nm in x; returns
+    its record."""
+    def placement(t):
+        pl = type(bench)._placement(bench, t)
+        tx = pl.t.copy()
+        tx[:, 0] += pool * SHIFT_M
+        return pl.with_t(tx)
+
+    bench._placement = placement
+    try:
+        cpu = time.process_time()
+        outcome = bench.run_unit(trial, scheme)
+        cpu = time.process_time() - cpu
+    finally:
+        del bench._placement
+    rejects, repeats = Counter(), 0
+    run = outcome.run
+    for rec in run.trace if run is not None else ():
+        repeats += "repeat" in rec.flags
+        rejects.update(f[:-len("_block_rejected")] for f in rec.flags
+                       if f.endswith("_block_rejected"))
+    return dict(pool=pool, trial=trial, scheme=scheme,
+                wsr_bits=outcome.wsr_bits.get(scheme),
+                outer_iters=None if run is None else run.outer_iters,
+                converged=None if run is None else bool(run.converged),
+                cpu_s=cpu, rejects=dict(sorted(rejects.items())), repeats=repeats,
+                problem=outcome.problem)
+
+
+def _init_worker(checkout):
+    global _BENCH
+    sys.stdout = sys.stderr                  # library prints stay off the report
+    workloads = _workloads(checkout)
+    workloads.use_checkout_source()
+    _BENCH = workloads.Bench(WORKLOAD)
+
+
+def _run_task(unit):
+    return measure(_BENCH, *unit)
+
+
+def collect(checkout, units, workers):
+    """Records of ``units`` ((pool, trial, scheme) triples) in unit order,
+    run by ``workers`` processes on the checkout."""
+    workers = max(1, min(workers, len(units)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_init_worker,
+                             initargs=(str(checkout),)) as ex:
+        return list(ex.map(_run_task, units))
+
+
+def compare(parent, change):
+    """The report's lines and, per scheme, the mean and (min, max) over the
+    pools of the paired difference in percent of the parent's pool mean."""
+    par = {(r["pool"], r["trial"], r["scheme"]): r for r in parent["units"]}
+    cells = defaultdict(list)                # (scheme, pool) -> [(parent, change)]
+    for r in change["units"]:
+        p = par.get((r["pool"], r["trial"], r["scheme"]))
+        if p is not None:
+            cells[r["scheme"], r["pool"]].append((p, r))
+
+    def ok(r):
+        return r["problem"] is None and r["wsr_bits"] is not None
+
+    lines = [f"{'scheme':8} {'pool':>5} {'units':>5} {'parent':>9} {'change':>9} "
+             f"{'diff':>9} {'diff %':>8} {'moved':>5} {'cpu x':>6} "
+             f"{'unconv p/c':>10} {'failed p/c':>10}"]
+    per_scheme, moved = defaultdict(list), []
+    for (scheme, pool), pairs in sorted(cells.items()):
+        both = [(p, c) for p, c in pairs if ok(p) and ok(c)]
+        pm = statistics.fmean(p["wsr_bits"] for p, _ in both) if both else float("nan")
+        cm = statistics.fmean(c["wsr_bits"] for _, c in both) if both else float("nan")
+        diff = cm - pm
+        pct = 100.0 * diff / pm if pm else float("nan")
+        per_scheme[scheme].append(pct)
+        big = [(p, c) for p, c in both if abs(c["wsr_bits"] - p["wsr_bits"]) > MOVED_BITS]
+        moved += big
+        cpu = (sum(p["cpu_s"] for p, _ in pairs)
+               / max(sum(c["cpu_s"] for _, c in pairs), 1e-12))
+        unconv = [sum(r["converged"] is False for r in side) for side in zip(*pairs)]
+        failed = [sum(not ok(r) for r in side) for side in zip(*pairs)]
+        lines.append(f"{scheme:8} {pool:>5} {len(pairs):>5} {pm:9.4f} {cm:9.4f} "
+                     f"{diff:+9.4f} {pct:+7.2f}% {len(big):>5} {cpu:6.3f} "
+                     f"{unconv[0]:>4}/{unconv[1]:<5} {failed[0]:>4}/{failed[1]:<5}")
+    stats = {}
+    lines.append(f"{'scheme':8} {'pools':>5} {'mean diff %':>12} {'range %':>18}")
+    for scheme, pcts in per_scheme.items():
+        stats[scheme] = (statistics.fmean(pcts), (min(pcts), max(pcts)))
+        lines.append(f"{scheme:8} {len(pcts):>5} {stats[scheme][0]:+11.2f}% "
+                     f"{min(pcts):+8.2f} .. {max(pcts):+6.2f}")
+    lines.append(f"units moved by more than {MOVED_BITS} bits: {len(moved)}")
+    for p, c in moved:
+        lines.append(f"  {c['scheme']} pool {c['pool']} trial {c['trial']}: "
+                     f"{p['wsr_bits']:.4f} -> {c['wsr_bits']:.4f} "
+                     f"({c['wsr_bits'] - p['wsr_bits']:+.4f})")
+    return lines, stats
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout", nargs="?", default=str(HERE),
+                    help="checkout to run (default: this one)")
+    ap.add_argument("--pools", type=int, default=3,
+                    help="shifted pools beside the base pool (1..P nm)")
+    ap.add_argument("--workers", type=int, default=2,
+                    help="worker processes (at most one per unit)")
+    ap.add_argument("--out", help="JSON file for the records")
+    ap.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"))
+    args = ap.parse_args(argv)
+    if args.compare:
+        docs = [json.loads(Path(f).read_text()) for f in args.compare]
+        lines, stats = compare(*docs)
+        print("\n".join(lines))
+        return stats
+    if not args.out:
+        ap.error("--out is required unless --compare is given")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")     # the workers inherit it
+    units = [(pool, trial, scheme)
+             for pool in range(args.pools + 1)
+             for trial, scheme in _workloads(args.checkout).pool_units(WORKLOAD)]
+    records = collect(args.checkout, units, args.workers)
+    Path(args.out).write_text(json.dumps(
+        dict(checkout=str(Path(args.checkout).resolve()), pools=args.pools,
+             units=records), indent=1) + "\n")
+    bad = sum(r["problem"] is not None for r in records)
+    print(f"{len(records)} units, {bad} with a problem, written to {args.out}")
+    return records
+
+
+if __name__ == "__main__":
+    main()
