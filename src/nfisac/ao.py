@@ -249,8 +249,8 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
     the SINR deficit under ``gamma0``) and scales kap and its gradient
     alike.  Only the adopted candidate of a stack becomes a ChannelSet and
     a state of its own.
-    Returns (placement, channels, state, eta, info); eta persists across
-    calls as warm-start dual information.
+    Returns (placement, channels, state, eta, info); eta is the warm start
+    of the next call, which ``AlmBlock`` takes only from an adopted call.
     """
     scale = metrics.sinr_deficit_scale(channels, gamma0)
 
@@ -308,6 +308,30 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
     return pl, ch, st, eta, info
 
 
+class AlmBlock:
+    """A position block with its own ALM multiplier eta.
+
+    ``step(placement, channels, state, eta)`` gives a candidate
+    (placement, channels, state, eta).  The block hands ``run`` the
+    candidate and keeps its eta only once ``run`` adopts the candidate
+    (``adopted``): a rejected visit leaves the next one at the eta of the
+    last adopted visit, so the multiplier cannot run away on candidates
+    the gate throws out.
+    """
+
+    def __init__(self, step):
+        self.step = step
+        self.eta = self._eta_next = 0.0
+
+    def __call__(self, placement, channels, state):
+        placement, channels, state, self._eta_next = self.step(
+            placement, channels, state, self.eta)
+        return placement, channels, state, ()
+
+    def adopted(self):
+        self.eta = self._eta_next
+
+
 # ---------------------------------------------------------------------------
 # the alternating-optimization loop
 
@@ -333,7 +357,8 @@ def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max):
 
 
 # blocks whose result depends only on the channels and the iterate; the
-# position blocks also carry their ALM multiplier from one call to the next
+# position blocks also carry their ALM multiplier from one adopted visit to
+# the next
 _REPEATABLE = ("W", "v")
 
 
@@ -360,8 +385,10 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     ``block(placement, channels, state)`` gives a candidate
     (placement, channels, state, flags).  A candidate is adopted only if it
     passes the block gate; otherwise the previous iterate is retained, which
-    makes the recorded WSR trace non-decreasing by construction.  Two
-    consecutive loops with a failed block raise OptimizationAbort.
+    makes the recorded WSR trace non-decreasing by construction.  A block
+    with an ``adopted()`` method (``AlmBlock``) is told when its candidate
+    is adopted.  Two consecutive loops with a failed block raise
+    OptimizationAbort.
 
     An iteration whose WSR change is below EPS_F ends the run as converged
     if no block in it was rejected or failed, or if the iteration before it
@@ -426,6 +453,8 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
                 if _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, scenario.p_max):
                     placement, channels, state = pl_c, ch_c, cand
                     rates, wsr_cur, gam, kap = c_rates, c_wsr, c_gam, c_kap
+                    if hasattr(block, "adopted"):
+                        block.adopted()
                 else:
                     rejects += 1
                     flags = [*flags, f"{name}_block_rejected"]

@@ -240,7 +240,6 @@ def _blocks(scenario, params, zeta, fixed_positions):
     unless frozen each user's positions and the BS positions.  Module
     functions are looked up when a block runs, not when the list is built."""
     weights, gamma0 = scenario.weights, scenario.gamma0
-    eta = 0.0
 
     def precoders(pl, ch, st):
         W, _ = optimize_precoders(ch, st, weights, scenario.p_max, gamma0, params)
@@ -256,15 +255,15 @@ def _blocks(scenario, params, zeta, fixed_positions):
             return pl, ch, st, ()
         return block
 
-    def bs(pl, ch, st):
-        nonlocal eta
+    def bs(pl, ch, st, eta):
         pl, ch, eta, _ = optimize_bs_positions_alm(scenario, pl, ch, st, weights,
                                                    gamma0, params, eta)
-        return pl, ch, st, ()
+        return pl, ch, st, eta
 
     blocks = [("W", precoders), ("v", beam)]
     if not fixed_positions:
-        blocks += [(f"q{k}", user(k)) for k in range(scenario.n_users)] + [("t", bs)]
+        blocks += ([(f"q{k}", user(k)) for k in range(scenario.n_users)]
+                   + [("t", ao.AlmBlock(bs))])
     return blocks
 
 

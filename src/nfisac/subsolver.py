@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
 from .params import (
-    ALM_ROUNDS, ARMIJO, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_REL_TOL, PGA_STEP0,
-    POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
+    ALM_ROUNDS, ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_REL_TOL,
+    PGA_STEP0, POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
 )
 
 
@@ -178,15 +178,16 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
 
 
 def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
-                        fw_oracle=None):
+                        rel_tol, fw_oracle=None):
     """Maximize f over the projection set subject to the scaled SINR deficit <= 0.
 
     ALM on the scaled constraint with the paper-style penalty rule
     (p = 0 while feasible with zero multiplier), then a feasibility-
     preserving polish from the best feasible point.  The ALM stops at the
     first round whose end point is feasible, whatever the multiplier and
-    penalty, or after ALM_ROUNDS rounds.  Returns the best feasible point
-    encountered.
+    penalty, or after ALM_ROUNDS rounds.  Every ascent, in the ALM rounds
+    and in the polish, stops at its first iteration that gains less than
+    ``rel_tol`` (relative).  Returns the best feasible point encountered.
     ``f_grad`` and ``kap`` take one point or a stack of them and return
     per-point values, ``f_grad`` with the lazy gradient of ``_pga_ascent``;
     ``kap_grad`` takes one point.
@@ -230,7 +231,7 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
             return f - eta * kv - 0.5 * p * kv * kv, grad, f, kv
 
         x, _, step = _pga_ascent(
-            x, vg, project, step, PGA_ITERS, params.tau, ARMIJO, PGA_REL_TOL,
+            x, vg, project, step, PGA_ITERS, params.tau, ARMIJO, rel_tol,
             MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
         )
         kv = kap(x)
@@ -249,7 +250,7 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
         return np.where(kv <= TOL_FEAS, f, np.nan), grad_f, f, kv
 
     _pga_ascent(
-        x, vg2, project, step, POLISH_ITERS, params.tau, ARMIJO, PGA_REL_TOL,
+        x, vg2, project, step, POLISH_ITERS, params.tau, ARMIJO, rel_tol,
         MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
     )
     return best[1]
@@ -384,7 +385,7 @@ def solve_precoder_subproblem(sub, params=None):
         return Ws * min(1.0, np.sqrt(c2) * (1.0 - 1e-12))
 
     Ws = _constrained_ascent(sub.W0, sub.surrogate_and_grad, kap, kap_grad, project,
-                             restore, params)
+                             restore, params, PGA_REL_TOL)
     return [Ws[k] for k in range(sub.K)]
 
 
@@ -522,5 +523,6 @@ def solve_covariance_subproblem(sub, params=None):
         return -V if float(np.real(np.trace(V))) > 0.0 else None
 
     V = _constrained_ascent(sub.V0, sub.objective_and_grad, kap, kap_grad,
-                            psd_trace_project, restore, params, fw_oracle=fw_oracle)
+                            psd_trace_project, restore, params, COV_REL_TOL,
+                            fw_oracle=fw_oracle)
     return V

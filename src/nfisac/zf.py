@@ -213,8 +213,8 @@ def initial_zf_state(scenario, channels, params=None):
 def _blocks(scenario, params, zeta, fixed_positions):
     """(name, block) pairs in visiting order: sensing beam, then unless
     frozen each user's positions and the BS positions, each position block
-    with its own ALM multiplier.  Module functions are looked up when a
-    block runs, not when the list is built."""
+    an ``ao.AlmBlock`` with its own ALM multiplier.  Module functions are
+    looked up when a block runs, not when the list is built."""
     weights, gamma0 = scenario.weights, scenario.gamma0
 
     def beam(pl, ch, st):
@@ -224,26 +224,19 @@ def _blocks(scenario, params, zeta, fixed_positions):
         return pl, ch, cand, flags
 
     def user(k):
-        eta = 0.0
+        def step(pl, ch, st, eta):
+            return optimize_user_positions_alm_zf(
+                scenario, pl, ch, st, weights, gamma0, k, params, eta)[:4]
+        return ao.AlmBlock(step)
 
-        def block(pl, ch, st):
-            nonlocal eta
-            pl, ch, st, eta, _ = optimize_user_positions_alm_zf(
-                scenario, pl, ch, st, weights, gamma0, k, params, eta)
-            return pl, ch, st, ()
-        return block
-
-    eta_t = 0.0
-
-    def bs(pl, ch, st):
-        nonlocal eta_t
-        pl, ch, st, eta_t, _ = optimize_bs_positions_alm_zf(
-            scenario, pl, ch, st, weights, gamma0, params, eta_t)
-        return pl, ch, st, ()
+    def bs(pl, ch, st, eta):
+        return optimize_bs_positions_alm_zf(
+            scenario, pl, ch, st, weights, gamma0, params, eta)[:4]
 
     blocks = [("v", beam)]
     if not fixed_positions:
-        blocks += [(f"q{k}", user(k)) for k in range(scenario.n_users)] + [("t", bs)]
+        blocks += ([(f"q{k}", user(k)) for k in range(scenario.n_users)]
+                   + [("t", ao.AlmBlock(bs))])
     return blocks
 
 

@@ -147,6 +147,62 @@ class TestStopRule:
         assert not any("repeat" in rec.flags for rec in res.trace)
 
 
+class TestAlmMultiplier:
+    """A position block hands its next visit the ALM multiplier eta of its
+    last adopted visit; the eta of a rejected visit is dropped."""
+
+    def test_only_adopted_visits_pass_on_eta(self, scenario, placement):
+        # visit 1 gains (eta 5), visit 2 loses (eta 1e6), visit 3 gains
+        # (eta 7), visit 4 is quiet
+        script = [(1.0, 5.0), (-1.0, 1e6), (1.0, 7.0), (0.0, 9.0)]
+        seen = []
+
+        def initial(sc, ch, params):
+            st = lp.initial_lp_state(sc, ch)
+            return _ScoreState(0.0, tuple(st.precoders), st.v, st.u)
+
+        def step(pl, ch, st, eta):
+            gain, eta_out = script[len(seen)]
+            seen.append(eta)
+            return pl, ch, dataclasses.replace(st, score=st.score + gain), eta_out
+
+        res = ao.run(scenario, placement, AlgoParams(), initial, _score_rates,
+                     lambda ch, st: st.u, [("t", ao.AlmBlock(step))])
+        assert (res.outer_iters, res.block_rejects) == (4, 1)
+        assert seen == [0.0, 5.0, 5.0, 7.0]
+
+    @pytest.mark.parametrize("stack, name", [
+        (lp, "optimize_bs_positions_alm"),
+        (zf, "optimize_bs_positions_alm_zf"),
+        (zf, "optimize_user_positions_alm_zf"),
+    ])
+    def test_rejected_visit_keeps_the_earlier_eta(self, scenario, placement,
+                                                  monkeypatch, stack, name):
+        # every visit of the patched block returns a candidate the gate
+        # rejects with eta = 1e6: each next visit still starts at eta = 0
+        seen = []
+
+        def rejected(sc, pl, ch, st, *args):
+            seen.append(args[-1])
+            if stack is lp:                  # precoders kept: no rate on these channels
+                return pl, ch.moved(tuple(0.0 * H for H in ch.H)), 1e6, None
+            cand = st.copy()
+            cand.v = 2.0 * st.v
+            return pl, ch, cand, 1e6, None
+
+        def kept(sc, pl, ch, st, *args):
+            return pl, ch, st, args[-1], None
+
+        if stack is zf:                      # the other ZF position blocks stay put
+            for other in ("optimize_bs_positions_alm_zf", "optimize_user_positions_alm_zf"):
+                monkeypatch.setattr(stack, other, kept)
+        monkeypatch.setattr(stack, name, rejected)
+        run = lp.run_lp if stack is lp else zf.run_zf
+        res = run(scenario, placement, AlgoParams(), 1.0)
+        assert len(seen) >= 2 and seen == [0.0] * len(seen)
+        assert res.block_rejects >= len(seen)
+
+
 class TestDescend:
     """``ao.descend`` on user 0's array with a stub objective: the iterate is
     (placement, value), ``move`` records the trial steps of every stack it is

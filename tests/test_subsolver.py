@@ -5,7 +5,7 @@ import pytest
 
 from nfisac import ao, lp, metrics, subsolver, verify, zf
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
-from nfisac.params import PGA_ITERS, TOL_FEAS, AlgoParams
+from nfisac.params import COV_REL_TOL, EPS_S, PGA_ITERS, PGA_REL_TOL, TOL_FEAS, AlgoParams
 from nfisac.subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, _pga_ascent,
     leading_eigpair, power_project, psd_trace_project,
@@ -986,3 +986,57 @@ class TestCovarianceSolveCost:
         V0 = np.outer(zf_state.v, zf_state.v.conj())
         self._solve_counted(_cov_sub(scenario, channels, None, V0, mode="zf",
                                      zf_state=zf_state))
+
+
+class TestCovarianceTolerance:
+    """The covariance ascents stop at COV_REL_TOL, not PGA_REL_TOL: on the
+    conftest subproblems, at the scenario's gamma0 and without a sensing
+    constraint, the solve stays feasible, its surrogate stays within
+    EPS_S / 10 of a solve run to PGA_REL_TOL, and it makes fewer objective
+    calls."""
+
+    def _solve(self, monkeypatch, sub, rel_tol):
+        """(V, surrogate at V, stacked objective calls) of one solve."""
+        calls = [0]
+        inner = sub.objective_and_grad
+
+        def counted(V):
+            calls[0] += 1
+            return inner(V)
+
+        monkeypatch.setattr(subsolver, "COV_REL_TOL", rel_tol)
+        sub.objective_and_grad = counted
+        try:
+            V = solve_covariance_subproblem(sub, AlgoParams())
+        finally:
+            del sub.objective_and_grad
+        return V, sub.objective_and_grad(V)[0], calls[0]
+
+    @pytest.mark.parametrize("gamma0", [None, 0.0])
+    @pytest.mark.parametrize("mode", ["lp", "zf"])
+    def test_close_to_the_tight_solve_in_fewer_calls(self, monkeypatch, scenario,
+                                                     channels, lp_state, zf_state,
+                                                     mode, gamma0):
+        state = lp_state if mode == "lp" else zf_state
+        V0 = np.outer(state.v, state.v.conj())
+        sub = _cov_sub(scenario, channels, lp_state, V0, gamma0=gamma0, mode=mode,
+                       zf_state=zf_state)
+        V_tight, f_tight, calls_tight = self._solve(monkeypatch, sub, PGA_REL_TOL)
+        V, f, calls = self._solve(monkeypatch, sub, COV_REL_TOL)
+        for X in (V, V_tight):
+            assert sub.deficit(X) / sub.sinr_deficit_scale <= TOL_FEAS
+            vals = np.linalg.eigvalsh(X)
+            assert vals.min() >= -1e-12 and vals.sum() <= 1.0 + 1e-12
+        assert f >= f_tight - EPS_S / 10
+        assert calls < calls_tight
+
+    def test_precoder_solve_keeps_the_tight_tolerance(self, monkeypatch, scenario,
+                                                      channels, lp_state):
+        # the covariance tolerance does not reach the precoder subproblem
+        state = lp_state.copy()
+        state.v = channels.f_t / math.sqrt(scenario.n_t)
+        sub = _precoder_sub(scenario, channels, state)
+        W = solve_precoder_subproblem(sub, AlgoParams())
+        monkeypatch.setattr(subsolver, "COV_REL_TOL", 1e-1)
+        W_loose_cov = solve_precoder_subproblem(sub, AlgoParams())
+        assert all(np.array_equal(a, b) for a, b in zip(W, W_loose_cov))

@@ -73,3 +73,37 @@ def test_compare_pairs_units_per_pool(tool):
     # scheme, pool, units, both means, diff, diff %, moved, cpu, unconverged, failed
     assert [row[:3] + row[7:8] + row[9:] for row in rows[:2]] == [
         ["ZF-MA", "0", "2", "0", "1/1", "0/0"], ["ZF-MA", "1", "2", "2", "1/1", "0/0"]]
+
+
+def _pooled(means):
+    """A run's document: one unit per pool, its WSR that pool's mean."""
+    return dict(pools=len(means) - 1, units=[
+        dict(pool=pool, trial=0, scheme="ZF-MA", wsr_bits=m, cpu_s=1.0, converged=True,
+             problem=None) for pool, m in enumerate(means)])
+
+
+@pytest.mark.parametrize("pcts, word", [
+    ([4.0, 4.0, 4.0, 4.0], "gain"),
+    ([-4.0, -4.0, -4.0, -4.0], "loss"),
+    ([1.0, 1.0, 1.0, 1.0], "within noise"),          # under the threshold
+    ([6.0, 6.0, 6.0, -0.5], "within noise"),         # one pool of the other sign
+])
+def test_compare_verdict_per_scheme(tool, pcts, word):
+    # the parent's pool means span 0.06 bits around 0.995: threshold 3.02%
+    parent = [1.0, 1.02, 0.96, 1.0]
+    change = [p * (1.0 + d / 100.0) for p, d in zip(parent, pcts)]
+    lines, _ = tool.compare(_pooled(parent), _pooled(change))
+    summary = [line for line in lines if line.startswith("ZF-MA") and ".." in line]
+    assert len(summary) == 1
+    assert summary[0].endswith(f"  {word}")
+    assert " 3.02%" in summary[0]
+    assert any(line.startswith("verdict:") for line in lines)
+
+
+def test_verdict_rule(tool):
+    assert tool.verdict([2.0, 1.0], [1.0, 1.02]) == ("gain", pytest.approx(0.990099))
+    assert tool.verdict([-2.0, -1.0], [1.0, 1.02])[0] == "loss"
+    assert tool.verdict([0.5, 0.5], [1.0, 1.02])[0] == "within noise"
+    assert tool.verdict([2.0, 0.0], [1.0, 1.02])[0] == "within noise"
+    # one pool: no spread, so any change with a sign is beyond it
+    assert tool.verdict([0.01], [3.0]) == ("gain", 0.0)

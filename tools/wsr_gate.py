@@ -12,10 +12,10 @@ records flagged ``repeat`` and the unit's problem (None when clean).
 
 ``--compare PARENT.json CHANGE.json`` prints, per scheme and pool, the mean
 WSR of both sides and their paired difference; per scheme that
-difference's mean and range over the pools; every unit that moved by more
-than 0.05 bits; the CPU ratio (parent / change: above 1 means the change is
-faster); and the units that ended ``converged=False`` or failed.  From
-anywhere:
+difference's mean and range over the pools, and a verdict (``verdict``);
+every unit that moved by more than 0.05 bits; the CPU ratio (parent /
+change: above 1 means the change is faster); and the units that ended
+``converged=False`` or failed.  From anywhere:
 
     python3 tools/wsr_gate.py --pools 3 --out change.json
     python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
@@ -108,6 +108,22 @@ def collect(checkout, units, workers):
         return list(ex.map(_run_task, units))
 
 
+def verdict(diffs, parent_means):
+    """A scheme's verdict from its paired differences per pool (in percent)
+    and the parent's pool means: ``gain`` or ``loss`` when every pool's
+    difference has the same sign and their mean is beyond the threshold,
+    half the spread of the parent's pool means in percent of their mean;
+    ``within noise`` otherwise.  Returns (verdict, threshold in percent)."""
+    center = statistics.fmean(parent_means)
+    threshold = 50.0 * (max(parent_means) - min(parent_means)) / center
+    mean = statistics.fmean(diffs)
+    if all(d > 0 for d in diffs) and mean > threshold:
+        return "gain", threshold
+    if all(d < 0 for d in diffs) and mean < -threshold:
+        return "loss", threshold
+    return "within noise", threshold
+
+
 def compare(parent, change):
     """The report's lines and, per scheme, the mean and (min, max) over the
     pools of the paired difference in percent of the parent's pool mean."""
@@ -124,7 +140,7 @@ def compare(parent, change):
     lines = [f"{'scheme':8} {'pool':>5} {'units':>5} {'parent':>9} {'change':>9} "
              f"{'diff':>9} {'diff %':>8} {'moved':>5} {'cpu x':>6} "
              f"{'unconv p/c':>10} {'failed p/c':>10}"]
-    per_scheme, moved = defaultdict(list), []
+    per_scheme, parent_means, moved = defaultdict(list), defaultdict(list), []
     for (scheme, pool), pairs in sorted(cells.items()):
         both = [(p, c) for p, c in pairs if ok(p) and ok(c)]
         pm = statistics.fmean(p["wsr_bits"] for p, _ in both) if both else float("nan")
@@ -132,6 +148,7 @@ def compare(parent, change):
         diff = cm - pm
         pct = 100.0 * diff / pm if pm else float("nan")
         per_scheme[scheme].append(pct)
+        parent_means[scheme].append(pm)
         big = [(p, c) for p, c in both if abs(c["wsr_bits"] - p["wsr_bits"]) > MOVED_BITS]
         moved += big
         cpu = (sum(p["cpu_s"] for p, _ in pairs)
@@ -142,11 +159,16 @@ def compare(parent, change):
                      f"{diff:+9.4f} {pct:+7.2f}% {len(big):>5} {cpu:6.3f} "
                      f"{unconv[0]:>4}/{unconv[1]:<5} {failed[0]:>4}/{failed[1]:<5}")
     stats = {}
-    lines.append(f"{'scheme':8} {'pools':>5} {'mean diff %':>12} {'range %':>18}")
+    lines.append(f"{'scheme':8} {'pools':>5} {'mean diff %':>12} {'range %':>18} "
+                 f"{'threshold %':>12}  verdict")
     for scheme, pcts in per_scheme.items():
         stats[scheme] = (statistics.fmean(pcts), (min(pcts), max(pcts)))
+        word, threshold = verdict(pcts, parent_means[scheme])
         lines.append(f"{scheme:8} {len(pcts):>5} {stats[scheme][0]:+11.2f}% "
-                     f"{min(pcts):+8.2f} .. {max(pcts):+6.2f}")
+                     f"{min(pcts):+8.2f} .. {max(pcts):+6.2f} {threshold:11.2f}%  {word}")
+    lines.append("verdict: gain or loss when every pool's difference has the same sign "
+                 "and its mean is beyond the threshold, half the spread of the "
+                 "parent's pool means")
     lines.append(f"units moved by more than {MOVED_BITS} bits: {len(moved)}")
     for p, c in moved:
         lines.append(f"  {c['scheme']} pool {c['pool']} trial {c['trial']}: "
