@@ -3,13 +3,14 @@
 ``AlgoParams`` holds the values a caller sets; the module constants are the
 fixed ones of the evaluation setup: ALM seed p0 = 1 with growth theta = 10,
 eps_L = 1e-3 (relative, inner loop), eps_f = 1e-2 (outer WSR), eps_s = 1e-2
-(SCA surrogate improvement).  P0, THETA, P_CAP and TOL_FEAS also drive the
-subproblem solver.  Each ascent of the solver stops at its first iteration
-that gains less than a relative tolerance: PGA_REL_TOL = 3e-10 for the
-precoder subproblem, COV_REL_TOL = 1e-6 for the covariance subproblem.  The
-SCA loop around a covariance solve stops at a surrogate gain of EPS_S, and it
-stays monotone at any tolerance, since a solve returns its best feasible
-point.
+(SCA surrogate improvement).  TOL_FEAS bounds the scaled SINR deficit of both
+subproblem solvers.  The precoder subproblem is solved in closed form, so
+only the covariance subproblem uses ALM/PGA: P0, THETA and P_CAP (shared
+with the position ALM), the subsolver constants from PGA_STEP0 on, and
+COV_REL_TOL = 1e-6, the relative gain at which each of its ascents stops.
+The SCA loop around a covariance solve stops at a surrogate gain of EPS_S,
+and it stays monotone at any tolerance, since a solve returns its best
+feasible point.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ PGM_MAX_STEPS = 60           # accepted steps per position block
 PGM_TOL = 1e-6               # relative improvement stop for position blocks
 TOL_FEAS = 1e-8              # on the scaled SINR deficit
 WSR_SLACK = 1e-9             # allowed per-block WSR loss before rejection
-PGA_STEP0 = 1.0              # initial subsolver step (covariance or precoder units)
+PGA_STEP0 = 1.0              # initial subsolver step (covariance units)
 ARMIJO = 1e-4                # subsolver Armijo constant
 PGA_ITERS = 200              # ascent iterations per ALM round
-PGA_REL_TOL = 3e-10          # relative improvement stop of one precoder ascent
-COV_REL_TOL = 1e-6           # the same for one covariance ascent: four decades
-                             # under EPS_S, the SCA round's own stop
+COV_REL_TOL = 1e-6           # relative improvement stop of one covariance
+                             # ascent: four decades under EPS_S, the SCA
+                             # round's own stop
 MAX_BACKTRACKS = 80          # gradient-step trials per ascent iteration
 ALM_ROUNDS = 5               # multiplier updates per subproblem
 POLISH_ITERS = 150           # feasibility-preserving ascent iterations

@@ -1,11 +1,13 @@
-"""First-order solver for the two SCA convex subproblems.
+"""Solvers for the two SCA convex subproblems.
 
 Both subproblems (precoder update, sensing-covariance update) are smooth
 concave maximizations over a simple convex set with one extra scalar
-inequality (the SINR deficit) <= 0.  They are solved with projected
-gradient ascent wrapped in an augmented-Lagrangian loop on the constraint,
-followed by a polish pass
-that only accepts feasible iterates.  The best feasible point seen is
+inequality (the SINR deficit) <= 0.  The precoder surrogate is a concave
+quadratic under two quadratic constraints, power and deficit, and is solved
+in closed form from its KKT conditions (``solve_precoder_subproblem``).
+The covariance subproblem is solved with projected gradient ascent wrapped
+in an augmented-Lagrangian loop on the constraint, followed by a polish
+pass that only accepts feasible iterates.  The best feasible point seen is
 returned, so the output never loses surrogate objective relative to a
 feasible expansion point.  That is all the SCA loop around a solve needs to
 stay monotone, so the multiplier loop stops at its first round that ends
@@ -23,8 +25,8 @@ import numpy as np
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
 from .params import (
-    ALM_ROUNDS, ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_REL_TOL,
-    PGA_STEP0, POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
+    ALM_ROUNDS, ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_STEP0,
+    POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
 )
 
 
@@ -53,17 +55,6 @@ def psd_trace_project(V):
     # their clipped eigenvalues unscaled
     vals = vals * (1.0 / np.maximum(vals.sum(axis=-1, keepdims=True), 1.0))
     return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def power_project(Ws, p_max):
-    """Radial scaling onto the total-power ball (exact Euclidean projection).
-
-    ``Ws`` is one (K, n_t, n_u) precoder set or a stack of them (leading
-    axes); each set is scaled on its own.
-    """
-    tr = np.sum(np.abs(Ws).reshape(Ws.shape[:-3] + (-1,)) ** 2, axis=-1)
-    scale = np.sqrt(p_max / np.maximum(tr, p_max))[..., None, None, None]
-    return np.where((tr > p_max)[..., None, None, None], Ws * scale, Ws)
 
 
 def line_search(x, L, d, s, tries, tau, armijo, evaluate, project, first=2):
@@ -259,8 +250,8 @@ def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
 class PrecoderSubproblem:
     """Concave surrogate for the precoder update, frozen at an expansion point.
 
-    Caches the surrogate coefficients (linear term, quadratic form, constants)
-    so repeated evaluations during the inner solve are cheap.
+    Caches the surrogate coefficients (linear term, quadratic form, constants):
+    the closed-form solve reads them, and evaluations stay cheap.
     """
 
     def __init__(self, channels, W0, v, u, weights, p_max, gamma0):
@@ -354,39 +345,146 @@ class PrecoderSubproblem:
             val = val + self.gamma0 * sq[..., j]
         return val
 
-    def deficit_grad(self, Ws):
-        gW = self.g.conj() @ Ws                           # g^H W_j per user
-        return self.gamma0 * (self.g[:, None] * gW[:, None, :])
+
+def _power_multiplier(a, c, p_max):
+    """The power multiplier mu >= 0 of the precoder KKT point.
+
+    ``a`` are the ascending eigenvalues of the quadratic form, clipped at 0,
+    and ``c`` the squared weight of the linear term on each eigenvector, so
+    the power at mu is P(mu) = sum_i c_i / (a_i + mu)^2.  mu = 0 when every
+    a_i > 0 and P(0) fits the budget; otherwise mu is the root of
+    P(mu) = p_max.  P falls on mu > 0, and the root lies in
+    [max(0, r - a_max), r] with r = sqrt(sum c / p_max).  Newton steps on
+    1/sqrt(P), which is nearly linear in mu, are kept in that bracket (a
+    step that leaves it is a bisection), so the root is found even where
+    rounding-level eigenvalues make P steep near 0.
+    """
+    total = float(c.sum())
+    if total == 0.0 or (a[0] > 0.0 and float((c / (a * a)).sum()) <= p_max):
+        return 0.0
+    r = np.sqrt(total / p_max)
+    lo, hi = max(0.0, r - a[-1]), r
+    mu = hi
+    for _ in range(100):
+        d = a + mu
+        w = c / (d * d)
+        P = float(w.sum())
+        if P > p_max:
+            lo = mu
+        else:
+            hi = mu
+        if abs(P - p_max) <= 1e-14 * p_max or hi - lo <= 4e-16 * hi:
+            break
+        # h(mu) = P^-1/2 - p_max^-1/2 has h' = P^-3/2 sum_i c_i / (a_i + mu)^3
+        mu -= (1.0 / np.sqrt(P) - 1.0 / np.sqrt(p_max)) * P * np.sqrt(P) / float((w / d).sum())
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    return mu
+
+
+def _sensing_multiplier(point, deficit0, target, offset, lam):
+    """The precoders of the smallest lam > 0 whose KKT point ``point(lam)``
+    has deficit <= target, given the deficit0 > target at lam = 0; None
+    when no lam up to 4^200 times the start ``lam`` meets it.
+
+    The bracket grows by 4 from ``lam`` until its top meets the target.
+    The deficit minus ``offset``, S(lam), falls as lam grows, and 1/sqrt(S)
+    is nearly linear in lam (the g-component of each W_j falls like 1/lam),
+    so the bracket is then cut at the secant root of 1/sqrt(S) =
+    1/sqrt(target - offset), with the Illinois rule against a stuck end, or
+    at its midpoint when that root is not inside.
+    """
+    def y(deficit):
+        s = deficit - offset
+        return 1.0 / np.sqrt(s) if s > 0.0 else np.inf
+
+    lo, y_lo = 0.0, y(deficit0)
+    for _ in range(200):
+        W, deficit, _ = point(lam)
+        if deficit <= target:
+            break
+        lo, y_lo, lam = lam, y(deficit), 4.0 * lam
+    else:
+        return None
+    if target <= offset:
+        return W
+    hi, y_star = lam, y(target)
+    f_lo, f_hi = y_lo - y_star, y(deficit) - y_star
+    side = 0
+    for _ in range(100):
+        if f_hi <= 1e-12 * y_star or hi - lo <= 1e-12 * hi:
+            break
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        W_mid, deficit, _ = point(mid)
+        f = y(deficit) - y_star
+        if deficit <= target:
+            hi, f_hi, W = mid, f, W_mid
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = mid, f
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+    return W
 
 
 def solve_precoder_subproblem(sub, params=None):
-    """Maximize the surrogate WSR over the power ball with the SINR deficit <= 0."""
-    params = params or AlgoParams()
-    scale = sub.sinr_deficit_scale
+    """Maximize the surrogate WSR over the power ball with the SINR deficit
+    <= 0, in closed form (KKT).
 
-    def kap(Ws):
-        return sub.deficit(Ws) / scale
+    The maximizer is W_j = (Q + mu I + lam gamma0 g g^H)^-1 w_j L_j, with
+    Q = ``sub.quad_sum`` and w_j L_j = ``sub._grad_lin[j]``.  At a given lam
+    one ``eigh`` of Q + lam gamma0 g g^H gives the power multiplier mu
+    (``_power_multiplier``).  lam = 0 unless that point's scaled deficit
+    exceeds TOL_FEAS / 2; the deficit then falls as lam grows, and
+    ``_sensing_multiplier`` finds the smallest lam that meets TOL_FEAS / 2.
+    Aiming at half the tolerance leaves the other half to the rounding of
+    other evaluations of the deficit, such as the AO block gate's.  If the
+    result's surrogate is below that of a feasible expansion point
+    (rounding, near a stationary point), the expansion point is returned
+    instead, so the SCA loop around the solve stays monotone.
+    ``params`` is not read; it keeps the solver interface of ``ao.sca``.
+    """
+    tol = TOL_FEAS * sub.sinr_deficit_scale
+    if sub._deficit_offset > tol:
+        raise InfeasibleSubproblemError("sensing constraint infeasible at zero precoder power")
+    K, n_t, n_u = sub.W0.shape
+    lin = sub._grad_lin.transpose(1, 0, 2).reshape(n_t, K * n_u)
+    gg = sub.gamma0 * np.outer(sub.g, sub.g.conj())
 
-    def kap_grad(Ws):
-        return sub.deficit_grad(Ws) / scale
+    def point(lam):
+        """(W, deficit, a_max + mu) of the KKT point at lam."""
+        a, U = metrics.eigh(sub.quad_sum + lam * gg)
+        a = np.maximum(a, 0.0)
+        Y = U.conj().T @ lin
+        c = (Y.real * Y.real + Y.imag * Y.imag).sum(axis=1)
+        d = a + _power_multiplier(a, c, sub.p_max)
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        W = np.ascontiguousarray(
+            (U @ (Y * inv[:, None])).reshape(n_t, K, n_u).transpose(1, 0, 2))
+        return W, sub.deficit(W), d[-1]
 
-    def project(Ws):
-        return power_project(Ws, sub.p_max)
-
-    def restore(Ws):
-        # deficit(c W) = c^2 a + b: shrink toward zero if that can help.
-        b = sub._deficit_offset
-        if b > TOL_FEAS * scale:
-            return None
-        a = sub.deficit(Ws) - b
-        if a <= 0.0:
-            return Ws
-        c2 = max(0.0, (TOL_FEAS * scale - b)) / a
-        return Ws * min(1.0, np.sqrt(c2) * (1.0 - 1e-12))
-
-    Ws = _constrained_ascent(sub.W0, sub.surrogate_and_grad, kap, kap_grad, project,
-                             restore, params, PGA_REL_TOL)
-    return [Ws[k] for k in range(sub.K)]
+    W, deficit, curv = point(0.0)
+    if deficit > 0.5 * tol:
+        # start lam where its term matches the curvature of the lam = 0 point
+        W = _sensing_multiplier(point, deficit, 0.5 * tol, sub._deficit_offset,
+                                curv / float(np.real(np.trace(gg))))
+    W0 = sub.W0
+    # a previous solve's power can exceed p_max by rounding
+    if sub.deficit(W0) <= tol and np.sum(np.abs(W0) ** 2) <= sub.p_max * (1.0 + 1e-12):
+        if W is None:
+            W = W0
+        else:
+            f_new, f_old = sub.surrogate_and_grad(np.stack((W, W0)))[0]
+            if f_new < f_old:
+                W = W0
+    if W is None:
+        raise InfeasibleSubproblemError("no feasible precoder found")
+    return [W[k] for k in range(K)]
 
 
 class CovarianceSubproblem:

@@ -5,10 +5,10 @@ import pytest
 
 from nfisac import ao, lp, metrics, subsolver, verify, zf
 from nfisac.errors import ContractViolation, InfeasibleSubproblemError
-from nfisac.params import COV_REL_TOL, EPS_S, PGA_ITERS, PGA_REL_TOL, TOL_FEAS, AlgoParams
+from nfisac.params import COV_REL_TOL, EPS_S, PGA_ITERS, TOL_FEAS, AlgoParams
 from nfisac.subsolver import (
     CovarianceSubproblem, PrecoderSubproblem, _pga_ascent,
-    leading_eigpair, power_project, psd_trace_project,
+    leading_eigpair, psd_trace_project,
     solve_covariance_subproblem, solve_precoder_subproblem,
 )
 
@@ -216,6 +216,158 @@ class TestPrecoderSolve:
         assert kap <= TOL_FEAS
         assert sub.surrogate_and_grad(np.stack(W))[0] >= \
             sub.surrogate_and_grad(sub.W0)[0] - 1e-9
+
+
+def _reference_pga_solve(sub, params=None):
+    """The ALM/PGA precoder solve the closed form replaced, kept as the
+    reference: projected gradient ascent on the power ball in an
+    augmented-Lagrangian loop on the scaled SINR deficit, each ascent
+    stopped at a relative gain of 3e-10."""
+    params = params or AlgoParams()
+    scale = sub.sinr_deficit_scale
+
+    def kap(Ws):
+        return sub.deficit(Ws) / scale
+
+    def kap_grad(Ws):
+        gW = sub.g.conj() @ Ws                            # g^H W_j per user
+        return sub.gamma0 * (sub.g[:, None] * gW[:, None, :]) / scale
+
+    def project(Ws):
+        # radial scaling onto the total-power ball, set by set
+        tr = np.sum(np.abs(Ws).reshape(Ws.shape[:-3] + (-1,)) ** 2, axis=-1)
+        factor = np.sqrt(sub.p_max / np.maximum(tr, sub.p_max))[..., None, None, None]
+        return np.where((tr > sub.p_max)[..., None, None, None], Ws * factor, Ws)
+
+    def restore(Ws):
+        # deficit(c W) = c^2 a + b: shrink toward zero if that can help.
+        b = sub._deficit_offset
+        if b > TOL_FEAS * scale:
+            return None
+        a = sub.deficit(Ws) - b
+        if a <= 0.0:
+            return Ws
+        c2 = max(0.0, (TOL_FEAS * scale - b)) / a
+        return Ws * min(1.0, np.sqrt(c2) * (1.0 - 1e-12))
+
+    Ws = subsolver._constrained_ascent(sub.W0, sub.surrogate_and_grad, kap, kap_grad,
+                                       project, restore, params, 3e-10)
+    return [Ws[k] for k in range(sub.K)]
+
+
+def _beam_sub(scenario, channels, lp_state, gamma0=None, u=None):
+    """The conftest precoder subproblem with the boresight sensing beam."""
+    state = lp_state.copy()
+    state.v = channels.f_t / math.sqrt(scenario.n_t)
+    if u is not None:
+        state.u = u
+    return _precoder_sub(scenario, channels, state, gamma0)
+
+
+def _binding_sub(scenario, channels, lp_state):
+    """The beam and combiner of ``test_feasibility_enforced``, with gamma0
+    raised until the maximizer without the sensing constraint breaks it:
+    gamma0 (sigma_z^2 ||u||^2 + S / 2) = |g^H v|^2, with S = sum_j
+    ||W_j^H g||^2 at that maximizer, which does not depend on gamma0."""
+    u = channels.f_r / math.sqrt(scenario.n_r)
+    free = _beam_sub(scenario, channels, lp_state, gamma0=0.0, u=u)
+    W = np.stack(solve_precoder_subproblem(free))
+    S = float(np.sum(np.abs(W.conj().swapaxes(-1, -2) @ free.g) ** 2))
+    num = abs(np.vdot(free.g, free.v)) ** 2
+    gamma0 = num / (channels.noise_radar * float(np.real(np.vdot(u, u))) + 0.5 * S)
+    return _beam_sub(scenario, channels, lp_state, gamma0=gamma0, u=u)
+
+
+def _no_sensing_sub(scenario, channels, lp_state):
+    """gamma0 = 0 and v = 0, as in ``test_power_saturates_without_sensing``."""
+    state = lp_state.copy()
+    state.v = np.zeros(scenario.n_t, dtype=complex)
+    return _precoder_sub(scenario, channels, state, gamma0=0.0)
+
+
+def _multipliers(sub, W):
+    """(mu, lam, relative residual) of the stationarity condition
+    w_j L_j - Q W_j = mu W_j + lam gamma0 g g^H W_j, fitted by least squares."""
+    R = sub._grad_lin - sub.quad_sum @ W
+    B = np.stack([W, sub.gamma0 * sub.g[:, None] * (sub.g.conj() @ W)[:, None, :]])
+    A = np.concatenate([B.reshape(2, -1).real, B.reshape(2, -1).imag], axis=1).T
+    y = np.concatenate([R.ravel().real, R.ravel().imag])
+    norms = np.linalg.norm(A, axis=0)             # the two terms differ by decades
+    norms[norms == 0.0] = 1.0                     # gamma0 = 0: no sensing term
+    (mu, lam), *_ = np.linalg.lstsq(A / norms, y, rcond=None)
+    mu, lam = mu / norms[0], lam / norms[1]
+    resid = np.linalg.norm(y - A @ np.array([mu, lam])) / np.linalg.norm(sub._grad_lin)
+    return mu, lam, resid
+
+
+class TestPrecoderKkt:
+    """The closed-form precoder solve returns the KKT point of the surrogate."""
+
+    def _kkt(self, sub):
+        W = np.stack(solve_precoder_subproblem(sub))
+        mu, lam, resid = _multipliers(sub, W)
+        curv = np.linalg.eigvalsh(sub.quad_sum)[-1]
+        assert resid <= 1e-10
+        assert mu >= -1e-10 * curv
+        assert lam * sub.gamma0 * np.vdot(sub.g, sub.g).real >= -1e-10 * curv
+        power = float(np.sum(np.abs(W) ** 2))
+        kap = sub.deficit(W) / sub.sinr_deficit_scale
+        assert power <= sub.p_max * (1 + 1e-12) and kap <= TOL_FEAS
+        # complementary slackness: a positive multiplier binds its constraint
+        if mu > 1e-10 * curv:
+            assert power == pytest.approx(sub.p_max, rel=1e-12)
+        if lam * sub.gamma0 * np.vdot(sub.g, sub.g).real > 1e-10 * curv:
+            assert kap == pytest.approx(TOL_FEAS / 2, rel=1e-6)
+        return mu, lam
+
+    def test_conftest_subproblem(self, scenario, channels, lp_state):
+        mu, lam = self._kkt(_beam_sub(scenario, channels, lp_state))
+        assert mu > 0.0
+
+    def test_binding_sensing_constraint(self, scenario, channels, lp_state):
+        sub = _binding_sub(scenario, channels, lp_state)
+        _, lam = self._kkt(sub)
+        curv = np.linalg.eigvalsh(sub.quad_sum)[-1]
+        assert lam * sub.gamma0 * np.vdot(sub.g, sub.g).real > 1e-6 * curv
+
+    @pytest.mark.parametrize("make", [_beam_sub, _binding_sub, _no_sensing_sub])
+    def test_never_below_the_pga_solve(self, scenario, channels, lp_state, make):
+        sub = make(scenario, channels, lp_state)
+        W = np.stack(solve_precoder_subproblem(sub))
+        W_ref = np.stack(_reference_pga_solve(sub))
+        assert sub.deficit(W_ref) / sub.sinr_deficit_scale <= TOL_FEAS
+        f, f_ref = sub.surrogate_and_grad(np.stack((W, W_ref)))[0]
+        assert f >= f_ref
+
+    def test_singular_quadratic_power_binds_exactly(self):
+        # one single-antenna user and N_t = 4: Q has rank 1, the other three
+        # eigenvalues at rounding level
+        from nfisac import geometry
+        rng = np.random.Generator(np.random.Philox(key=[67, 0]))
+        H = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        ch = geometry.ChannelSet(
+            H=(H,), G=np.eye(4, dtype=complex), f_t=np.ones(4, dtype=complex),
+            f_r=np.ones(4, dtype=complex), rho=np.array([1.0]), rho_s=1.0,
+            noise_user=np.array([0.5]), noise_radar=1.0)
+        W0 = [0.3 * H.conj().T]
+        probe = PrecoderSubproblem(ch, W0, np.zeros(4, dtype=complex), np.ones(4) / 2.0,
+                                   np.array([1.0]), 1.0, 0.0)
+        vals, vecs = np.linalg.eigh(probe.quad_sum)
+        assert abs(vals[:3]).max() <= 1e-12 * vals[-1]
+        # the power of the maximizer without a power constraint, on range(Q)
+        gain = abs(vecs[:, -1].conj() @ probe._grad_lin[0][:, 0])
+        p_max = 0.25 * (gain / vals[-1]) ** 2
+        sub = PrecoderSubproblem(ch, W0, np.zeros(4, dtype=complex), np.ones(4) / 2.0,
+                                 np.array([1.0]), p_max, 0.0)
+        W = np.stack(solve_precoder_subproblem(sub))
+        assert float(np.sum(np.abs(W) ** 2)) == pytest.approx(p_max, rel=1e-12)
+        # the maximizer on range(Q): W = x (x^H lin) / (a + mu), power p_max
+        x = vecs[:, -1]
+        want = x[:, None] * (x.conj() @ sub._grad_lin[0]) * math.sqrt(p_max) / gain
+        np.testing.assert_allclose(W[0], want, rtol=0, atol=1e-9 * math.sqrt(p_max))
+        f, f_ref = sub.surrogate_and_grad(
+            np.stack((W, np.stack(_reference_pga_solve(sub)))))[0]
+        assert f >= f_ref
 
 
 def _cov_sub(scenario, channels, state, V0, zeta=1.0, gamma0=None, mode="lp",
@@ -902,24 +1054,11 @@ class TestStackedKernels:
                 / np.linalg.norm(Ws.reshape(m, -1), axis=1)[:, None, None, None]
             vals, grad = sub.surrogate_and_grad(Ws)
             deficits = sub.deficit(Ws)
-            projected = power_project(Ws, scenario.p_max)
             for i, W in enumerate(Ws):
                 val, grad2 = sub.surrogate_and_grad(W)
                 assert vals[i] == val
                 assert np.array_equal(grad(i), grad2())
                 assert deficits[i] == sub.deficit(W)
-                assert np.array_equal(projected[i], power_project(W, scenario.p_max))
-
-    def test_precoder_deficit_grad(self, scenario, channels, lp_state):
-        # one broadcast product gives each user's outer product, bytes and all
-        sub = _precoder_sub(scenario, channels, lp_state)
-        rng = np.random.Generator(np.random.Philox(key=[61, 6]))
-        for _ in range(20):
-            Ws = rng.normal(size=sub.W0.shape) + 1j * rng.normal(size=sub.W0.shape)
-            got = sub.deficit_grad(Ws)
-            for j in range(sub.K):
-                want = sub.gamma0 * np.outer(sub.g, sub.g.conj() @ Ws[j])
-                assert got[j].tobytes() == want.tobytes()
 
 
 class TestInterferenceModel:
@@ -989,11 +1128,13 @@ class TestCovarianceSolveCost:
 
 
 class TestCovarianceTolerance:
-    """The covariance ascents stop at COV_REL_TOL, not PGA_REL_TOL: on the
-    conftest subproblems, at the scenario's gamma0 and without a sensing
-    constraint, the solve stays feasible, its surrogate stays within
-    EPS_S / 10 of a solve run to PGA_REL_TOL, and it makes fewer objective
+    """The covariance ascents stop at COV_REL_TOL, not at the tight 3e-10:
+    on the conftest subproblems, at the scenario's gamma0 and without a
+    sensing constraint, the solve stays feasible, its surrogate stays within
+    EPS_S / 10 of a solve run to 3e-10, and it makes fewer objective
     calls."""
+
+    TIGHT_REL_TOL = 3e-10
 
     def _solve(self, monkeypatch, sub, rel_tol):
         """(V, surrogate at V, stacked objective calls) of one solve."""
@@ -1021,7 +1162,7 @@ class TestCovarianceTolerance:
         V0 = np.outer(state.v, state.v.conj())
         sub = _cov_sub(scenario, channels, lp_state, V0, gamma0=gamma0, mode=mode,
                        zf_state=zf_state)
-        V_tight, f_tight, calls_tight = self._solve(monkeypatch, sub, PGA_REL_TOL)
+        V_tight, f_tight, calls_tight = self._solve(monkeypatch, sub, self.TIGHT_REL_TOL)
         V, f, calls = self._solve(monkeypatch, sub, COV_REL_TOL)
         for X in (V, V_tight):
             assert sub.deficit(X) / sub.sinr_deficit_scale <= TOL_FEAS

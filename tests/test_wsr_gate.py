@@ -105,5 +105,19 @@ def test_verdict_rule(tool):
     assert tool.verdict([-2.0, -1.0], [1.0, 1.02])[0] == "loss"
     assert tool.verdict([0.5, 0.5], [1.0, 1.02])[0] == "within noise"
     assert tool.verdict([2.0, 0.0], [1.0, 1.02])[0] == "within noise"
-    # one pool: no spread, so any change with a sign is beyond it
-    assert tool.verdict([0.01], [3.0]) == ("gain", 0.0)
+    # one pool: no spread, so the floor is the threshold
+    assert tool.verdict([0.01], [3.0]) == ("within noise", tool.FLOOR_PCT)
+    assert tool.verdict([0.2], [3.0]) == ("gain", tool.FLOOR_PCT)
+
+
+@pytest.mark.parametrize("pct, word", [(-0.05, "within noise"), (-0.33, "loss")])
+def test_verdict_floor_on_a_flat_scheme(tool, pct, word):
+    # the parent's pool means do not move, so half their spread is 0%: the
+    # 0.1% floor is the threshold
+    parent = [4.15, 4.15, 4.15, 4.15]
+    change = [p * (1.0 + pct / 100.0) for p in parent]
+    lines, _ = tool.compare(_pooled(parent), _pooled(change))
+    summary = [line for line in lines if line.startswith("ZF-MA") and ".." in line]
+    assert summary[0].endswith(f"  {word}")
+    assert " 0.10%" in summary[0]
+    assert any(line.startswith("verdict:") and "at least 0.1%" in line for line in lines)

@@ -42,6 +42,7 @@ HERE = Path(__file__).resolve().parent.parent
 WORKLOAD = "mc-trend"
 SHIFT_M = 1e-9              # one pool step: the BS array moves 1 nm in x
 MOVED_BITS = 0.05           # a unit's paired WSR change worth listing
+FLOOR_PCT = 0.1             # least verdict threshold, in percent of the mean
 
 _BENCH = None               # a worker's Bench
 
@@ -112,10 +113,12 @@ def verdict(diffs, parent_means):
     """A scheme's verdict from its paired differences per pool (in percent)
     and the parent's pool means: ``gain`` or ``loss`` when every pool's
     difference has the same sign and their mean is beyond the threshold,
-    half the spread of the parent's pool means in percent of their mean;
+    half the spread of the parent's pool means in percent of their mean but
+    at least FLOOR_PCT (the LP and FIX pool means hardly move under a nm
+    shift, so their spread alone would call any one-signed move);
     ``within noise`` otherwise.  Returns (verdict, threshold in percent)."""
     center = statistics.fmean(parent_means)
-    threshold = 50.0 * (max(parent_means) - min(parent_means)) / center
+    threshold = max(50.0 * (max(parent_means) - min(parent_means)) / center, FLOOR_PCT)
     mean = statistics.fmean(diffs)
     if all(d > 0 for d in diffs) and mean > threshold:
         return "gain", threshold
@@ -168,7 +171,7 @@ def compare(parent, change):
                      f"{min(pcts):+8.2f} .. {max(pcts):+6.2f} {threshold:11.2f}%  {word}")
     lines.append("verdict: gain or loss when every pool's difference has the same sign "
                  "and its mean is beyond the threshold, half the spread of the "
-                 "parent's pool means")
+                 f"parent's pool means but at least {FLOOR_PCT}%")
     lines.append(f"units moved by more than {MOVED_BITS} bits: {len(moved)}")
     for p, c in moved:
         lines.append(f"  {c['scheme']} pool {c['pool']} trial {c['trial']}: "
