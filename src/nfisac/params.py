@@ -3,14 +3,15 @@
 ``AlgoParams`` holds the values a caller sets; the module constants are the
 fixed ones of the evaluation setup: ALM seed p0 = 1 with growth theta = 10,
 eps_L = 1e-3 (relative, inner loop), eps_f = 1e-2 (outer WSR), eps_s = 1e-2
-(SCA surrogate improvement).  TOL_FEAS bounds the scaled SINR deficit of both
-subproblem solvers.  The precoder subproblem is solved in closed form, so
-only the covariance subproblem uses ALM/PGA: P0, THETA and P_CAP (shared
-with the position ALM), the subsolver constants from PGA_STEP0 on, and
-COV_REL_TOL = 1e-6, the relative gain at which each of its ascents stops.
-The SCA loop around a covariance solve stops at a surrogate gain of EPS_S,
-and it stays monotone at any tolerance, since a solve returns its best
-feasible point.
+(SCA surrogate improvement).  P0, THETA and P_CAP serve only the position
+ALM (``ao.alm_positions``): neither subproblem solver has a multiplier loop.
+TOL_FEAS bounds the scaled SINR deficit of both subproblem solvers.  The
+precoder subproblem is solved in closed form; the covariance subproblem by
+one feasible projected gradient ascent, with the subsolver constants from
+PGA_STEP0 on, stopped when two consecutive iterations gain less than
+COV_REL_TOL = 1e-6 (relative).  The SCA loop around a covariance solve stops
+at a surrogate gain of EPS_S, and it stays monotone at any tolerance, since
+every iterate of a solve is feasible and none lowers the surrogate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 EPS_S = 1e-2
 EPS_L = 1e-3
 EPS_F = 1e-2
-P0 = 1.0                     # ALM penalty seed
-THETA = 10.0                 # ALM penalty growth
+P0 = 1.0                     # position ALM penalty seed
+THETA = 10.0                 # position ALM penalty growth
 P_CAP = 1e6
 MAX_OUTER = 30               # AO iterations
 PGM_MAX_STEPS = 60           # accepted steps per position block
@@ -30,13 +31,11 @@ TOL_FEAS = 1e-8              # on the scaled SINR deficit
 WSR_SLACK = 1e-9             # allowed per-block WSR loss before rejection
 PGA_STEP0 = 1.0              # initial subsolver step (covariance units)
 ARMIJO = 1e-4                # subsolver Armijo constant
-PGA_ITERS = 200              # ascent iterations per ALM round
-COV_REL_TOL = 1e-6           # relative improvement stop of one covariance
+PGA_ITERS = 200              # iterations per covariance ascent
+COV_REL_TOL = 1e-6           # relative improvement stop of the covariance
                              # ascent: four decades under EPS_S, the SCA
                              # round's own stop
 MAX_BACKTRACKS = 80          # gradient-step trials per ascent iteration
-ALM_ROUNDS = 5               # multiplier updates per subproblem
-POLISH_ITERS = 150           # feasibility-preserving ascent iterations
 
 
 @dataclass

@@ -5,13 +5,14 @@ concave maximizations over a simple convex set with one extra scalar
 inequality (the SINR deficit) <= 0.  The precoder surrogate is a concave
 quadratic under two quadratic constraints, power and deficit, and is solved
 in closed form from its KKT conditions (``solve_precoder_subproblem``).
-The covariance subproblem is solved with projected gradient ascent wrapped
-in an augmented-Lagrangian loop on the constraint, followed by a polish
-pass that only accepts feasible iterates.  The best feasible point seen is
-returned, so the output never loses surrogate objective relative to a
-feasible expansion point.  That is all the SCA loop around a solve needs to
-stay monotone, so the multiplier loop stops at its first round that ends
-feasible instead of driving the multiplier to convergence.
+The covariance subproblem is solved by one projected gradient ascent that
+only ever adopts feasible points, with no multiplier: its Frank-Wolfe
+oracle returns the best point of the whole feasible set, rank one since
+the sensing constraint is affine in V (``_sensing_fw_direction``), so the
+ascent moves along the sensing boundary.  The output never loses surrogate
+objective relative to a feasible expansion point, which is all the SCA loop
+around a solve needs to stay monotone.  Neither solver runs an
+augmented-Lagrangian loop.
 
 The deficit carries physical power units; all feasibility logic here
 operates on its value divided by the natural scale
@@ -25,8 +26,7 @@ import numpy as np
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
 from .params import (
-    ALM_ROUNDS, ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, P0, P_CAP, PGA_ITERS, PGA_STEP0,
-    POLISH_ITERS, THETA, TOL_FEAS, AlgoParams,
+    ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, PGA_ITERS, PGA_STEP0, TOL_FEAS, AlgoParams,
 )
 
 
@@ -101,21 +101,24 @@ def line_search(x, L, d, s, tries, tau, armijo, evaluate, project, first=2):
 
 
 def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
-                rel_tol, max_backtracks, on_accept=None, fw_oracle=None):
+                rel_tol, max_backtracks, fw_oracle=None):
     """Projected gradient ascent with an Armijo-Goldstein backtracked step.
 
     ``value_grad(X)`` evaluates a stack X of points (one per leading index)
-    and returns (objectives, grad, *aux): the objectives and each aux hold
-    one entry per point, and ``grad(i)`` gives the conjugate gradient at
-    point i.  A NaN objective rejects its point (the polish pass's
-    infeasible candidates).  ``project`` maps a stack of points to a stack.
-    ``on_accept(x, entries)`` receives each adopted point with its
-    (objective, *aux) entries.
+    and returns (objectives, grad): one objective per point, and
+    ``grad(i)`` gives the conjugate gradient at point i.  A NaN objective
+    rejects its point (the covariance solve's infeasible candidates).
+    ``project`` maps a stack of points to a stack.
 
     Each try is one ``line_search``, backtracking by ``tau`` from its start
     step, and its stack is evaluated by one ``value_grad`` call; the
-    entries and the gradient are taken only at the adopted candidate.  An
-    accepted gradient step s starts the next gradient try at 2 s.
+    gradient is taken only at the start point and at each adopted
+    candidate.  An accepted gradient step s starts the next gradient try at
+    2 s.  The ascent stops when no try finds a step, or when two
+    consecutive iterations together gain at most ``rel_tol`` (relative):
+    one quiet iteration is not enough, since a gradient step that meets the
+    boundary of the feasible set gains almost nothing while the FW try of
+    the next iteration may still gain.
 
     ``fw_oracle(x, g)``, when given, returns a feasible-direction candidate
     (an in-set extreme point minus x), tried on every other iteration before
@@ -125,22 +128,19 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     gradient direction fixes that.  Its step is warm-started the same way
     within one call: the first try starts at 1, and an accepted step s
     starts the next try at min(1, 2 s).  The cap keeps every candidate
-    x + s d on the segment from x to the extreme point.  The FW step is not
-    carried across calls (ALM rounds, polish): that variant lowered the
-    mean ZF-MA WSR over the mc-trend benchmark pool by about 5%.
+    x + s d on the segment from x to the extreme point.
     Returns (x, objective, step).
     """
     def evaluate(X):
-        vals, grad, *aux = value_grad(X)
-        return [(0, vals, lambda i: (X[i], (vals[i], *(a[i] for a in aux)), grad(i)))]
+        vals, grad = value_grad(X)
+        return [(0, vals, lambda i: (X[i], vals[i], grad(i)))]
 
     x = np.array(x0, copy=True)
-    vals, grad, *aux = value_grad(x[None])
+    vals, grad = value_grad(x[None])
     L, g = vals[0], grad(0)
-    if on_accept is not None:
-        on_accept(x, (L, *(a[0] for a in aux)))
     step = step0
     fw_step = 1.0
+    last = np.inf                   # the previous iteration's gain
     for it in range(max_iters):
         directions = [("grad", g, step, max_backtracks)]
         if fw_oracle is not None and it % 2 == 0:
@@ -154,97 +154,16 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
                 break
         else:
             break
-        x, entries, g = found
-        improve = entries[0] - L
-        L = entries[0]
-        if on_accept is not None:
-            on_accept(x, entries)
+        x, value, g = found
+        improve, L = value - L, value
         if kind == "grad":
             step = s * 2.0
         else:
             fw_step = min(1.0, s * 2.0)
-        if improve <= rel_tol * (1.0 + abs(L)):
+        if last + improve <= rel_tol * (1.0 + abs(L)):
             break
+        last = improve
     return x, L, step
-
-
-def _constrained_ascent(x0, f_grad, kap, kap_grad, project, restore, params,
-                        rel_tol, fw_oracle=None):
-    """Maximize f over the projection set subject to the scaled SINR deficit <= 0.
-
-    ALM on the scaled constraint with the paper-style penalty rule
-    (p = 0 while feasible with zero multiplier), then a feasibility-
-    preserving polish from the best feasible point.  The ALM stops at the
-    first round whose end point is feasible, whatever the multiplier and
-    penalty, or after ALM_ROUNDS rounds.  Every ascent, in the ALM rounds
-    and in the polish, stops at its first iteration that gains less than
-    ``rel_tol`` (relative).  Returns the best feasible point encountered.
-    ``f_grad`` and ``kap`` take one point or a stack of them and return
-    per-point values, ``f_grad`` with the lazy gradient of ``_pga_ascent``;
-    ``kap_grad`` takes one point.
-    """
-    best = [None, None]
-
-    def consider(x, f, kv):
-        if kv <= TOL_FEAS and (best[0] is None or f > best[0]):
-            best[0], best[1] = f, x.copy()
-
-    def on_accept(z, val):
-        consider(z, val[1], val[2])
-
-    x = project(np.array(x0, copy=True))
-    f0, _ = f_grad(x)
-    consider(x, f0, kap(x))
-    if best[0] is None:
-        x = restore(x)
-        if x is None:
-            raise InfeasibleSubproblemError("no feasible point reachable from start")
-        fr, _ = f_grad(x)
-        consider(x, fr, kap(x))
-        if best[0] is None:
-            raise InfeasibleSubproblemError("restoration produced an infeasible point")
-
-    eta = 0.0
-    p0 = P0
-    step = PGA_STEP0
-    for _rnd in range(ALM_ROUNDS):
-        kcur = kap(x)
-        p = 0.0 if (kcur <= 0.0 and eta == 0.0) else p0
-
-        def vg(z, eta=eta, p=p):
-            f, grad_f = f_grad(z)
-            kv = kap(z)
-            if eta == 0.0 and p == 0.0:
-                return f, grad_f, f, kv
-
-            def grad(i):
-                return grad_f(i) - (eta + p * kv[i]) * kap_grad(z[i])
-            return f - eta * kv - 0.5 * p * kv * kv, grad, f, kv
-
-        x, _, step = _pga_ascent(
-            x, vg, project, step, PGA_ITERS, params.tau, ARMIJO, rel_tol,
-            MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
-        )
-        kv = kap(x)
-        if kv <= TOL_FEAS:
-            break  # the round ended feasible: the polish takes over
-        eta = max(0.0, eta + p0 * kv)
-        p0 = min(p0 * THETA, P_CAP)
-
-    # Polish: ascend f itself from the best feasible point; a step that
-    # would leave the feasible set has the objective NaN, which rejects it.
-    x = best[1].copy()
-
-    def vg2(z):
-        f, grad_f = f_grad(z)
-        kv = kap(z)
-        return np.where(kv <= TOL_FEAS, f, np.nan), grad_f, f, kv
-
-    _pga_ascent(
-        x, vg2, project, step, POLISH_ITERS, params.tau, ARMIJO, rel_tol,
-        MAX_BACKTRACKS, on_accept=on_accept, fw_oracle=fw_oracle,
-    )
-    return best[1]
 
 
 class PrecoderSubproblem:
@@ -520,7 +439,6 @@ class CovarianceSubproblem:
         self.taylor = self.HH @ np.linalg.solve(B0, self.H)
         self._pen_grad = self.zeta * (np.outer(self.lead_vec, self._lead_conj)
                                       - np.eye(self.V0.shape[0], dtype=complex))
-        self._kap_grad = -np.outer(self.g, self.g.conj()) / self.sinr_deficit_scale
 
     def _bounds(self, V):
         """Per-user bounds and the stacked B_k = offs_k + H_k V H_k^H, with
@@ -571,17 +489,89 @@ class CovarianceSubproblem:
         return self._deficit_offset - gVg.real
 
 
+def _sensing_fw_direction(V, G, g, c):
+    """The FW direction S - V of the covariance solve: S maximizes <G, S>
+    over {S >= 0, Tr S <= 1, g^H S g >= c}.
+
+    With c <= 0 the constraint is void: S = x x^H for the top eigenpair
+    (a_max, x) of G, or 0 where a_max <= 0 (None if V = 0 too).  Otherwise
+    the constraint is affine in S, so a rank-one S solves the linear
+    program (Pataki, 1998): x x^H where a_max >= 0 and |g^H x|^2 >= c; else
+    y y^H with y = (theta I - G)^-1 g, the top eigenvector of G + lam g g^H
+    for a multiplier lam > 0, and theta > a_max the root of r(theta) =
+    |g^H y|^2 / ||y||^2 = c.  r rises from the weight of g on the top
+    eigenspace of G toward ||g||^2; Newton steps in t = theta - a_max are
+    kept in a bracket (a step that leaves it is a bisection).  Where a_max
+    < 0 and r(0) >= c, the root is at theta <= 0 and the trace bound is
+    slack: S = (c / r(0)) y y^H with y at theta = 0.  Raises
+    InfeasibleSubproblemError where ||g||^2 <= c.
+    """
+    vals, vecs = metrics.eigh(0.5 * (G + G.conj().T))
+    x = vecs[:, -1]
+    a_max = vals[-1]
+    if c <= 0.0:
+        if a_max > 0.0:
+            return x[:, None] * x.conj() - V
+        return -V if float(np.real(np.trace(V))) > 0.0 else None
+    if a_max >= 0.0 and abs(np.vdot(x, g)) ** 2 >= c:
+        return x[:, None] * x.conj() - V
+    b = vecs.conj().T @ g
+    w = b.real * b.real + b.imag * b.imag
+    total = float(w.sum())
+    if total <= c:
+        raise InfeasibleSubproblemError("sensing constraint unreachable on the trace ball")
+    d = a_max - vals
+
+    def ratio(t):
+        """(r, dr/dt, e) at theta = a_max + t; y = U (e * U^H g) up to scale."""
+        e = t / (t + d)
+        we = w * e
+        A, B, C = float(we.sum()), float(we @ e), float((we * e) @ e)
+        return A * A / B, 2.0 * A * (A * C - B * B) / (t * B * B), e
+
+    lo, trace = max(0.0, -a_max), 1.0
+    r, _, e = ratio(lo) if lo > 0.0 else (0.0, None, None)
+    if r >= c:
+        trace = c / r
+    else:
+        # r >= total t / (t + d_max), so r(hi) >= c
+        t = hi = max(lo, d[0] * c / (total - c)) if d[0] > 0.0 else 1.0
+        for _ in range(100):
+            r, dr, e = ratio(t)
+            if r >= c:
+                hi = t
+            else:
+                lo = t
+            if abs(r - c) <= 1e-13 * c or hi - lo <= 1e-13 * hi:
+                break
+            t = t - (r - c) / dr if dr > 0.0 else lo
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+    y = vecs @ (b * e)
+    y = y / np.linalg.norm(y)
+    return trace * (y[:, None] * y.conj()) - V
+
+
 def solve_covariance_subproblem(sub, params=None):
-    """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}."""
+    """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}.
+
+    One feasible ascent (``_pga_ascent``) on the surrogate itself: it starts
+    at the projected expansion point, restored toward g g^H if that breaks
+    the constraint, and a candidate whose scaled deficit exceeds TOL_FEAS
+    has the objective NaN, which rejects it.  The FW oracle
+    (``_sensing_fw_direction``) returns the best point of the whole
+    feasible set at half the tolerance, the other half left to rounding as
+    in the precoder solve, so its candidates are convex combinations of
+    feasible points and the ascent slides along the sensing boundary.
+    Every iterate is feasible and none lowers the surrogate, so the SCA
+    loop around the solve stays monotone.
+    """
     params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
     gnorm2 = float(np.real(np.vdot(sub.g, sub.g)))
 
     def kap(V):
         return sub.deficit(V) / scale
-
-    def kap_grad(V):
-        return sub._kap_grad
 
     def restore(V):
         # Blend toward the aligned rank-1 direction; the deficit is monotone in
@@ -612,15 +602,22 @@ def solve_covariance_subproblem(sub, params=None):
                 lo = mid
         return psd_trace_project(blended(hi))
 
-    def fw_oracle(V, g):
-        # best extreme point of {V >= 0, Tr <= 1} for the linearized gain
-        vals, vecs = metrics.eigh(0.5 * (g + g.conj().T))
-        if vals[-1] > 0.0:
-            x = vecs[:, -1]
-            return x[:, None] * x.conj() - V
-        return -V if float(np.real(np.trace(V))) > 0.0 else None
+    V = psd_trace_project(sub.V0)
+    if kap(V) > TOL_FEAS:
+        V = restore(V)
+        if V is None:
+            raise InfeasibleSubproblemError("no feasible point reachable from start")
+        if kap(V) > TOL_FEAS:
+            raise InfeasibleSubproblemError("restoration produced an infeasible point")
 
-    V = _constrained_ascent(sub.V0, sub.objective_and_grad, kap, kap_grad,
-                            psd_trace_project, restore, params, COV_REL_TOL,
-                            fw_oracle=fw_oracle)
+    def value_grad(X):
+        f, grad = sub.objective_and_grad(X)
+        return np.where(kap(X) <= TOL_FEAS, f, np.nan), grad
+
+    c = sub._deficit_offset - 0.5 * TOL_FEAS * scale
+    V, _, _ = _pga_ascent(
+        V, value_grad, psd_trace_project, PGA_STEP0, PGA_ITERS, params.tau, ARMIJO,
+        COV_REL_TOL, MAX_BACKTRACKS,
+        fw_oracle=lambda V, G: _sensing_fw_direction(V, G, sub.g, c),
+    )
     return V

@@ -75,6 +75,26 @@ def test_compare_pairs_units_per_pool(tool):
         ["ZF-MA", "0", "2", "0", "1/1", "0/0"], ["ZF-MA", "1", "2", "2", "1/1", "0/0"]]
 
 
+def test_compare_totals_per_scheme(tool):
+    # the change side rejects the v block once per unit, the parent twice,
+    # and the change takes half the parent's CPU
+    parent, change = _doc(tool, _Bench(per_nm=0.0)), _doc(tool, _Bench(per_nm=0.1))
+    for r in parent["units"]:
+        r["cpu_s"] = 2.0
+    for r in change["units"]:
+        r["cpu_s"], r["rejects"] = 1.0, {"v": 1, "t": 1}
+    lines, _ = tool.compare(parent, change)
+    head = lines.index("totals over all pools: CPU s parent / change (ratio), "
+                       "block rejects parent -> change")
+    assert lines[head + 1].split() == [
+        "ZF-MA", "units", "4", "cpu", "8.00", "/", "4.00", "(2.000x)", "rejects",
+        "t", "0", "->", "4,", "v", "8", "->", "4"]
+    assert len(lines) == head + 2
+    # a run recorded without rejects totals none
+    lines, _ = tool.compare(_pooled([1.0, 1.0]), _pooled([1.0, 1.0]))
+    assert lines[-1].split()[-2:] == ["rejects", "none"]
+
+
 def _pooled(means):
     """A run's document: one unit per pool, its WSR that pool's mean."""
     return dict(pools=len(means) - 1, units=[

@@ -15,7 +15,9 @@ WSR of both sides and their paired difference; per scheme that
 difference's mean and range over the pools, and a verdict (``verdict``);
 every unit that moved by more than 0.05 bits; the CPU ratio (parent /
 change: above 1 means the change is faster); and the units that ended
-``converged=False`` or failed.  From anywhere:
+``converged=False`` or failed.  Per scheme it then totals, over all pools,
+the CPU seconds of both sides with their ratio, which is steadier than one
+pool's, and the block rejects of both sides per block.  From anywhere:
 
     python3 tools/wsr_gate.py --pools 3 --out change.json
     python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
@@ -177,6 +179,18 @@ def compare(parent, change):
         lines.append(f"  {c['scheme']} pool {c['pool']} trial {c['trial']}: "
                      f"{p['wsr_bits']:.4f} -> {c['wsr_bits']:.4f} "
                      f"({c['wsr_bits'] - p['wsr_bits']:+.4f})")
+    lines.append("totals over all pools: CPU s parent / change (ratio), "
+                 "block rejects parent -> change")
+    for scheme in sorted({s for s, _ in cells}):
+        pairs = [pc for (s, _), group in cells.items() if s == scheme for pc in group]
+        cpu = [sum(r["cpu_s"] for r in side) for side in zip(*pairs)]
+        rejects = [sum((Counter(r.get("rejects", {})) for r in side), Counter())
+                   for side in zip(*pairs)]
+        blocks = ", ".join(f"{b} {rejects[0][b]} -> {rejects[1][b]}"
+                           for b in sorted(rejects[0] | rejects[1])) or "none"
+        lines.append(f"  {scheme:8} units {len(pairs):>4}  cpu {cpu[0]:9.2f} / "
+                     f"{cpu[1]:9.2f} ({cpu[0] / max(cpu[1], 1e-12):.3f}x)  "
+                     f"rejects {blocks}")
     return lines, stats
 
 
