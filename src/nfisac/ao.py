@@ -98,7 +98,7 @@ def initial_sense_beam(channels, precoders, u, gamma0):
 
 def sca(x, make_sub, solve, value, params):
     """SCA rounds from ``x``: ``make_sub(x)`` builds the convex subproblem at
-    the current point and ``solve(sub, params)`` gives the next point, until
+    the current point and ``solve(sub)`` gives the next point, until
     the surrogate ``value(sub, x)`` gains less than EPS_S over the previous
     round or sca_max rounds ran.  Returns (x, rounds), counting the last round.
     """
@@ -106,7 +106,7 @@ def sca(x, make_sub, solve, value, params):
     rounds = 0
     for _ in range(params.sca_max):
         sub = make_sub(x)
-        x = solve(sub, params)
+        x = solve(sub)
         cur = value(sub, x)
         rounds += 1
         if prev is not None and cur - prev < EPS_S:
@@ -122,10 +122,11 @@ def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eig
     (see ``subsolver.CovarianceSubproblem``), built once here: the precoders
     stay fixed over the block, so every SCA round's subproblem shares it.
     ``solve`` and ``eigpair`` are the stack's subproblem solver and
-    eigen-extraction.  Returns (v, rank_ratio, flags).  The eigen-extracted
-    vector is renormalized to unit norm, which can only decrease the SINR
-    deficit under ``state.precoders``; if even the renormalized vector is
-    infeasible the scaled vector is returned and flagged for the caller.
+    eigen-extraction.  Returns (v, rank_ratio, flags), v the leading
+    eigenvector of the solved covariance at unit norm.  Its SINR deficit is
+    not checked here: the scaled vector sqrt(beta_max) chi, beta_max <= 1,
+    is never more feasible than the unit one, and the block gate rejects an
+    infeasible beam.
     """
     interference = model(channels, state, gamma0)
 
@@ -139,12 +140,7 @@ def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eig
     tr = float(np.real(np.trace(V)))
     ratio = beta_max / tr if tr > 0 else 1.0
     flags = [] if ratio >= 0.99 else ["rank1_ratio_low"]
-    tol = TOL_FEAS * metrics.sinr_deficit_scale(channels, gamma0)
-    v_unit = chi / np.linalg.norm(chi)
-    if metrics.sinr_deficit(channels, state.precoders, v_unit, state.u, gamma0) <= tol:
-        return v_unit, ratio, flags
-    flags.append("v_not_renormalized")
-    return np.sqrt(max(beta_max, 0.0)) * chi, ratio, flags
+    return chi / np.linalg.norm(chi), ratio, flags
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +352,6 @@ def _adoptable(cand, c_wsr, c_kap, wsr_cur, kap, p_max):
             and c_wsr >= wsr_cur - WSR_SLACK)
 
 
-# blocks whose result depends only on the channels and the iterate; the
-# position blocks also carry their ALM multiplier from one adopted visit to
-# the next
-_REPEATABLE = ("W", "v")
-
-
-def _inputs(channels, state):
-    """What a W or v block reads of the iterate: the channel set's tag and
-    copies of the precoders, the beam and the combiner."""
-    return channels.tag, [np.array(a) for a in (*state.precoders, state.v, state.u)]
-
-
-def _same_inputs(a, b):
-    return (b is not None and a[0] == b[0]
-            and all(np.array_equal(x, y) for x, y in zip(a[1], b[1])))
-
-
 def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     """Alternating optimization: the combiner, then each block in turn,
     until an outer iteration converges.
@@ -394,10 +373,6 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     if no block in it was rejected or failed, or if the iteration before it
     was also below EPS_F: a rejected block leaves the iterate where it was,
     so one quiet iteration with a reject says nothing about convergence.
-    A W or v block whose inputs (``_inputs``) equal those of its last run,
-    and that run was rejected, is not run again: it would give the same
-    candidate.  It is recorded as rejected with the flag ``repeat``, and an
-    iteration in which every block was skipped so ends the run as converged.
     """
     placement.validate(scenario)
     channels = geometry.build_channels(scenario, placement)
@@ -425,26 +400,15 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
     fail_streak = 0
     converged = False
     prev_small = False
-    rejected_inputs = {}              # block name -> inputs of its rejected last run
     outer = 0
     for outer in range(1, MAX_OUTER + 1):
         wsr_start, rejects_start = wsr_cur, rejects
         loop_failed = False
-        skipped = 0
         state.u = combiner(channels, state)
         rates, wsr_cur, gam, kap = measure(channels, state)
         record("u")
 
         for name, block in blocks:
-            key = _inputs(channels, state) if name in _REPEATABLE else None
-            if key is not None and _same_inputs(key, rejected_inputs.get(name)):
-                rejects += 1
-                skipped += 1
-                flags = (f"{name}_block_rejected", "repeat")
-                run_flags.update(flags)
-                record(name, flags)
-                continue
-            rejected_inputs.pop(name, None)
             try:
                 pl_c, ch_c, cand, flags = block(placement, channels, state)
                 if "rank1_ratio_low" in flags:
@@ -458,7 +422,6 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
                 else:
                     rejects += 1
                     flags = [*flags, f"{name}_block_rejected"]
-                    rejected_inputs[name] = key
                 run_flags.update(flags)
             except (InfeasibleSubproblemError, NumericalError, RankDeficiencyError):
                 loop_failed = True
@@ -471,7 +434,7 @@ def run(scenario, placement, params, initial_state, rates_of, combiner, blocks):
                 f"two consecutive failed AO loops at iteration {outer}")
         small = abs(wsr_cur - wsr_start) < EPS_F
         clean = not loop_failed and rejects == rejects_start
-        if skipped == len(blocks) or (small and (clean or prev_small)):
+        if small and (clean or prev_small):
             converged = True
             break
         prev_small = small

@@ -30,6 +30,7 @@ PGM_TOL = 1e-6               # relative improvement stop for position blocks
 TOL_FEAS = 1e-8              # on the scaled SINR deficit
 WSR_SLACK = 1e-9             # allowed per-block WSR loss before rejection
 PGA_STEP0 = 1.0              # initial subsolver step (covariance units)
+PGA_TAU = 0.5                # subsolver backtrack factor
 ARMIJO = 1e-4                # subsolver Armijo constant
 PGA_ITERS = 200              # iterations per covariance ascent
 COV_REL_TOL = 1e-6           # relative improvement stop of the covariance
@@ -43,8 +44,7 @@ class AlgoParams:
     """Line-search constants and iteration caps.
 
     Defaults follow the evaluation setup: Armijo constant delta = 1e-2 with
-    backtrack factor tau = 1/2 and unit initial step.  tau also drives the
-    subproblem solver.
+    backtrack factor tau = 1/2 and unit initial step.
     """
 
     delta: float = 1e-2          # Armijo-Goldstein constant

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ContractViolation, InfeasibleSubproblemError
 from . import metrics
 from .params import (
-    ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, PGA_ITERS, PGA_STEP0, TOL_FEAS, AlgoParams,
+    ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, PGA_ITERS, PGA_STEP0, PGA_TAU, TOL_FEAS,
 )
 
 
@@ -128,8 +128,7 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     gradient direction fixes that.  Its step is warm-started the same way
     within one call: the first try starts at 1, and an accepted step s
     starts the next try at min(1, 2 s).  The cap keeps every candidate
-    x + s d on the segment from x to the extreme point.
-    Returns (x, objective, step).
+    x + s d on the segment from x to the extreme point.  Returns x.
     """
     def evaluate(X):
         vals, grad = value_grad(X)
@@ -163,7 +162,7 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
         if last + improve <= rel_tol * (1.0 + abs(L)):
             break
         last = improve
-    return x, L, step
+    return x
 
 
 class PrecoderSubproblem:
@@ -351,7 +350,7 @@ def _sensing_multiplier(point, deficit0, target, offset, lam):
     return W
 
 
-def solve_precoder_subproblem(sub, params=None):
+def solve_precoder_subproblem(sub):
     """Maximize the surrogate WSR over the power ball with the SINR deficit
     <= 0, in closed form (KKT).
 
@@ -366,7 +365,6 @@ def solve_precoder_subproblem(sub, params=None):
     result's surrogate is below that of a feasible expansion point
     (rounding, near a stationary point), the expansion point is returned
     instead, so the SCA loop around the solve stays monotone.
-    ``params`` is not read; it keeps the solver interface of ``ao.sca``.
     """
     tol = TOL_FEAS * sub.sinr_deficit_scale
     if sub._deficit_offset > tol:
@@ -419,15 +417,15 @@ class CovarianceSubproblem:
     def __init__(self, channels, V0, weights, gamma0, u, zeta, model):
         self.K = len(channels.H)
         self.V0 = 0.5 * (np.asarray(V0, dtype=complex) + np.asarray(V0, dtype=complex).conj().T)
-        ev = np.linalg.eigvalsh(self.V0)
-        if ev.min() < -1e-10:
+        ev, vecs = metrics.eigh(self.V0)
+        if ev[0] < -1e-10:
             raise ContractViolation("expansion covariance must be PSD")
         self.weights = np.asarray(weights, dtype=float)
         self.zeta = float(zeta)
         self.sinr_deficit_scale = metrics.sinr_deficit_scale(channels, gamma0)
         self.g = channels.G.conj().T @ np.asarray(u, dtype=complex)
         self._g_conj = self.g.conj()
-        _, self.lead_vec = leading_eigpair(self.V0)
+        self.lead_vec = vecs[:, -1]
         self._lead_conj = self.lead_vec.conj()
         base, self.offs, self._deficit_offset = model
 
@@ -552,72 +550,39 @@ def _sensing_fw_direction(V, G, g, c):
     return trace * (y[:, None] * y.conj()) - V
 
 
-def solve_covariance_subproblem(sub, params=None):
+def solve_covariance_subproblem(sub):
     """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}.
 
-    One feasible ascent (``_pga_ascent``) on the surrogate itself: it starts
-    at the projected expansion point, restored toward g g^H if that breaks
-    the constraint, and a candidate whose scaled deficit exceeds TOL_FEAS
-    has the objective NaN, which rejects it.  The FW oracle
-    (``_sensing_fw_direction``) returns the best point of the whole
-    feasible set at half the tolerance, the other half left to rounding as
-    in the precoder solve, so its candidates are convex combinations of
-    feasible points and the ascent slides along the sensing boundary.
+    One feasible ascent (``_pga_ascent``) on the surrogate itself; a
+    candidate whose scaled deficit exceeds TOL_FEAS has the objective NaN,
+    which rejects it.  The FW oracle (``_sensing_fw_direction``) returns the
+    best point of the whole feasible set at half the tolerance, the other
+    half left to rounding as in the precoder solve, so its candidates are
+    convex combinations of feasible points and the ascent slides along the
+    sensing boundary.  The ascent starts at the projected expansion point,
+    or at the oracle's point there if that breaks the constraint; the
+    oracle raises InfeasibleSubproblemError where no point meets it.
     Every iterate is feasible and none lowers the surrogate, so the SCA
     loop around the solve stays monotone.
     """
-    params = params or AlgoParams()
     scale = sub.sinr_deficit_scale
-    gnorm2 = float(np.real(np.vdot(sub.g, sub.g)))
+    c = sub._deficit_offset - 0.5 * TOL_FEAS * scale
 
     def kap(V):
         return sub.deficit(V) / scale
 
-    def restore(V):
-        # Blend toward the aligned rank-1 direction; the deficit is monotone in
-        # the blend weight, so bisection finds the smallest feasible push.
-        if gnorm2 <= 0.0 or sub._deficit_offset - gnorm2 > TOL_FEAS * scale:
-            return None
-        P = np.outer(sub.g, sub.g.conj()) / gnorm2
-
-        def blended(alpha):
-            Vb = V + alpha * P
-            tr = float(np.real(np.trace(Vb)))
-            if tr > 1.0:
-                Vb = Vb / tr
-            return Vb
-
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if kap(blended(hi)) <= TOL_FEAS * 0.5:
-                break
-            hi *= 2.0
-            if hi > 1e12:
-                return None
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if kap(blended(mid)) <= TOL_FEAS * 0.5:
-                hi = mid
-            else:
-                lo = mid
-        return psd_trace_project(blended(hi))
+    def fw_oracle(V, G):
+        return _sensing_fw_direction(V, G, sub.g, c)
 
     V = psd_trace_project(sub.V0)
     if kap(V) > TOL_FEAS:
-        V = restore(V)
-        if V is None:
-            raise InfeasibleSubproblemError("no feasible point reachable from start")
+        V = V + fw_oracle(V, sub.objective_and_grad(V)[1]())
         if kap(V) > TOL_FEAS:
-            raise InfeasibleSubproblemError("restoration produced an infeasible point")
+            raise InfeasibleSubproblemError("the oracle's start point is infeasible")
 
     def value_grad(X):
         f, grad = sub.objective_and_grad(X)
         return np.where(kap(X) <= TOL_FEAS, f, np.nan), grad
 
-    c = sub._deficit_offset - 0.5 * TOL_FEAS * scale
-    V, _, _ = _pga_ascent(
-        V, value_grad, psd_trace_project, PGA_STEP0, PGA_ITERS, params.tau, ARMIJO,
-        COV_REL_TOL, MAX_BACKTRACKS,
-        fw_oracle=lambda V, G: _sensing_fw_direction(V, G, sub.g, c),
-    )
-    return V
+    return _pga_ascent(V, value_grad, psd_trace_project, PGA_STEP0, PGA_ITERS, PGA_TAU,
+                       ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, fw_oracle=fw_oracle)

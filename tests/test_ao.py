@@ -1,8 +1,8 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
-run_zf with one block replaced by a stub that misbehaves, its stop rule and
-repeat skip on stub blocks and states, the shared
-projected-gradient descent and SCA loop on stub objectives, the ALM
-position loop on stub rates and gradients, and the one parameter set."""
+run_zf with one block replaced by a stub that misbehaves, its stop rule on
+stub blocks and states, the shared projected-gradient descent and SCA loop
+on stub objectives, the ALM position loop on stub rates and gradients, and
+the one parameter set."""
 
 import dataclasses
 import pathlib
@@ -95,10 +95,9 @@ def _score_rates(channels, state):
 
 class TestStopRule:
     """``ao.run`` on stub blocks that add a scripted score to the WSR, or
-    lose some (then the gate rejects them): when an AO loop ends the run,
-    and when a W or v block is skipped as a repeat."""
+    lose some (then the gate rejects them): when an AO loop ends the run."""
 
-    def _run(self, scenario, placement, name, gains, combiner=None):
+    def _run(self, scenario, placement, name, gains):
         calls = []
 
         def initial(sc, ch, params):
@@ -111,7 +110,7 @@ class TestStopRule:
             return pl, ch, dataclasses.replace(st, score=st.score + gain), ()
 
         res = ao.run(scenario, placement, AlgoParams(), initial, _score_rates,
-                     combiner or (lambda ch, st: st.u), [(name, block)])
+                     lambda ch, st: st.u, [(name, block)])
         return res, calls
 
     def test_quiet_loop_with_a_reject_does_not_end_the_run(self, scenario, placement):
@@ -120,8 +119,9 @@ class TestStopRule:
         assert (res.outer_iters, res.converged, len(calls)) == (3, True, 3)
         assert res.block_rejects == 1
 
-    def test_two_quiet_loops_with_rejects_end_it(self, scenario, placement):
-        res, calls = self._run(scenario, placement, "t", [-1.0])
+    @pytest.mark.parametrize("name", ["W", "v", "t"])
+    def test_two_quiet_loops_with_rejects_end_it(self, scenario, placement, name):
+        res, calls = self._run(scenario, placement, name, [-1.0])
         assert (res.outer_iters, res.converged, len(calls)) == (2, True, 2)
         assert res.block_rejects == 2
 
@@ -129,22 +129,6 @@ class TestStopRule:
         res, calls = self._run(scenario, placement, "t", [EPS_F / 2])
         assert (res.outer_iters, res.converged, len(calls)) == (1, True, 1)
         assert res.block_rejects == 0
-
-    def test_repeat_is_skipped_and_recorded(self, scenario, placement):
-        res, calls = self._run(scenario, placement, "v", [-1.0])
-        assert (res.outer_iters, res.converged, len(calls)) == (2, True, 1)
-        assert res.block_rejects == 2
-        flags = [rec.flags for rec in res.trace if rec.block == "v"]
-        assert flags == [("v_block_rejected",), ("v_block_rejected", "repeat")]
-        assert "repeat" in res.flags
-
-    def test_changed_combiner_is_no_repeat(self, scenario, placement):
-        def turn(ch, st):
-            return st.u * np.exp(0.1j)
-
-        res, calls = self._run(scenario, placement, "v", [-1.0], combiner=turn)
-        assert (res.outer_iters, res.converged, len(calls)) == (2, True, 2)
-        assert not any("repeat" in rec.flags for rec in res.trace)
 
 
 class TestAlmMultiplier:
@@ -659,8 +643,8 @@ class TestSca:
         def make_sub(x):
             return ("sub", x)
 
-        def solve(sub, p):
-            seen.append((sub, p))
+        def solve(sub):
+            seen.append(sub)
             return sub[1] + 1
 
         x, rounds = ao.sca(0, make_sub, solve, lambda sub, x: values[x - 1], params)
@@ -670,17 +654,12 @@ class TestSca:
         params = AlgoParams()
         x, rounds, seen = self._run([0.0, 1.0, 2.0, 2.005, 5.0, 9.0], params)
         assert (x, rounds) == (4, 4)
-        assert [sub for sub, _ in seen] == [("sub", 0), ("sub", 1), ("sub", 2), ("sub", 3)]
+        assert seen == [("sub", 0), ("sub", 1), ("sub", 2), ("sub", 3)]
 
     def test_runs_at_most_sca_max_rounds(self):
         params = AlgoParams(sca_max=3)
         x, rounds, _ = self._run([0.0, 1.0, 2.0, 3.0, 4.0], params)
         assert (x, rounds) == (3, 3)
-
-    def test_solve_receives_the_params(self):
-        params = AlgoParams(sca_max=2)
-        _, _, seen = self._run([0.0, 1.0], params)
-        assert len(seen) == 2 and all(p is params for _, p in seen)
 
 
 class TestParams:

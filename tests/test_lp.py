@@ -60,7 +60,6 @@ class TestPrecoderBlock:
 
     def test_surrogate_sequence_monotone(self, scenario, channels, lp_state):
         from nfisac.subsolver import PrecoderSubproblem, solve_precoder_subproblem
-        params = AlgoParams()
         state = _feasible_state(scenario, channels, lp_state)
         W = state.W
         hats = []
@@ -68,7 +67,7 @@ class TestPrecoderBlock:
             sub = PrecoderSubproblem(channels, W, state.v, state.u,
                                      scenario.weights, scenario.p_max,
                                      scenario.gamma0)
-            W = solve_precoder_subproblem(sub, params)
+            W = solve_precoder_subproblem(sub)
             hats.append(sub.surrogate_and_grad(np.stack(W))[0])
         assert all(b >= a - 1e-9 for a, b in zip(hats, hats[1:]))
 
@@ -87,14 +86,12 @@ class TestSenseBeamBlock:
         params = AlgoParams()
         state = lp_state.copy()
         state.u = channels.f_r / math.sqrt(scenario.n_r)
-        v_new, ratio, flags = lp.optimize_sense_beam_lp(
+        v_new, _, _ = lp.optimize_sense_beam_lp(
             channels, state, scenario.weights, scenario.gamma0, 1.0, params)
-        assert np.linalg.norm(v_new) <= 1.0 + 1e-9
+        assert abs(np.linalg.norm(v_new) - 1.0) <= 1e-12
         scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
-        if "v_not_renormalized" not in flags:
-            kap = metrics.sinr_deficit(channels, state.W, v_new, state.u,
-                                       scenario.gamma0)
-            assert kap <= TOL_FEAS * scale
+        kap = metrics.sinr_deficit(channels, state.W, v_new, state.u, scenario.gamma0)
+        assert kap <= TOL_FEAS * scale
 
     def test_constraint_forces_alignment(self, scenario, channels):
         # weights zero, gamma0 near the achievable maximum: the solution must

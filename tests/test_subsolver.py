@@ -130,7 +130,7 @@ class TestPrecoderSolve:
         state = lp_state.copy()
         state.v = np.zeros(scenario.n_t, dtype=complex)
         sub = _precoder_sub(scenario, channels, state, gamma0=0.0)
-        W = solve_precoder_subproblem(sub, AlgoParams())
+        W = solve_precoder_subproblem(sub)
         power = sum(float(np.sum(np.abs(Wk) ** 2)) for Wk in W)
         assert power == pytest.approx(scenario.p_max, rel=1e-4)
         # KKT: surrogate gradient parallel to the power-constraint gradient
@@ -150,14 +150,14 @@ class TestPrecoderSolve:
         for _ in range(60):
             sub = PrecoderSubproblem(channels, W, state.v, state.u,
                                      scenario.weights, scenario.p_max, 0.0)
-            W = solve_precoder_subproblem(sub, AlgoParams())
+            W = solve_precoder_subproblem(sub)
             cur = sub.surrogate_and_grad(np.stack(W))[0]
             if cur - prev < 1e-8:
                 break
             prev = cur
         sub2 = PrecoderSubproblem(channels, W, state.v, state.u,
                                   scenario.weights, scenario.p_max, 0.0)
-        W_again = solve_precoder_subproblem(sub2, AlgoParams())
+        W_again = solve_precoder_subproblem(sub2)
         before = sub2.surrogate_and_grad(np.stack(W))[0]
         after = sub2.surrogate_and_grad(np.stack(W_again))[0]
         assert after >= before - 1e-9
@@ -178,7 +178,7 @@ class TestPrecoderSolve:
         sub = PrecoderSubproblem(ch, W0, np.array([0.0 + 0j]),
                                  np.array([1.0 + 0j]), np.array([1.0]),
                                  p_max=2.0, gamma0=0.0)
-        W = solve_precoder_subproblem(sub, AlgoParams())
+        W = solve_precoder_subproblem(sub)
         achieved = sub.surrogate_and_grad(np.stack(W))[0]
 
         def surr_of_r(r):
@@ -204,14 +204,14 @@ class TestPrecoderSolve:
         gamma0 = 10.0 * num / channels.noise_radar
         sub = _precoder_sub(scenario, channels, state, gamma0=gamma0)
         with pytest.raises(InfeasibleSubproblemError):
-            solve_precoder_subproblem(sub, AlgoParams())
+            solve_precoder_subproblem(sub)
 
     def test_feasibility_enforced(self, scenario, channels, lp_state):
         # binding sensing constraint: the returned point meets it at
         # TOL_FEAS / 2, the solve's target
         sub = _binding_sub(scenario, channels, lp_state)
         assert sub.deficit(sub.W0) / sub.sinr_deficit_scale > TOL_FEAS
-        W = solve_precoder_subproblem(sub, AlgoParams())
+        W = solve_precoder_subproblem(sub)
         kap = sub.deficit(np.stack(W)) / sub.sinr_deficit_scale
         assert kap == pytest.approx(TOL_FEAS / 2, rel=1e-6)
 
@@ -598,9 +598,9 @@ class TestCovarianceSolve:
     def test_fixed_point_returned_unchanged(self, scenario, channels, lp_state):
         V0 = np.outer(lp_state.v, lp_state.v.conj())
         sub = _cov_sub(scenario, channels, lp_state, V0, zeta=1.0, gamma0=0.0)
-        V1 = solve_covariance_subproblem(sub, AlgoParams())
+        V1 = solve_covariance_subproblem(sub)
         sub2 = _cov_sub(scenario, channels, lp_state, V1, zeta=1.0, gamma0=0.0)
-        V2 = solve_covariance_subproblem(sub2, AlgoParams())
+        V2 = solve_covariance_subproblem(sub2)
         obj1 = sub2.objective_and_grad(V1)[0]
         obj2 = sub2.objective_and_grad(V2)[0]
         assert obj2 >= obj1 - 1e-9
@@ -608,7 +608,7 @@ class TestCovarianceSolve:
     def test_scalar_grid_oracle(self):
         # N_t = 1: V is a scalar in [0, 1]
         sub, _, _ = _scalar_cov_sub()
-        V = solve_covariance_subproblem(sub, AlgoParams())
+        V = solve_covariance_subproblem(sub)
         grid = np.linspace(0, 1, 20001)
         vals = [sub.objective_and_grad(np.array([[g + 0j]]))[0] for g in grid]
         assert sub.objective_and_grad(V)[0] >= max(vals) - 1e-6
@@ -633,7 +633,7 @@ class TestCovarianceSolve:
             for _ in range(6):
                 sub = CovarianceSubproblem(
                     channels, V, np.array([1.0, 0.0]), gamma0, u, zeta, model)
-                V = solve_covariance_subproblem(sub, AlgoParams())
+                V = solve_covariance_subproblem(sub)
             vals = np.linalg.eigvalsh(V)
             assert vals.sum() > 0
             ratios.append(vals[-1] / vals.sum())
@@ -664,8 +664,8 @@ class TestCovarianceSolve:
             return runs[-1]
 
         monkeypatch.setattr(subsolver, "_pga_ascent", counted)
-        V = solve_covariance_subproblem(sub, AlgoParams())
-        assert len(runs) == 1 and np.array_equal(V, runs[0][0])
+        V = solve_covariance_subproblem(sub)
+        assert len(runs) == 1 and np.array_equal(V, runs[0])
         assert len(adopted) >= 3 and np.array_equal(adopted[-1][0], V)
         values = [f for _, f in adopted]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -677,7 +677,8 @@ class TestCovarianceSolve:
         assert sub.objective_and_grad(V)[0] >= sub.objective_and_grad(V0)[0]
 
     def test_feasibility_restoration(self, scenario, channels, lp_state):
-        # start infeasible: solver must return a feasible covariance
+        # start infeasible: the solve starts at the oracle's point and must
+        # return a feasible covariance
         u = channels.f_r / math.sqrt(scenario.n_r)
         gamma0 = 0.3 * channels.rho_s**2 * scenario.n_t * scenario.n_r \
             / channels.noise_radar
@@ -690,8 +691,21 @@ class TestCovarianceSolve:
         sub = _cov_sub(scenario, channels, state, V0, gamma0=gamma0)
         if sub.deficit(V0) / sub.sinr_deficit_scale <= TOL_FEAS:
             pytest.skip("random start happened to be feasible")
-        V = solve_covariance_subproblem(sub, AlgoParams())
+        V = solve_covariance_subproblem(sub)
         assert sub.deficit(V) / sub.sinr_deficit_scale <= TOL_FEAS
+
+    def test_unreachable_target_from_an_infeasible_start_raises(self, scenario, channels,
+                                                                lp_state):
+        # the deficit offset, linear in gamma0, is set to twice ||g||^2, the
+        # most g^H V g reaches on the trace ball: the start is infeasible,
+        # and no point meets the constraint
+        V0 = np.outer(lp_state.v, lp_state.v.conj())
+        unit = _cov_sub(scenario, channels, lp_state, V0, gamma0=1.0)
+        gamma0 = 2.0 * float(np.real(np.vdot(unit.g, unit.g))) / unit._deficit_offset
+        sub = _cov_sub(scenario, channels, lp_state, V0, gamma0=gamma0)
+        assert sub.deficit(V0) / sub.sinr_deficit_scale > TOL_FEAS
+        with pytest.raises(InfeasibleSubproblemError):
+            solve_covariance_subproblem(sub)
 
 
 def _binding_cov_sub(scenario, channels, state, mode, zf_state):
@@ -1093,8 +1107,8 @@ class TestLineSearch:
 
         monkeypatch.setattr(subsolver, "line_search", counting)
         box = _BoxQuadratic()
-        x, _, _ = _pga_ascent(np.array([-0.9, 0.8]), box.value_grad, box.project,
-                              0.05, 40, 0.5, 1e-4, 0.0, 80, fw_oracle=box.fw_oracle)
+        x = _pga_ascent(np.array([-0.9, 0.8]), box.value_grad, box.project,
+                        0.05, 40, 0.5, 1e-4, 0.0, 80, fw_oracle=box.fw_oracle)
         assert len(searches) >= 3
         assert any(np.array_equal(x, found[1][0]) for found in searches
                    if found[1] is not None)
@@ -1148,12 +1162,15 @@ def _recording(ascent, calls):
     return run
 
 
+def _sequential_x(*args, **kwargs):
+    """The sequential reference's x alone, as `_pga_ascent` returns it."""
+    return _sequential_with_stacked_callbacks(*args, **kwargs)[0]
+
+
 def _same_ascents(a, b):
     assert len(a) == len(b)
-    for (xa, La, sa), (xb, Lb, sb) in zip(a, b):
+    for xa, xb in zip(a, b):
         assert np.array_equal(xa, xb)
-        assert La == Lb
-        assert sa == sb
 
 
 class TestSequentialReference:
@@ -1171,7 +1188,7 @@ class TestSequentialReference:
             return vg
 
         outs = []
-        for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
+        for ascent in (_pga_ascent, _sequential_x):
             box = _BoxQuadratic()
             vg = vetoed(box.value_grad) if veto else box.value_grad
             outs.append([ascent(np.array([-0.9, 0.8]), vg,
@@ -1179,17 +1196,18 @@ class TestSequentialReference:
                                 fw_oracle=box.fw_oracle)])
         _same_ascents(*outs)
         # the unconstrained maximum lies at x[0] = 0.3
-        assert (outs[0][0][0][0] <= 0.2) == veto
-        assert outs[0][0][1] > _BoxQuadratic().value_grad(
-            np.array([[-0.9, 0.8]]))[0][0]
+        x = outs[0][0]
+        assert (x[0] <= 0.2) == veto
+        values = _BoxQuadratic().value_grad(np.array([x, [-0.9, 0.8]]))[0]
+        assert values[0] > values[1]
 
     def _compare_solves(self, monkeypatch, sub):
         from nfisac import subsolver
         results = []
-        for ascent in (_pga_ascent, _sequential_with_stacked_callbacks):
+        for ascent in (_pga_ascent, _sequential_x):
             calls = []
             monkeypatch.setattr(subsolver, "_pga_ascent", _recording(ascent, calls))
-            results.append((solve_covariance_subproblem(sub, AlgoParams()), calls))
+            results.append((solve_covariance_subproblem(sub), calls))
         (V, calls), (V_ref, calls_ref) = results
         assert len(calls) == 1
         _same_ascents(calls, calls_ref)
@@ -1342,7 +1360,7 @@ class TestCovarianceSolveCost:
             return inner(V)
 
         sub.objective_and_grad = counted
-        V = solve_covariance_subproblem(sub, AlgoParams())
+        V = solve_covariance_subproblem(sub)
         assert calls[0] <= self.MAX_CALLS
         assert candidates[0] <= self.MAX_CANDIDATES
         assert sub.deficit(V) / sub.sinr_deficit_scale <= TOL_FEAS
@@ -1382,7 +1400,7 @@ class TestCovarianceTolerance:
         monkeypatch.setattr(subsolver, "COV_REL_TOL", rel_tol)
         sub.objective_and_grad = counted
         try:
-            V = solve_covariance_subproblem(sub, AlgoParams())
+            V = solve_covariance_subproblem(sub)
         finally:
             del sub.objective_and_grad
         return V, sub.objective_and_grad(V)[0], calls[0]
@@ -1411,7 +1429,7 @@ class TestCovarianceTolerance:
         state = lp_state.copy()
         state.v = channels.f_t / math.sqrt(scenario.n_t)
         sub = _precoder_sub(scenario, channels, state)
-        W = solve_precoder_subproblem(sub, AlgoParams())
+        W = solve_precoder_subproblem(sub)
         monkeypatch.setattr(subsolver, "COV_REL_TOL", 1e-1)
-        W_loose_cov = solve_precoder_subproblem(sub, AlgoParams())
+        W_loose_cov = solve_precoder_subproblem(sub)
         assert all(np.array_equal(a, b) for a, b in zip(W, W_loose_cov))

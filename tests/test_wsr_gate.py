@@ -26,7 +26,7 @@ def tool():
 class _Bench:
     """Stands in for ``perfbench.workloads.Bench``: a unit's WSR is 1 + its
     trial, plus ``per_nm`` bits per nm of the BS array's x, and its trace
-    rejects the v block twice, the second time as a repeat."""
+    rejects the v block twice."""
 
     def __init__(self, per_nm):
         self.per_nm = per_nm
@@ -37,8 +37,7 @@ class _Bench:
     def run_unit(self, trial, scheme):
         x_nm = self._placement(trial).t[0, 0] * 1e9
         trace = [metrics.TraceRecord(1, "v", 0.0, 0.0, 0.0, 0.0, (), ("v_block_rejected",)),
-                 metrics.TraceRecord(2, "v", 0.0, 0.0, 0.0, 0.0, (),
-                                     ("v_block_rejected", "repeat"))]
+                 metrics.TraceRecord(2, "v", 0.0, 0.0, 0.0, 0.0, (), ("v_block_rejected",))]
         run = SimpleNamespace(trace=trace, outer_iters=2, converged=trial == 0)
         return SimpleNamespace(wsr_bits={scheme: 1.0 + trial + self.per_nm * x_nm},
                                problem=None, run=run)
@@ -55,7 +54,7 @@ def test_record_of_a_shifted_unit(tool):
     assert "_placement" not in vars(bench)          # the wrapper is removed again
     assert rec.pop("cpu_s") >= 0.0
     assert rec == dict(pool=1, trial=1, scheme="ZF-MA", wsr_bits=pytest.approx(2.1),
-                       outer_iters=2, converged=False, rejects={"v": 2}, repeats=1,
+                       outer_iters=2, converged=False, rejects={"v": 2},
                        problem=None)
 
 

@@ -7,8 +7,8 @@ Runs each unit of ``perfbench.workloads.pool_units("mc-trend")`` through
 modified.  The units are spread over ``--workers`` processes (never more
 than the units).  It writes one JSON with one record per unit: WSR in bits,
 ``outer_iters``, ``converged``, process CPU, the per-block reject counts
-read from the ``<block>_block_rejected`` flags of the trace records, the
-records flagged ``repeat`` and the unit's problem (None when clean).
+read from the ``<block>_block_rejected`` flags of the trace records, and
+the unit's problem (None when clean).
 
 ``--compare PARENT.json CHANGE.json`` prints, per scheme and pool, the mean
 WSR of both sides and their paired difference; per scheme that
@@ -75,17 +75,16 @@ def measure(bench, pool, trial, scheme):
         cpu = time.process_time() - cpu
     finally:
         del bench._placement
-    rejects, repeats = Counter(), 0
+    rejects = Counter()
     run = outcome.run
     for rec in run.trace if run is not None else ():
-        repeats += "repeat" in rec.flags
         rejects.update(f[:-len("_block_rejected")] for f in rec.flags
                        if f.endswith("_block_rejected"))
     return dict(pool=pool, trial=trial, scheme=scheme,
                 wsr_bits=outcome.wsr_bits.get(scheme),
                 outer_iters=None if run is None else run.outer_iters,
                 converged=None if run is None else bool(run.converged),
-                cpu_s=cpu, rejects=dict(sorted(rejects.items())), repeats=repeats,
+                cpu_s=cpu, rejects=dict(sorted(rejects.items())),
                 problem=outcome.problem)
 
 
