@@ -168,10 +168,12 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     region, in stacks of 3, 6, 12, ... (``FIRST_STACK``); a spacing
     violation rejects a trial unevaluated, and the other trials of a stack
     are evaluated together (see ``_evaluate`` for errors).  A trial that
-    projects to no move ends the descent; an adopted step s makes 2s the
-    next first trial.  Returns (x, steps, exhausted), exhausted when a line
-    search rejected all its trials: max_ls of them, or every one before its
-    step vanished.
+    projects to no move ends the descent.  The first trial of the first
+    step is step0; after an adopted step s it is the spectral step
+    <dx, dx> / <dx, dg> (Barzilai-Borwein), dx the adopted xy move and dg
+    the gradient's change over it, capped at 4s, or 2s when <dx, dg> <= 0.
+    Returns (x, steps, exhausted), exhausted when a line search rejected
+    all its trials: max_ls of them, or every one before its step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
 
@@ -180,16 +182,24 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
 
     step = params.step0
     steps = 0
+    prev = None                              # (xy, gradient) before the last step
     for _ in range(max_steps):
         pos = x[0].array(k)
+        g = grad(x)
+        if prev is not None:
+            dx = pos[:, :2] - prev[0]
+            curv = np.vdot(dx, g - prev[1])
+            if curv > 0.0:
+                step = min(np.vdot(dx, dx) / curv, 2.0 * step)
         d = np.zeros_like(pos)
-        d[:, :2] = -grad(x)
+        d[:, :2] = -g
         s, x_new, tried = subsolver.line_search(
             pos, -x[-1], d, step, params.max_ls, params.tau, params.delta,
             functools.partial(_evaluate, move, x, scenario.d_min), project, FIRST_STACK)
         if x_new is None:
             return x, steps, tried == params.max_ls or tried > 0
         x_prev, x = x, x_new
+        prev = pos[:, :2], g
         step = s * 2.0
         steps += 1
         if stop(x_prev, x):

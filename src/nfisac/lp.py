@@ -152,7 +152,9 @@ def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
 def optimize_user_positions(scenario, placement, channels, state, k, params=None):
     """Projected gradient ascent on R_{L,k} over user k's antenna positions:
     ``ao.descend`` on -R_{L,k}, stopped once a step gains less than PGM_TOL
-    relative to the rate.  The precoders and beam stay fixed.
+    relative to the rate, and after PGM_MAX_STEPS steps: a visit is capped,
+    and the AO loop's next visit goes on from where it stopped.  The
+    precoders and beam stay fixed.
 
     Returns (placement, channels, steps).
     """

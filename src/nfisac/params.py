@@ -5,7 +5,11 @@ fixed ones of the evaluation setup: ALM seed p0 = 1 with growth theta = 10,
 eps_L = 1e-3 (relative, inner loop), eps_f = 1e-2 (outer WSR), eps_s = 1e-2
 (SCA surrogate improvement).  P0, THETA and P_CAP serve only the position
 ALM (``ao.alm_positions``): neither subproblem solver has a multiplier loop.
-TOL_FEAS bounds the scaled SINR deficit of both subproblem solvers.  The
+TOL_FEAS bounds the scaled SINR deficit of both subproblem solvers.  An LP
+user-position visit takes at most PGM_MAX_STEPS = 5 descent steps and stops
+earlier once a step gains less than PGM_TOL (relative): each adopted step
+is an Armijo descent and the AO loop revisits the block on every loop, so
+a capped visit is an inexact block update that still descends.  The
 precoder subproblem is solved in closed form; the covariance subproblem by
 one feasible projected gradient ascent, with the subsolver constants from
 PGA_STEP0 on, stopped when two consecutive iterations gain less than
@@ -25,8 +29,9 @@ P0 = 1.0                     # position ALM penalty seed
 THETA = 10.0                 # position ALM penalty growth
 P_CAP = 1e6
 MAX_OUTER = 30               # AO iterations
-PGM_MAX_STEPS = 60           # accepted steps per position block
-PGM_TOL = 1e-6               # relative improvement stop for position blocks
+PGM_MAX_STEPS = 5            # accepted steps per visit of an LP user block:
+                             # the AO loop revisits every block each loop
+PGM_TOL = 1e-6               # relative improvement stop of an LP user block
 TOL_FEAS = 1e-8              # on the scaled SINR deficit
 WSR_SLACK = 1e-9             # allowed per-block WSR loss before rejection
 PGA_STEP0 = 1.0              # initial subsolver step (covariance units)

@@ -18,10 +18,7 @@ import pytest
 
 from nfisac import geometry, harness, lp, metrics, verify, zf
 from nfisac.params import AlgoParams
-from nfisac.subsolver import (
-    CovarianceSubproblem, PrecoderSubproblem,
-    solve_covariance_subproblem, solve_precoder_subproblem,
-)
+from nfisac.subsolver import CovarianceSubproblem, PrecoderSubproblem
 from tests.conftest import desk_config
 
 N_SEEDS = 20

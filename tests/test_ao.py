@@ -189,23 +189,27 @@ class TestAlmMultiplier:
 
 class TestDescend:
     """``ao.descend`` on user 0's array with a stub objective: the iterate is
-    (placement, value), ``move`` records the trial steps of every stack it is
-    asked to evaluate, ``accept`` decides which trial steps pass the Armijo
-    test (value - 1) and which fail it (value unchanged), ``unevaluable``
-    which get NaN, and ``raises`` which stacks raise."""
+    (placement, value), the objective's gradient at it is -slope(value) in
+    every coordinate (GRAD by default), ``move`` records the trial steps of
+    every stack it is asked to evaluate, ``accept`` decides which trial
+    steps pass the Armijo test (value - 1) and which fail it (value
+    unchanged), ``unevaluable`` which get NaN, and ``raises`` which stacks
+    raise."""
 
     GRAD = 1e-2
 
     def _run(self, scenario, placement, accept, params, max_steps=4,
              stop=lambda prev, cur: False, raises=lambda steps: None,
-             unevaluable=lambda s: False):
+             unevaluable=lambda s: False, slope=lambda value: TestDescend.GRAD):
         k = 0
-        grad = np.full((scenario.n_u, 2), self.GRAD)
         stacks = []
+
+        def grad(x):
+            return np.full((scenario.n_u, 2), -slope(x[1]))
 
         def move(x, q):
             pl, value = x
-            steps = np.max(np.abs(q[:, :, :2] - pl.q[k][:, :2]) / np.abs(grad),
+            steps = np.max(np.abs(q[:, :, :2] - pl.q[k][:, :2]) / slope(value),
                            axis=(1, 2))
             stacks.append(steps.tolist())
             exc = raises(steps)
@@ -216,8 +220,7 @@ class TestDescend:
             return values, lambda i: (pl.with_q(k, q[i]), float(values[i]))
 
         x, steps, exhausted = ao.descend(
-            scenario, k, (placement, 0.0), lambda x: -grad, move, stop,
-            max_steps, params)
+            scenario, k, (placement, 0.0), grad, move, stop, max_steps, params)
         return x, steps, exhausted, stacks
 
     @staticmethod
@@ -241,6 +244,34 @@ class TestDescend:
         assert x[1] == -2.0
         moved = placement.q[0][:, :2] + (6.25e-6 + 3.125e-6) * self.GRAD
         np.testing.assert_allclose(x[0].q[0][:, :2], moved, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("slope2, want", [
+        (0.4e-2, "spectral"),          # <dx, dx> / <dx, dg> = s / 0.6
+        (0.8e-2, "cap"),               # the spectral step 5s is capped at 4s
+        (1.2e-2, "double"),            # <dx, dg> < 0: 2s
+        (1e-2, "double"),              # <dx, dg> = 0: 2s
+    ])
+    def test_second_first_trial_is_the_capped_spectral_step(
+            self, scenario, placement, slope2, want):
+        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+        # the descent slope is GRAD at the start and slope2 after the first
+        # step; the first search rejects step0 and adopts s = 5e-5
+        slopes = {0.0: self.GRAD, -1.0: slope2}
+        x, steps, _, stacks = self._run(
+            scenario, placement, lambda s: s < 8e-5, params, max_steps=2,
+            slope=slopes.__getitem__)
+        assert steps == 2
+        s = 5e-5
+        np.testing.assert_allclose(stacks[0][:2], [1e-4, s], rtol=1e-6)
+        n = scenario.n_u * 2
+        dx = np.full(n, s * self.GRAD)               # the adopted xy move
+        dg = np.full(n, self.GRAD - slope2)          # -slope2 - (-GRAD)
+        if want == "spectral":
+            expect = np.dot(dx, dx) / np.dot(dx, dg)
+            assert 0 < expect < 4 * s and not np.isclose(expect, 2 * s)
+        else:
+            expect = 4 * s if want == "cap" else 2 * s
+        np.testing.assert_allclose(stacks[1][0], expect, rtol=1e-6)
 
     def test_veto_and_unevaluable_count_as_rejects(self, scenario, placement, monkeypatch):
         params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
@@ -422,13 +453,20 @@ class TestDescend:
 def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
     """The one-trial-at-a-time line search ``ao.descend`` must reproduce:
     each trial is evaluated on its own as a one-candidate stack, and a
-    RankDeficiencyError rejects it."""
+    RankDeficiencyError rejects it.  The first trial after an adopted step
+    s is the spectral step capped at 4s, or 2s on non-positive curvature."""
     region = scenario.tx_region if k is None else scenario.user_regions[k]
     step = params.step0
     steps = 0
+    prev = None
     for _ in range(max_steps):
         g = grad(x)
         pos = x[0].array(k)
+        if prev is not None:
+            dx = pos[:, :2] - prev[0]
+            curv = np.vdot(dx, g - prev[1])
+            if curv > 0.0:
+                step = min(np.vdot(dx, dx) / curv, 2.0 * step)
         s = step
         for _ls in range(params.max_ls):
             cand = pos.copy()
@@ -450,6 +488,7 @@ def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
         else:
             return x, steps, True
         x_prev, x = x, x_c
+        prev = pos[:, :2], g
         step = s * 2.0
         steps += 1
         if stop(x_prev, x):

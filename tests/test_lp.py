@@ -137,6 +137,25 @@ class TestUserPgm:
             assert after > before
         pl2.validate(scenario)
 
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_visit_capped_at_pgm_max_steps(self, scenario, trial, monkeypatch):
+        placement = harness.initial_placement(scenario, harness.trial_rng(2026, trial))
+        channels = geometry.build_channels(scenario, placement)
+        state = lp.initial_lp_state(scenario, channels)
+
+        def steps():
+            return [lp.optimize_user_positions(scenario, placement, channels, state, k,
+                                               AlgoParams())[2]
+                    for k in range(scenario.n_users)]
+
+        capped = steps()
+        assert max(capped) == PGM_MAX_STEPS
+        # the cap binds: without it these visits take more steps
+        monkeypatch.setattr(lp, "PGM_MAX_STEPS", 12 * PGM_MAX_STEPS)
+        free = steps()
+        assert all(c == min(f, PGM_MAX_STEPS) for c, f in zip(capped, free))
+        assert max(free) > PGM_MAX_STEPS
+
     def test_projection_keeps_region(self, scenario, placement, channels, lp_state):
         params = AlgoParams(step0=1e6)  # absurd step: projection must clamp
         pl2, ch2, _ = lp.optimize_user_positions(
@@ -150,15 +169,22 @@ class TestUserPgm:
 def _reference_user_positions(scenario, placement, channels, state, k, params):
     """The stand-alone user PGM loop that ``optimize_user_positions`` replaced
     by ``ao.descend`` on -R_{L,k}; kept as the reference it must reproduce
-    bit for bit."""
+    bit for bit.  After an accepted step s the first trial is the spectral
+    step of -R_{L,k}, capped at 4s, or 2s on non-positive curvature."""
     region = scenario.user_regions[k]
     q = placement.q[k]
     rate = metrics.rate_lp(channels, state, k)
     mu = params.step0
     steps = 0
+    prev = None
     for _ in range(PGM_MAX_STEPS):
         grad = lp.grad_user_rate_lp(scenario, channels, state.W, state.v,
                                     geometry.user_geometry(placement, channels, k), k)
+        if prev is not None:
+            dx = q[:, :2] - prev[0]
+            curv = np.vdot(dx, -grad - prev[1])
+            if curv > 0.0:
+                mu = min(np.vdot(dx, dx) / curv, 2.0 * mu)
         s = mu
         accepted = False
         for _ls in range(params.max_ls):
@@ -176,6 +202,7 @@ def _reference_user_positions(scenario, placement, channels, state, k, params):
             rate_c = metrics.rate_lp_w(ch_c, state.W, state.v, k)
             if rate_c - rate >= params.delta * delta2:
                 improvement = rate_c - rate
+                prev = q[:, :2], -grad
                 q, placement, channels, rate = qc, pl_c, ch_c, rate_c
                 mu = s * 2.0
                 accepted = True

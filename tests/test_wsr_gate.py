@@ -1,5 +1,6 @@
 """tools/wsr_gate.py's core on two stub units, in-process: the record of a
-unit on a shifted pool, and the paired comparison of two runs.  No process
+unit on a shifted pool and at a patched AO stop, the paired comparison of
+two runs, and the sorting of moved units by a reference stop.  No process
 is started."""
 
 import importlib.util
@@ -10,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nfisac import geometry, metrics
+from nfisac import ao, geometry, metrics
+from nfisac.params import EPS_F
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,3 +142,51 @@ def test_verdict_floor_on_a_flat_scheme(tool, pct, word):
     assert summary[0].endswith(f"  {word}")
     assert " 0.10%" in summary[0]
     assert any(line.startswith("verdict:") and "at least 0.1%" in line for line in lines)
+
+
+def test_record_at_a_reference_stop(tool):
+    # the stub sees the patched stop while it runs, and the stop is restored
+    class AtStop(_Bench):
+        def run_unit(self, trial, scheme):
+            out = super().run_unit(trial, scheme)
+            out.wsr_bits[scheme] += ao.EPS_F
+            return out
+
+    bench = AtStop(per_nm=0.0)
+    assert tool.measure(bench, 0, 1, "ZF-MA", 1e-3)["wsr_bits"] == pytest.approx(2.001)
+    assert ao.EPS_F == EPS_F
+    assert tool.measure(bench, 0, 1, "ZF-MA")["wsr_bits"] == pytest.approx(2.0 + EPS_F)
+
+
+def _units(wsr):
+    """A run's document: ZF-MA trial t on pool 0 at WSR wsr[t], and one
+    unmoved LP-MA unit; a None WSR is a failed unit."""
+    units = [dict(pool=0, trial=t, scheme="ZF-MA", wsr_bits=w, cpu_s=1.0,
+                  converged=True, problem=None if w is not None else "Error: stub")
+             for t, w in enumerate(wsr)]
+    units.append(dict(pool=0, trial=0, scheme="LP-MA", wsr_bits=4.0, cpu_s=1.0,
+                      converged=True, problem=None))
+    return dict(pools=0, units=units)
+
+
+def test_reference_sorts_moved_units(tool):
+    # trials 0-3 move by more than 0.05 bits at the run stop, trial 4 not;
+    # at the reference stop trial 0's move vanishes, trial 1's persists,
+    # trial 2's turns and trial 3's reference run fails
+    parent, change = _units([3.0, 3.0, 3.0, 3.0, 3.0]), _units([3.5, 2.0, 3.3, 3.2, 3.01])
+    ref_parent = _units([3.6, 3.0, 3.3, 3.0, 3.1])
+    ref_change = _units([3.62, 2.5, 3.1, None, 3.1])
+    lines = tool.reference(parent, change, ref_parent, ref_change, 1e-3)
+    assert lines[0].startswith("reference stop EPS_F = 0.001:")
+    assert lines[1:5] == [
+        "  ZF-MA pool 0 trial 0: +0.5000 -> +0.0200 (3.6000 -> 3.6200)  plateau",
+        "  ZF-MA pool 0 trial 1: -1.0000 -> -0.5000 (3.0000 -> 2.5000)  persists",
+        "  ZF-MA pool 0 trial 2: +0.3000 -> -0.2000 (3.3000 -> 3.1000)  flips",
+        "  ZF-MA pool 0 trial 3: failed"]
+    rows = {line.split()[0]: line.split() for line in lines[6:]}
+    # per scheme over the units whose four runs are clean: trials 0, 1, 2, 4
+    assert rows["ZF-MA"][:7] == ["ZF-MA", "4", "3.0000", "2.9525", "3.2500",
+                                 "3.0800", "-0.1700"]
+    assert " ".join(rows["ZF-MA"][7:]) == "failed 1, flips 1, persists 1, plateau 1"
+    assert rows["LP-MA"][1:] == ["1", "4.0000", "4.0000", "4.0000", "4.0000",
+                                 "+0.0000", "none"]

@@ -17,11 +17,20 @@ every unit that moved by more than 0.05 bits; the CPU ratio (parent /
 change: above 1 means the change is faster); and the units that ended
 ``converged=False`` or failed.  Per scheme it then totals, over all pools,
 the CPU seconds of both sides with their ratio, which is steadier than one
-pool's, and the block rejects of both sides per block.  From anywhere:
+pool's, and the block rejects of both sides per block.
+
+``--reference-eps EPS`` with ``--compare`` tells plateau stops from real
+moves: it runs the units of every scheme with a moved unit again, on both
+recorded checkouts, with ``ao.EPS_F`` (the AO stop, which the position ALM's
+WSR stop reads too) patched to EPS in the worker processes, and prints for
+each moved unit whether its move persists at that reference stop, then per
+scheme the mean WSR of both sides at the run stop and at the reference.
+The library's own EPS_F is left as it is.  From anywhere:
 
     python3 tools/wsr_gate.py --pools 3 --out change.json
     python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
     python3 tools/wsr_gate.py --compare parent.json change.json
+    python3 tools/wsr_gate.py --compare parent.json change.json --reference-eps 1e-3
 
 The checkout defaults to the one this script is in.  OpenBLAS runs
 single-threaded unless ``OPENBLAS_NUM_THREADS`` says otherwise.
@@ -30,6 +39,7 @@ single-threaded unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import multiprocessing
 import os
@@ -59,22 +69,27 @@ def _workloads(checkout):
     return workloads
 
 
-def measure(bench, pool, trial, scheme):
-    """Run one unit with the BS array shifted by ``pool`` nm in x; returns
-    its record."""
+def measure(bench, pool, trial, scheme, eps=None):
+    """Run one unit with the BS array shifted by ``pool`` nm in x, and with
+    ``ao.EPS_F`` at ``eps`` unless that is None; returns its record."""
     def placement(t):
         pl = type(bench)._placement(bench, t)
         tx = pl.t.copy()
         tx[:, 0] += pool * SHIFT_M
         return pl.with_t(tx)
 
+    ao = importlib.import_module("nfisac.ao")
+    eps_f = ao.EPS_F
     bench._placement = placement
     try:
+        if eps is not None:
+            ao.EPS_F = eps
         cpu = time.process_time()
         outcome = bench.run_unit(trial, scheme)
         cpu = time.process_time() - cpu
     finally:
         del bench._placement
+        ao.EPS_F = eps_f
     rejects = Counter()
     run = outcome.run
     for rec in run.trace if run is not None else ():
@@ -101,8 +116,8 @@ def _run_task(unit):
 
 
 def collect(checkout, units, workers):
-    """Records of ``units`` ((pool, trial, scheme) triples) in unit order,
-    run by ``workers`` processes on the checkout."""
+    """Records of ``units`` (``measure``'s (pool, trial, scheme[, eps])) in
+    unit order, run by ``workers`` processes on the checkout."""
     workers = max(1, min(workers, len(units)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                              initializer=_init_worker,
@@ -128,37 +143,47 @@ def verdict(diffs, parent_means):
     return "within noise", threshold
 
 
+def _ok(r):
+    return r["problem"] is None and r["wsr_bits"] is not None
+
+
+def _paired(parent, change):
+    """(parent, change) record pairs of the units both runs have, keyed by
+    (pool, trial, scheme), in the change's unit order."""
+    par = {(r["pool"], r["trial"], r["scheme"]): r for r in parent["units"]}
+    return {key: (par[key], r) for r in change["units"]
+            if (key := (r["pool"], r["trial"], r["scheme"])) in par}
+
+
+def _moved(p, c):
+    return _ok(p) and _ok(c) and abs(c["wsr_bits"] - p["wsr_bits"]) > MOVED_BITS
+
+
 def compare(parent, change):
     """The report's lines and, per scheme, the mean and (min, max) over the
     pools of the paired difference in percent of the parent's pool mean."""
-    par = {(r["pool"], r["trial"], r["scheme"]): r for r in parent["units"]}
     cells = defaultdict(list)                # (scheme, pool) -> [(parent, change)]
-    for r in change["units"]:
-        p = par.get((r["pool"], r["trial"], r["scheme"]))
-        if p is not None:
-            cells[r["scheme"], r["pool"]].append((p, r))
-
-    def ok(r):
-        return r["problem"] is None and r["wsr_bits"] is not None
+    for (pool, _, scheme), pair in _paired(parent, change).items():
+        cells[scheme, pool].append(pair)
 
     lines = [f"{'scheme':8} {'pool':>5} {'units':>5} {'parent':>9} {'change':>9} "
              f"{'diff':>9} {'diff %':>8} {'moved':>5} {'cpu x':>6} "
              f"{'unconv p/c':>10} {'failed p/c':>10}"]
     per_scheme, parent_means, moved = defaultdict(list), defaultdict(list), []
     for (scheme, pool), pairs in sorted(cells.items()):
-        both = [(p, c) for p, c in pairs if ok(p) and ok(c)]
+        both = [(p, c) for p, c in pairs if _ok(p) and _ok(c)]
         pm = statistics.fmean(p["wsr_bits"] for p, _ in both) if both else float("nan")
         cm = statistics.fmean(c["wsr_bits"] for _, c in both) if both else float("nan")
         diff = cm - pm
         pct = 100.0 * diff / pm if pm else float("nan")
         per_scheme[scheme].append(pct)
         parent_means[scheme].append(pm)
-        big = [(p, c) for p, c in both if abs(c["wsr_bits"] - p["wsr_bits"]) > MOVED_BITS]
+        big = [(p, c) for p, c in both if _moved(p, c)]
         moved += big
         cpu = (sum(p["cpu_s"] for p, _ in pairs)
                / max(sum(c["cpu_s"] for _, c in pairs), 1e-12))
         unconv = [sum(r["converged"] is False for r in side) for side in zip(*pairs)]
-        failed = [sum(not ok(r) for r in side) for side in zip(*pairs)]
+        failed = [sum(not _ok(r) for r in side) for side in zip(*pairs)]
         lines.append(f"{scheme:8} {pool:>5} {len(pairs):>5} {pm:9.4f} {cm:9.4f} "
                      f"{diff:+9.4f} {pct:+7.2f}% {len(big):>5} {cpu:6.3f} "
                      f"{unconv[0]:>4}/{unconv[1]:<5} {failed[0]:>4}/{failed[1]:<5}")
@@ -193,6 +218,53 @@ def compare(parent, change):
     return lines, stats
 
 
+def reference(parent, change, ref_parent, ref_change, eps):
+    """The lines that sort every unit moved by more than MOVED_BITS between
+    ``parent`` and ``change`` by its move between ``ref_parent`` and
+    ``ref_change``, the same units run with the AO stop at ``eps``:
+    ``plateau`` when the move vanishes there (at most MOVED_BITS),
+    ``persists`` when it keeps its sign, ``flips`` when it turns, ``failed``
+    when a reference run has a problem.  Then per scheme, over every unit
+    of the reference runs, the mean WSR of both sides at the run stop and
+    at the reference stop."""
+    ref = _paired(ref_parent, ref_change)
+    runs = _paired(parent, change)
+    lines = [f"reference stop EPS_F = {eps:g}: each moved unit's change at the run "
+             "stop and at the reference stop (parent -> change)"]
+    words = defaultdict(Counter)
+    for key, (p, c) in runs.items():
+        if not _moved(p, c):
+            continue
+        pool, trial, scheme = key
+        rp, rc = ref.get(key, (None, None))
+        if rp is None or not (_ok(rp) and _ok(rc)):
+            words[scheme]["failed"] += 1
+            lines.append(f"  {scheme} pool {pool} trial {trial}: failed")
+            continue
+        d, dr = c["wsr_bits"] - p["wsr_bits"], rc["wsr_bits"] - rp["wsr_bits"]
+        word = ("plateau" if abs(dr) <= MOVED_BITS else "persists" if d * dr > 0
+                else "flips")
+        words[scheme][word] += 1
+        lines.append(f"  {scheme} pool {pool} trial {trial}: {d:+.4f} -> {dr:+.4f} "
+                     f"({rp['wsr_bits']:.4f} -> {rc['wsr_bits']:.4f})  {word}")
+    lines.append(f"{'scheme':8} {'units':>5} {'run parent':>10} {'run change':>10} "
+                 f"{'ref parent':>10} {'ref change':>10} {'ref diff':>9}  moved units")
+    for scheme in sorted({key[2] for key in ref}):
+        both = [(runs[key], pair) for key, pair in ref.items()
+                if key[2] == scheme and key in runs
+                and all(_ok(r) for r in (*runs[key], *pair))]
+        if not both:
+            continue
+        # run parent, run change, reference parent, reference change
+        means = [statistics.fmean(b[stop][i]["wsr_bits"] for b in both)
+                 for stop in (0, 1) for i in (0, 1)]
+        tally = ", ".join(f"{w} {n}" for w, n in sorted(words[scheme].items())) or "none"
+        lines.append(f"{scheme:8} {len(both):>5} {means[0]:10.4f} {means[1]:10.4f} "
+                     f"{means[2]:10.4f} {means[3]:10.4f} {means[3] - means[2]:+9.4f}  "
+                     f"{tally}")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", nargs="?", default=str(HERE),
@@ -203,15 +275,27 @@ def main(argv=None):
                     help="worker processes (at most one per unit)")
     ap.add_argument("--out", help="JSON file for the records")
     ap.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"))
+    ap.add_argument("--reference-eps", type=float, metavar="EPS",
+                    help="with --compare: run the schemes with a moved unit again "
+                         "on both checkouts with ao.EPS_F = EPS")
     args = ap.parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")     # the workers inherit it
     if args.compare:
         docs = [json.loads(Path(f).read_text()) for f in args.compare]
         lines, stats = compare(*docs)
+        if args.reference_eps is not None:
+            schemes = {key[2] for key, pair in _paired(*docs).items() if _moved(*pair)}
+            refs = [dict(units=collect(doc["checkout"], [
+                (r["pool"], r["trial"], r["scheme"], args.reference_eps)
+                for r in doc["units"] if r["scheme"] in schemes], args.workers))
+                for doc in docs]
+            lines += reference(*docs, *refs, args.reference_eps)
         print("\n".join(lines))
         return stats
+    if args.reference_eps is not None:
+        ap.error("--reference-eps needs --compare")
     if not args.out:
         ap.error("--out is required unless --compare is given")
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")     # the workers inherit it
     units = [(pool, trial, scheme)
              for pool in range(args.pools + 1)
              for trial, scheme in _workloads(args.checkout).pool_units(WORKLOAD)]
