@@ -22,7 +22,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .params import (
-    EPS_F, EPS_L, EPS_S, MAX_OUTER, P0, P_CAP, THETA, TOL_FEAS, WSR_SLACK,
+    EPS_ALM, EPS_F, EPS_L, EPS_S, MAX_OUTER, P0, P_CAP, THETA, TOL_FEAS, WSR_SLACK,
 )
 
 
@@ -148,8 +148,14 @@ def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eig
 
 # trials in the first stack of a position line search: moving the array,
 # precoding and measuring a stack costs many times what one more candidate
-# adds, and about a third of the searches adopt at trial 3 or later
+# adds.  Over the mc-trend pool (tools/ls_trials.py), the first step of a
+# descent, whose first trial is the fixed step0, adopts mostly at trials
+# 19-21 on the BS array (474 of 817) and 5-10 on a user's (789 of 1,252):
+# COLD_STACK covers that head in one stack.  A later step starts at the
+# spectral step and adopts at trial 1 in 1,658 of 2,277 BS and 1,959 of
+# 2,373 user searches, and by trial 3 in 85% and 92%: FIRST_STACK.
 FIRST_STACK = 3
+COLD_STACK = 24
 
 
 def descend(scenario, k, x, grad, move, stop, max_steps, params):
@@ -165,11 +171,13 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
 
     Each step is one ``subsolver.line_search`` on the negated objective
     (exact in IEEE), with at most max_ls trials projected onto the array's
-    region, in stacks of 3, 6, 12, ... (``FIRST_STACK``); a spacing
-    violation rejects a trial unevaluated, and the other trials of a stack
-    are evaluated together (see ``_evaluate`` for errors).  A trial that
-    projects to no move ends the descent.  The first trial of the first
-    step is step0; after an adopted step s it is the spectral step
+    region, in stacks of 24, 48, ... on the first step (``COLD_STACK``)
+    and of 3, 6, 12, ... on later ones (``FIRST_STACK``); the stack sizes
+    never change which trial is adopted.  A spacing violation rejects a
+    trial unevaluated, and the other trials of a stack are evaluated
+    together (see ``_evaluate`` for errors).  A trial that projects to no
+    move ends the descent.  The first trial of the first step is step0;
+    after an adopted step s it is the spectral step
     <dx, dx> / <dx, dg> (Barzilai-Borwein), dx the adopted xy move and dg
     the gradient's change over it, capped at 4s, or 2s when <dx, dg> <= 0.
     Returns (x, steps, exhausted), exhausted when a line search rejected
@@ -195,7 +203,8 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
         d[:, :2] = -g
         s, x_new, tried = subsolver.line_search(
             pos, -x[-1], d, step, params.max_ls, params.tau, params.delta,
-            functools.partial(_evaluate, move, x, scenario.d_min), project, FIRST_STACK)
+            functools.partial(_evaluate, move, x, scenario.d_min), project,
+            FIRST_STACK if steps else COLD_STACK)
         if x_new is None:
             return x, steps, tried == params.max_ls or tried > 0
         x_prev, x = x, x_new
@@ -243,7 +252,7 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
                   eta, rates_of, descent, user=None):
     """ALM over one antenna array (the BS transmit array, or user ``user``'s
     antennas): inner PGM (``descend``) on -WSR + eta*kap + p/2*kap^2, then
-    multiplier/penalty updates, until the WSR stabilizes.
+    multiplier/penalty updates, until the WSR changes by less than EPS_ALM.
 
     The stack supplies ``rates_of(channels, state)``, a state whose
     ``at(channels, p_max)`` gives it on a stack of candidates' channels (a
@@ -306,7 +315,7 @@ def alm_positions(scenario, placement, channels, state, weights, gamma0, params,
         eta = max(0.0, eta + p0 * kap)
         p0 = min(p0 * THETA, P_CAP)
         info.outer_rounds = outer + 1
-        if abs(wsr_c - wsr_prev) < EPS_F and (kap <= TOL_FEAS or eta == 0.0):
+        if abs(wsr_c - wsr_prev) < EPS_ALM and (kap <= TOL_FEAS or eta == 0.0):
             break
         wsr_prev = wsr_c
     info.sinr_deficit_scaled = kap

@@ -3,8 +3,10 @@
 ``AlgoParams`` holds the values a caller sets; the module constants are the
 fixed ones of the evaluation setup: ALM seed p0 = 1 with growth theta = 10,
 eps_L = 1e-3 (relative, inner loop), eps_f = 1e-2 (outer WSR), eps_s = 1e-2
-(SCA surrogate improvement).  P0, THETA and P_CAP serve only the position
-ALM (``ao.alm_positions``): neither subproblem solver has a multiplier loop.
+(SCA surrogate improvement).  P0, THETA, P_CAP and EPS_ALM serve only the
+position ALM (``ao.alm_positions``): neither subproblem solver has a
+multiplier loop.  EPS_ALM, the ALM's WSR stop, has eps_f's value but is its
+own name, so the AO stop can be moved alone.
 TOL_FEAS bounds the scaled SINR deficit of both subproblem solvers.  An LP
 user-position visit takes at most PGM_MAX_STEPS = 5 descent steps and stops
 earlier once a step gains less than PGM_TOL (relative): each adopted step
@@ -21,10 +23,12 @@ every iterate of a solve is feasible and none lowers the surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 EPS_S = 1e-2
 EPS_L = 1e-3
 EPS_F = 1e-2
+EPS_ALM = 1e-2               # WSR stop of the position ALM's multiplier loop
 P0 = 1.0                     # position ALM penalty seed
 THETA = 10.0                 # position ALM penalty growth
 P_CAP = 1e6
@@ -49,7 +53,8 @@ class AlgoParams:
     """Line-search constants and iteration caps.
 
     Defaults follow the evaluation setup: Armijo constant delta = 1e-2 with
-    backtrack factor tau = 1/2 and unit initial step.
+    backtrack factor tau = 1/2 and unit initial step.  The four caps are
+    integers >= 1.
     """
 
     delta: float = 1e-2          # Armijo-Goldstein constant
@@ -66,3 +71,7 @@ class AlgoParams:
         for name in ("delta", "step0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_ls", "sca_max", "alm_max_outer", "inner_pgm_max"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1:
+                raise ValueError(f"{name} must be an int >= 1")

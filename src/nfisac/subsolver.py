@@ -111,14 +111,18 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     ``project`` maps a stack of points to a stack.
 
     Each try is one ``line_search``, backtracking by ``tau`` from its start
-    step, and its stack is evaluated by one ``value_grad`` call; the
-    gradient is taken only at the start point and at each adopted
-    candidate.  An accepted gradient step s starts the next gradient try at
-    2 s.  The ascent stops when no try finds a step, or when two
-    consecutive iterations together gain at most ``rel_tol`` (relative):
-    one quiet iteration is not enough, since a gradient step that meets the
-    boundary of the feasible set gains almost nothing while the FW try of
-    the next iteration may still gain.
+    step, and each of its stacks is evaluated by one ``value_grad`` call;
+    the gradient is taken only at the start point and at each adopted
+    candidate.  A try's first stack holds 2 trials, except the first
+    gradient try's, which starts at the fixed step0: where ``value_grad``
+    has a ``cold_stack`` attribute, that try's first stack is
+    ``value_grad.cold_stack(x)`` trials, x the point it starts from.  The
+    stack sizes never change which trial is adopted.  An accepted gradient
+    step s starts the next gradient try at 2 s.  The ascent stops when no
+    try finds a step, or when two consecutive iterations together gain at
+    most ``rel_tol`` (relative): one quiet iteration is not enough, since a
+    gradient step that meets the boundary of the feasible set gains almost
+    nothing while the FW try of the next iteration may still gain.
 
     ``fw_oracle(x, g)``, when given, returns a feasible-direction candidate
     (an in-set extreme point minus x), tried on every other iteration before
@@ -139,6 +143,7 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
     L, g = vals[0], grad(0)
     step = step0
     fw_step = 1.0
+    cold_stack = getattr(value_grad, "cold_stack", None)
     last = np.inf                   # the previous iteration's gain
     for it in range(max_iters):
         directions = [("grad", g, step, max_backtracks)]
@@ -147,8 +152,12 @@ def _pga_ascent(x0, value_grad, project, step0, max_iters, tau, armijo,
             if d_fw is not None:
                 directions.insert(0, ("fw", d_fw, fw_step, 16))
         for kind, d, s, tries in directions:
+            first = 2
+            if kind == "grad" and cold_stack is not None:
+                # a failed gradient try ends the ascent, so only the first is cold
+                first, cold_stack = cold_stack(x), None
             s, found, _ = line_search(x, L, d, s, tries, tau, armijo, evaluate,
-                                      project)
+                                      project, first)
             if found is not None:
                 break
         else:
@@ -550,20 +559,35 @@ def _sensing_fw_direction(V, G, g, c):
     return trace * (y[:, None] * y.conj()) - V
 
 
+# trials in the first stack of a covariance ascent's first gradient try
+# when it starts on the sensing boundary.  That try starts at the fixed
+# PGA_STEP0; over the mc-trend pool (tools/ls_trials.py) 1,354 of the 1,559
+# such tries adopt past trial 2, mostly at trials 30-32 (743), while 407 of
+# the 417 tries from a slack point adopt at trial 1 and keep a first stack
+# of 2, as every other try does
+BOUNDARY_STACK = 32
+
+
 def solve_covariance_subproblem(sub):
     """Maximize the penalized covariance surrogate over {V>=0, Tr<=1, deficit<=0}.
 
     One feasible ascent (``_pga_ascent``) on the surrogate itself; a
     candidate whose scaled deficit exceeds TOL_FEAS has the objective NaN,
-    which rejects it.  The FW oracle (``_sensing_fw_direction``) returns the
-    best point of the whole feasible set at half the tolerance, the other
-    half left to rounding as in the precoder solve, so its candidates are
-    convex combinations of feasible points and the ascent slides along the
-    sensing boundary.  The ascent starts at the projected expansion point,
-    or at the oracle's point there if that breaks the constraint; the
-    oracle raises InfeasibleSubproblemError where no point meets it.
-    Every iterate is feasible and none lowers the surrogate, so the SCA
-    loop around the solve stays monotone.
+    which rejects it.  The deficit is taken first, so the objective is
+    evaluated on the stack of the feasible candidates only, and not at all
+    when none is; a vetoed candidate's gradient, if asked for, is taken on
+    its own.  The first gradient try evaluates its first BOUNDARY_STACK
+    trials together where the ascent point is on the sensing boundary
+    (scaled deficit > 0), 2 from a slack point.  The FW oracle
+    (``_sensing_fw_direction``) returns the best point of the whole
+    feasible set at half the tolerance, the other half left to rounding as
+    in the precoder solve, so its candidates are convex combinations of
+    feasible points and the ascent slides along the sensing boundary.  The
+    ascent starts at the projected expansion point, or at the oracle's
+    point there if that breaks the constraint; the oracle raises
+    InfeasibleSubproblemError where no point meets it.  Every iterate is
+    feasible and none lowers the surrogate, so the SCA loop around the
+    solve stays monotone.
     """
     scale = sub.sinr_deficit_scale
     c = sub._deficit_offset - 0.5 * TOL_FEAS * scale
@@ -581,8 +605,20 @@ def solve_covariance_subproblem(sub):
             raise InfeasibleSubproblemError("the oracle's start point is infeasible")
 
     def value_grad(X):
-        f, grad = sub.objective_and_grad(X)
-        return np.where(kap(X) <= TOL_FEAS, f, np.nan), grad
+        ok = (kap(X) <= TOL_FEAS).nonzero()[0]
+        if ok.size == len(X):
+            return sub.objective_and_grad(X)
+        f = np.full(len(X), np.nan)
+        if ok.size:
+            f[ok], grad_ok = sub.objective_and_grad(X[ok])
 
+        def grad(i):
+            j = ok.searchsorted(i)
+            if j < ok.size and ok[j] == i:
+                return grad_ok(j)
+            return sub.objective_and_grad(X[i])[1]()
+        return f, grad
+
+    value_grad.cold_stack = lambda V: BOUNDARY_STACK if kap(V) > 0.0 else 2
     return _pga_ascent(V, value_grad, psd_trace_project, PGA_STEP0, PGA_ITERS, PGA_TAU,
                        ARMIJO, COV_REL_TOL, MAX_BACKTRACKS, fw_oracle=fw_oracle)

@@ -227,19 +227,45 @@ class TestDescend:
     def _near(*steps):
         return lambda s: any(np.isclose(s, t, rtol=1e-6) for t in steps)
 
+    @staticmethod
+    def _schedule(params, trials):
+        """The trial steps step0 tau^j, j in ``trials``."""
+        return [params.step0 * params.tau ** j for j in trials]
+
+    def _assert_steps(self, placement, stacks, expect):
+        """The recorded stacks hold the expected trial steps, each within
+        1e-6 (relative) or the step that moves user 0's largest coordinate
+        by one ulp, the resolution ``move`` reads the steps at."""
+        resolution = np.spacing(np.abs(placement.q[0]).max()) / self.GRAD
+        assert [len(st) for st in stacks] == [len(st) for st in expect]
+        for got, want in zip(stacks, expect):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=resolution)
+
+    def _moving(self, placement, params):
+        """How many trials of the first step move user 0's array: the
+        first that does not is the first below the positions' resolution."""
+        q = placement.q[0]
+        s, n = params.step0, 0
+        while np.any(q[:, :2] + s * self.GRAD != q[:, :2]):
+            s *= params.tau
+            n += 1
+        return n
+
     def test_backtracks_by_tau_and_doubles_after_accept(
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.25, delta=1e-12)
         # the first search rejects 1e-4 and 2.5e-5 and adopts the third
-        # trial of its stack; the next search starts at twice it and adopts
-        # the second trial of its stack
+        # trial of its cold stack, which ends before the first trial that
+        # does not move; the next search starts at twice it and adopts the
+        # second trial of its stack of FIRST_STACK
+        moving = self._moving(placement, params)
+        assert 3 < moving < ao.COLD_STACK
         x, steps, exhausted, stacks = self._run(
             scenario, placement, self._near(6.25e-6, 1.5625e-6, 3.125e-6), params,
             max_steps=2)
-        expect = [[1e-4, 2.5e-5, 6.25e-6], [1.25e-5, 3.125e-6, 7.8125e-7]]
-        assert [len(st) for st in stacks] == [len(st) for st in expect]
-        for got, want in zip(stacks, expect):
-            np.testing.assert_allclose(got, want, rtol=1e-6)
+        expect = [self._schedule(params, range(moving)),
+                  [1.25e-5, 3.125e-6, 7.8125e-7]]
+        self._assert_steps(placement, stacks, expect)
         assert steps == 2 and not exhausted
         assert x[1] == -2.0
         moved = placement.q[0][:, :2] + (6.25e-6 + 3.125e-6) * self.GRAD
@@ -286,39 +312,45 @@ class TestDescend:
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
         # move never sees the vetoed trial; the second trial cannot be
         # evaluated (NaN), which fails the Armijo test like any reject
+        assert self._moving(placement, params) > ao.COLD_STACK
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: True, params, max_steps=1,
             unevaluable=self._near(5e-5))
-        assert checks == [3]                         # one check per stack
-        expect = [[5e-5, 2.5e-5]]
-        assert [len(st) for st in stacks] == [len(st) for st in expect]
-        for got, want in zip(stacks, expect):
-            np.testing.assert_allclose(got, want, rtol=1e-6)
+        assert checks == [ao.COLD_STACK]             # one check per stack
+        expect = [self._schedule(params, range(1, ao.COLD_STACK))]
+        self._assert_steps(placement, stacks, expect)
         assert steps == 1 and not exhausted
         np.testing.assert_allclose(
             x[0].q[0][:, :2], placement.q[0][:, :2] + 2.5e-5 * self.GRAD,
             rtol=0, atol=1e-12)
 
     def test_veto_inside_a_stack(self, scenario, placement, monkeypatch):
-        params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
+        # tau = 0.8 keeps all max_ls trials moving, so the second stack is
+        # cut only by max_ls: trials 25-60
+        params = AlgoParams(step0=1e-4, tau=0.8, delta=1e-12)
+        n = ao.COLD_STACK
+        assert self._moving(placement, params) > params.max_ls
+        checks = []
 
         def spacing(pos, d_min):
+            checks.append(len(pos))
             ok = np.ones(len(pos), dtype=bool)
-            ok[0] = len(pos) < 6                     # 1.25e-5, heading the second stack
+            ok[0] = len(checks) != 2                 # trial n + 1, heading the second stack
             return ok
 
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
         x, steps, _, stacks = self._run(
-            scenario, placement, lambda s: s < 2e-5, params, max_steps=1)
-        expect = [[1e-4, 5e-5, 2.5e-5],
-                  [6.25e-6, 3.125e-6, 1.5625e-6, 7.8125e-7, 3.90625e-7]]
-        assert [len(st) for st in stacks] == [len(st) for st in expect]
-        for got, want in zip(stacks, expect):
-            np.testing.assert_allclose(got, want, rtol=1e-6)
+            scenario, placement, lambda s: s < params.step0 * params.tau ** (n - 0.5), params,
+            max_steps=1)
+        assert checks == [n, params.max_ls - n]
+        expect = [self._schedule(params, range(n)),
+                  self._schedule(params, range(n + 1, params.max_ls))]
+        self._assert_steps(placement, stacks, expect)
         # the vetoed trial would pass; the next one is adopted
         assert steps == 1
         np.testing.assert_allclose(
-            x[0].q[0][:, :2], placement.q[0][:, :2] + 6.25e-6 * self.GRAD,
+            x[0].q[0][:, :2],
+            placement.q[0][:, :2] + self._schedule(params, [n + 1])[0] * self.GRAD,
             rtol=0, atol=1e-12)
 
     def test_adopted_trial_past_a_veto_is_taken_by_its_step(
@@ -333,7 +365,8 @@ class TestDescend:
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
         x, steps, _, stacks = self._run(
             scenario, placement, lambda s: s < 8e-5, params, max_steps=1)
-        np.testing.assert_allclose(stacks, [[1e-4, 2.5e-5]], rtol=1e-6)
+        self._assert_steps(placement, stacks,
+                           [self._schedule(params, [0, *range(2, ao.COLD_STACK)])])
         # the vetoed trial would pass; the trial after the gap is adopted
         assert steps == 1 and x[1] == -1.0
         np.testing.assert_allclose(
@@ -358,7 +391,7 @@ class TestDescend:
     def test_rank_deficient_candidate_in_a_stack_is_the_only_reject(
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.5, delta=1e-12)
-        bad = self._near(5e-5 / 8)                  # the 5th trial, mid second stack
+        bad = self._near(5e-5 / 8)                  # the 5th trial, mid first stack
 
         def raises(steps):
             return RankDeficiencyError(np.inf) if any(bad(s) for s in steps) else None
@@ -367,14 +400,11 @@ class TestDescend:
             scenario, placement, lambda s: s < 1e-5 and not bad(s), params,
             max_steps=1, raises=raises)
         # the stack that raised is evaluated again one trial at a time, in
-        # step order, up to the first that passes: the trial ahead of the
-        # raising one fails the Armijo test, the raising one is rejected
-        expect = [[1e-4, 5e-5, 2.5e-5],
-                  [1.25e-5, 6.25e-6, 3.125e-6, 1.5625e-6, 7.8125e-7, 3.90625e-7],
-                  [1.25e-5], [6.25e-6], [3.125e-6]]
-        assert [len(st) for st in stacks] == [len(st) for st in expect]
-        for got, want in zip(stacks, expect):
-            np.testing.assert_allclose(got, want, rtol=1e-6)
+        # step order, up to the first that passes: the trials ahead of the
+        # raising one fail the Armijo test, the raising one is rejected
+        expect = [self._schedule(params, range(ao.COLD_STACK)),
+                  [1e-4], [5e-5], [2.5e-5], [1.25e-5], [6.25e-6], [3.125e-6]]
+        self._assert_steps(placement, stacks, expect)
         assert steps == 1 and not exhausted
         np.testing.assert_allclose(
             x[0].q[0][:, :2], placement.q[0][:, :2] + 3.125e-6 * self.GRAD,
@@ -391,7 +421,7 @@ class TestDescend:
         _, steps, _, stacks = self._run(
             scenario, placement, self._near(1.25e-5), params, max_steps=1,
             raises=raises)
-        assert [len(st) for st in stacks] == [3, 6, 1]
+        assert [len(st) for st in stacks] == [ao.COLD_STACK, 1, 1, 1, 1]
         assert steps == 1
         with pytest.raises(NumericalError):
             self._run(scenario, placement, lambda s: False, params, max_steps=1,
@@ -410,20 +440,16 @@ class TestDescend:
     def test_vanishing_step_ends_exhausted(
             self, scenario, placement):
         # every trial is rejected, and tau shrinks the step below the
-        # positions' resolution long before max_ls trials
-        params = AlgoParams(step0=1e-4, tau=0.25)
-        q = placement.q[0]
-        s, first_still = params.step0, 0
-        while np.any(q[:, :2] + s * self.GRAD != q[:, :2]):
-            s *= params.tau
-            first_still += 1
-        assert 0 < first_still < params.max_ls
+        # positions' resolution before max_ls trials, in the second stack
+        params = AlgoParams(step0=1e-4, tau=0.5)
+        first_still = self._moving(placement, params)
+        assert ao.COLD_STACK < first_still < params.max_ls
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: False, params)
         sizes = [len(st) for st in stacks]
         assert sum(sizes) == first_still
-        assert sizes[:-1] == [3 * 2 ** j for j in range(len(sizes) - 1)]
-        assert 0 < sizes[-1] <= 3 * 2 ** (len(sizes) - 1)
+        assert sizes[:-1] == [ao.COLD_STACK * 2 ** j for j in range(len(sizes) - 1)]
+        assert 0 < sizes[-1] <= ao.COLD_STACK * 2 ** (len(sizes) - 1)
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
@@ -447,7 +473,7 @@ class TestDescend:
             scenario, placement, lambda s: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
         assert (steps, exhausted) == (1, False)
-        assert [len(st) for st in stacks] == [3]
+        assert [len(st) for st in stacks] == [ao.COLD_STACK]
 
 
 def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
@@ -644,7 +670,7 @@ class TestAlmPositions:
         t0 = placement.t
         # the first stack raises, so its trials are evaluated one at a time:
         # the first is rejected, the second adopted
-        assert [len(m) for m in moves] == [3, 1, 1]
+        assert [len(m) for m in moves] == [ao.COLD_STACK, 1, 1]
         assert moves[1][0].tobytes() == moves[0][0].tobytes()
         assert moves[2][0].tobytes() == moves[0][1].tobytes()
         assert len(at_calls) == 4 and len(evals) == 2
@@ -734,3 +760,17 @@ class TestParams:
     def test_out_of_range_value_rejected(self, values, message):
         with pytest.raises(ValueError, match=message):
             AlgoParams(**values)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 1.0, True, None, "8"])
+    @pytest.mark.parametrize("name", ["max_ls", "sca_max", "alm_max_outer",
+                                      "inner_pgm_max"])
+    def test_cap_that_is_not_a_positive_int_rejected(self, name, value):
+        # 0 or a negative cap would skip its loop, a float fails in range()
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            AlgoParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, np.int64(1)])
+    @pytest.mark.parametrize("name", ["max_ls", "sca_max", "alm_max_outer",
+                                      "inner_pgm_max"])
+    def test_cap_of_one_accepted(self, name, value):
+        assert getattr(AlgoParams(**{name: value}), name) == 1

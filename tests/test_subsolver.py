@@ -963,12 +963,16 @@ class _StepRecorder(_BoxQuadratic):
     s and which direction d (FW or gradient) was tried.  `_pga_ascent` asks
     for the gradient only at the start point and at each adopted candidate,
     so ``value_grad``'s gradient names the adopted one, which need not be
-    the last one projected: a try evaluates its candidates in stacks.
+    the last one projected: a try evaluates its candidates in stacks.  The
+    rounding of x + s d bounds how well a candidate gives s back (``slack``):
+    a stack of 32 trials projects steps near 1e-11, whose s is then known
+    only to about 1e-5 relative.
     """
 
     def __init__(self):
         super().__init__()
         self.events = []
+        self.stacks = []                # the size of every projected stack
         self.x = self.g = self.d_fw = None
 
     def fw_oracle(self, x, g):
@@ -987,15 +991,18 @@ class _StepRecorder(_BoxQuadratic):
 
     def project(self, Z):
         out = super().project(Z)
+        self.stacks.append(len(Z))
         for z, xn in zip(Z, out):
             delta = z - self.x
+            # the rounding of z = x + s d and of z - x
+            slack = 4.0 * np.finfo(float).eps * (np.linalg.norm(self.x) + np.linalg.norm(z))
             kinds = []
             for kind, d in (("fw", self.d_fw), ("grad", self.g)):
                 if d is None:
                     continue
                 s = float(d @ delta) / float(d @ d)
-                if np.linalg.norm(delta - s * d) <= 1e-8 * np.linalg.norm(delta):
-                    kinds.append((kind, s))
+                if np.linalg.norm(delta - s * d) <= 1e-8 * np.linalg.norm(delta) + slack:
+                    kinds.append((kind, s, slack / np.linalg.norm(d)))
             assert len(kinds) == 1, "candidate direction is ambiguous"
             self.events.append(kinds[0] + (xn,))
         return out
@@ -1010,22 +1017,24 @@ class _StepRecorder(_BoxQuadratic):
                 i = next(j for j, p in enumerate(points) if np.array_equal(p, ev[1]))
                 out[-1] = [kind, steps[:i + 1], True, points[:i + 1]]
             elif out and not out[-1][2] and out[-1][0] == ev[0] \
-                    and ev[1] == pytest.approx(0.5 * out[-1][1][-1], rel=1e-9):
+                    and ev[1] == pytest.approx(0.5 * out[-1][1][-1], rel=1e-9,
+                                               abs=ev[2]):
                 out[-1][1].append(ev[1])
-                out[-1][3].append(ev[2])
+                out[-1][3].append(ev[3])
             else:
-                out.append([ev[0], [ev[1]], False, [ev[2]]])
+                out.append([ev[0], [ev[1]], False, [ev[3]]])
         return [t[:3] for t in out]
 
 
 class TestLineSearch:
     """`line_search` on a stub stack evaluation: from x = 0 along d = 1 with
-    steps 1, 1/2, 1/4, ..., projected onto the grid of 1/8, so the fifth
-    trial (1/16) is the first that does not move.  ``gains`` maps a trial's
-    step to its value (absent: 0, no gain over L = 0)."""
+    steps 1, 1/2, 1/4, ..., projected onto the grid of 1/``grid`` (1/8 by
+    default, where the fifth trial, 1/16, is the first that does not move).
+    ``gains`` maps a trial's step to its value (absent: 0, no gain over
+    L = 0)."""
 
     @staticmethod
-    def _search(gains, s=1.0, tries=10, per_trial=False, first=2):
+    def _search(gains, s=1.0, tries=10, per_trial=False, first=2, grid=8.0):
         stacks = []
 
         def evaluate(X):
@@ -1043,7 +1052,7 @@ class TestLineSearch:
             return blocks()
 
         out = subsolver.line_search(np.zeros(1), 0.0, np.ones(1), s, tries, 0.5,
-                                    1e-4, evaluate, lambda X: np.floor(8.0 * X) / 8.0,
+                                    1e-4, evaluate, lambda X: np.floor(grid * X) / grid,
                                     first=first)
         return out, stacks
 
@@ -1098,6 +1107,36 @@ class TestLineSearch:
                 # the blocks are read lazily: exactly the trials up to adoption
                 assert [st for st in stacks if not isinstance(st, list)] == made
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cold_stack_sizes_change_no_result(self, seed):
+        # on the grid of 2^-40 the first 41 trials move, so stacks of 24 and
+        # 32 are cut by the adopted trial, the tries or the vanishing one;
+        # each trial passes (1), fails the Armijo test by a hair, is NaN or
+        # has no gain, at random
+        rng = np.random.Generator(np.random.Philox(key=[67, seed]))
+        steps = [0.5 ** j for j in range(42)]
+        kinds = rng.choice(4, size=len(steps), p=[0.04, 0.16, 0.2, 0.6])
+        values = [1.0, 0.5e-4, np.nan, 0.0]
+        gains = {st: values[k] * (st * st if k == 1 else 1.0)
+                 for st, k in zip(steps, kinds)}
+        tries = int(rng.choice([10, 30, 60]))
+        out = {}
+        for first in (1, 2, 3, 24, 32):
+            for per_trial in (False, True):
+                (s_j, x, tried), _ = self._search(gains, tries=tries,
+                                                  per_trial=per_trial, first=first,
+                                                  grid=2.0 ** 40)
+                out[first, per_trial] = (s_j, None if x is None else x.tolist(), tried)
+        assert len(set(map(repr, out.values()))) == 1
+        # the one-at-a-time search: the first trial in step order that gains
+        # at least 1e-4 times its squared step, or none through the tries and
+        # the 42nd trial, the first that does not move
+        passing = [j for j in range(min(tries, 41))
+                   if gains[steps[j]] - 0.0 >= 1e-4 * steps[j] ** 2]
+        want = ((steps[passing[0]], [steps[passing[0]]], passing[0] + 1) if passing
+                else (None, None, min(tries, 41)))
+        assert out[2, False] == want
+
     def test_pga_ascent_searches_through_it(self, monkeypatch):
         searches = []
 
@@ -1115,19 +1154,37 @@ class TestLineSearch:
 
 
 class TestPgaStepRule:
-    """`_pga_ascent` warm-starts both the gradient and the FW step."""
+    """`_pga_ascent` warm-starts both the gradient and the FW step, with the
+    first gradient try's first stack at the default 2 or at a cold stack of
+    BOUNDARY_STACK (``value_grad.cold_stack``)."""
 
     step0 = 0.05
 
-    def _run(self):
+    def _run(self, cold_stack=None):
         rec = _StepRecorder()
-        _pga_ascent(np.array([-0.9, 0.8]), rec.value_grad, rec.project,
+
+        def value_grad(X):
+            return rec.value_grad(X)
+
+        if cold_stack is not None:
+            value_grad.cold_stack = lambda x: cold_stack
+        _pga_ascent(np.array([-0.9, 0.8]), value_grad, rec.project,
                     self.step0, max_iters=20, tau=0.5, armijo=1e-4,
                     rel_tol=0.0, max_backtracks=80, fw_oracle=rec.fw_oracle)
-        return rec.tries()
+        return rec
+
+    def test_cold_stack_changes_no_try(self):
+        cold, warm = self._run(subsolver.BOUNDARY_STACK), self._run()
+        assert cold.tries() == warm.tries()
+        assert subsolver.BOUNDARY_STACK in cold.stacks
+        assert max(warm.stacks) < subsolver.BOUNDARY_STACK
 
     def test_fw_step_warm_start(self):
-        fw = [t for t in self._run() if t[0] == "fw"]
+        for cold_stack in (None, subsolver.BOUNDARY_STACK):
+            self._check_fw_step_rule(cold_stack)
+
+    def _check_fw_step_rule(self, cold_stack):
+        fw = [t for t in self._run(cold_stack).tries() if t[0] == "fw"]
         assert len(fw) >= 5
         assert fw[0][1][0] == 1.0
         last = None
@@ -1145,7 +1202,11 @@ class TestPgaStepRule:
         assert any(not t[2] and len(t[1]) == 16 for t in fw[:-1])
 
     def test_grad_step_rule_unchanged(self):
-        grad = [t for t in self._run() if t[0] == "grad"]
+        for cold_stack in (None, subsolver.BOUNDARY_STACK):
+            self._check_grad_step_rule(cold_stack)
+
+    def _check_grad_step_rule(self, cold_stack):
+        grad = [t for t in self._run(cold_stack).tries() if t[0] == "grad"]
         assert len(grad) >= 5
         assert grad[0][1][0] == pytest.approx(self.step0, rel=1e-9)
         for prev, cur in zip(grad, grad[1:]):
@@ -1221,6 +1282,126 @@ class TestSequentialReference:
         V0 = np.outer(zf_state.v, zf_state.v.conj())
         self._compare_solves(monkeypatch, _cov_sub(scenario, channels, None, V0,
                                                    mode="zf", zf_state=zf_state))
+
+
+def _solve_sub(scenario, channels, lp_state, zf_state, mode, sensing):
+    """The conftest covariance subproblem of a stack at V0 = v v^H: at the
+    scenario's gamma0 ("default"), with the constraint binding at V0
+    (``_binding_cov_sub``), or without sensing (gamma0 = 0, "none")."""
+    if sensing == "binding":
+        return _binding_cov_sub(scenario, channels, lp_state, mode, zf_state)
+    st = lp_state if mode == "lp" else zf_state
+    return _cov_sub(scenario, channels, lp_state, np.outer(st.v, st.v.conj()),
+                    gamma0=0.0 if sensing == "none" else None, mode=mode,
+                    zf_state=zf_state)
+
+
+class TestVetoBeforeObjective:
+    """The covariance solve takes the deficit of a trial stack first and
+    hands the objective only the feasible trials, with the V of a solve
+    that evaluates every trial and then rejects the infeasible ones."""
+
+    @staticmethod
+    def _stacks_seen(monkeypatch, sub, solve):
+        """V of ``solve(sub)`` and the scaled deficits of every stack the
+        objective received (a 2-D point is no stack)."""
+        seen = []
+        objective = CovarianceSubproblem.objective_and_grad
+
+        def spy(self, V):
+            if V.ndim == 3:
+                seen.append(self.deficit(V) / self.sinr_deficit_scale)
+            return objective(self, V)
+
+        with monkeypatch.context() as m:
+            m.setattr(CovarianceSubproblem, "objective_and_grad", spy)
+            V = solve(sub)
+        return V, seen
+
+    @staticmethod
+    def _no_veto_solve(monkeypatch, sub, cold=True):
+        """The solve with the objective on every trial, NaN where vetoed:
+        with the same trial stacks, or (``cold`` False) with a first stack
+        of 2 in every try."""
+        def ascent(x0, value_grad, *args, **kwargs):
+            def all_trials(X):
+                f, grad = sub.objective_and_grad(X)
+                kap = sub.deficit(X) / sub.sinr_deficit_scale
+                return np.where(kap <= TOL_FEAS, f, np.nan), grad
+            if cold:
+                all_trials.cold_stack = value_grad.cold_stack
+            return _pga_ascent(x0, all_trials, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(subsolver, "_pga_ascent", ascent)
+            return solve_covariance_subproblem(sub)
+
+    @pytest.mark.parametrize("sensing", ["default", "binding"])
+    @pytest.mark.parametrize("mode", ["lp", "zf"])
+    def test_objective_sees_only_feasible_stacks(self, monkeypatch, scenario, channels,
+                                                 lp_state, zf_state, mode, sensing):
+        sub = _solve_sub(scenario, channels, lp_state, zf_state, mode, sensing)
+        V, seen = self._stacks_seen(monkeypatch, sub, solve_covariance_subproblem)
+        V_ref, seen_ref = self._stacks_seen(
+            monkeypatch, sub, lambda sub: self._no_veto_solve(monkeypatch, sub))
+        assert V.tobytes() == V_ref.tobytes()
+        assert V.tobytes() == self._no_veto_solve(monkeypatch, sub, cold=False).tobytes()
+        assert seen and all(np.all(kap <= TOL_FEAS) for kap in seen)
+        # the reference evaluates infeasible trials, so the veto skips some
+        vetoed = sum(int(np.sum(kap > TOL_FEAS)) for kap in seen_ref)
+        assert vetoed > 0
+        assert sum(map(len, seen)) == sum(map(len, seen_ref)) - vetoed
+
+    def test_gradient_of_a_vetoed_point_is_its_own(self, monkeypatch, scenario,
+                                                   channels, lp_state):
+        # the value_grad the ascent gets answers grad(i) on every trial of a
+        # stack, the vetoed ones too
+        sub = _solve_sub(scenario, channels, lp_state, None, "lp", "binding")
+        got = []
+
+        def ascent(x0, value_grad, *args, **kwargs):
+            got.append(value_grad)
+            return x0
+
+        monkeypatch.setattr(subsolver, "_pga_ascent", ascent)
+        solve_covariance_subproblem(sub)
+        V0 = psd_trace_project(sub.V0)
+        X = np.stack([V0, 0.5 * V0, V0 + 0.1 * np.eye(len(V0)), 0.25 * V0])
+        kap = sub.deficit(X) / sub.sinr_deficit_scale
+        assert (kap <= TOL_FEAS).any() and (kap > TOL_FEAS).any()
+        vals, grad = got[0](X)
+        for i, Xi in enumerate(X):
+            val, grad_i = sub.objective_and_grad(Xi)
+            assert vals[i] == val if kap[i] <= TOL_FEAS else np.isnan(vals[i])
+            assert np.array_equal(grad(i), grad_i())
+
+
+class TestColdGradientStack:
+    """The first gradient try of a covariance ascent starts at the fixed
+    PGA_STEP0: its first stack holds BOUNDARY_STACK trials from a point on
+    the sensing boundary (scaled deficit > 0), 2 from a slack one, and every
+    other try's first stack holds 2."""
+
+    @pytest.mark.parametrize("mode", ["lp", "zf"])
+    @pytest.mark.parametrize("sensing, boundary", [("default", True), ("none", False)])
+    def test_first_stack_of_the_first_gradient_try(self, monkeypatch, scenario,
+                                                   channels, lp_state, zf_state,
+                                                   mode, sensing, boundary):
+        sub = _solve_sub(scenario, channels, lp_state, zf_state, mode, sensing)
+        searches = []
+
+        def spy(x, L, d, s, tries, *args, _real=subsolver.line_search):
+            searches.append((tries, args[-1], sub.deficit(x) / sub.sinr_deficit_scale))
+            return _real(x, L, d, s, tries, *args)
+
+        monkeypatch.setattr(subsolver, "line_search", spy)
+        solve_covariance_subproblem(sub)
+        grad = [i for i, (tries, _, _) in enumerate(searches) if tries == MAX_BACKTRACKS]
+        _, first, kap = searches[grad[0]]
+        assert (kap > 0.0) == boundary
+        assert first == (subsolver.BOUNDARY_STACK if boundary else 2)
+        assert len(searches) >= 2
+        assert all(f == 2 for i, (_, f, _) in enumerate(searches) if i != grad[0])
 
 
 def _stack_sizes(seed, count=50):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nfisac import ao, geometry, metrics
-from nfisac.params import EPS_F
+from nfisac.params import EPS_ALM, EPS_F
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,9 +145,11 @@ def test_verdict_floor_on_a_flat_scheme(tool, pct, word):
 
 
 def test_record_at_a_reference_stop(tool):
-    # the stub sees the patched stop while it runs, and the stop is restored
+    # the stub sees the patched AO stop while it runs, the position ALM's
+    # stop stays as it is, and the AO stop is restored
     class AtStop(_Bench):
         def run_unit(self, trial, scheme):
+            assert ao.EPS_ALM == EPS_ALM
             out = super().run_unit(trial, scheme)
             out.wsr_bits[scheme] += ao.EPS_F
             return out

@@ -21,11 +21,12 @@ pool's, and the block rejects of both sides per block.
 
 ``--reference-eps EPS`` with ``--compare`` tells plateau stops from real
 moves: it runs the units of every scheme with a moved unit again, on both
-recorded checkouts, with ``ao.EPS_F`` (the AO stop, which the position ALM's
-WSR stop reads too) patched to EPS in the worker processes, and prints for
-each moved unit whether its move persists at that reference stop, then per
-scheme the mean WSR of both sides at the run stop and at the reference.
-The library's own EPS_F is left as it is.  From anywhere:
+recorded checkouts, with ``ao.EPS_F``, the AO stop, patched to EPS in the
+worker processes, and prints for each moved unit whether its move persists
+at that reference stop, then per scheme the mean WSR of both sides at the
+run stop and at the reference.  The position ALM stops on its own
+``ao.EPS_ALM``, which is not patched, and the library's own EPS_F is left
+as it is.  From anywhere:
 
     python3 tools/wsr_gate.py --pools 3 --out change.json
     python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
