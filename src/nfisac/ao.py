@@ -1,12 +1,13 @@
 """Alternating-optimization engine shared by the LP and ZF stacks.
 
-One copy each of the AO loop with its block gate, the SCA loop of every
-SCA block, the sensing-beam update, the projected-gradient descent of every
-position block and the ALM loop around it; the engine measures every point
-itself.  A stack supplies only what is scheme-specific: its state, whose
-``precoders`` (LP W, ZF (P,)) enter the sensing SINR and whose ``at``
-follows an antenna move, its rates, combiner, blocks and interference
-model, and the subproblem, objective and gradient functions of the inner loops.
+One copy each of the AO loop with its block gate, the SCA loop of the
+precoder block, the one-round sensing-beam update, the projected-gradient
+descent of every position block and the ALM loop around it; the engine
+measures every point itself.  A stack supplies only what is scheme-specific:
+its state, whose ``precoders`` (LP W, ZF (P,)) enter the sensing SINR and
+whose ``at`` follows an antenna move, its rates, combiner, blocks and
+interference model, and the subproblem, objective and gradient functions of
+the inner loops.
 """
 
 from __future__ import annotations
@@ -115,27 +116,23 @@ def sca(x, make_sub, solve, value, params):
     return x, rounds
 
 
-def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eigpair):
-    """SCA + rank-1 penalty update of the sensing transmit beamformer.
+def sense_beam(channels, state, weights, gamma0, zeta, model, solve, eigpair):
+    """One SCA round with the rank-1 penalty on the sensing transmit beamformer.
 
-    ``model(channels, state, gamma0)`` is the stack's interference model
-    (see ``subsolver.CovarianceSubproblem``), built once here: the precoders
-    stay fixed over the block, so every SCA round's subproblem shares it.
-    ``solve`` and ``eigpair`` are the stack's subproblem solver and
-    eigen-extraction.  Returns (v, rank_ratio, flags), v the leading
-    eigenvector of the solved covariance at unit norm.  Its SINR deficit is
-    not checked here: the scaled vector sqrt(beta_max) chi, beta_max <= 1,
-    is never more feasible than the unit one, and the block gate rejects an
-    infeasible beam.
+    Builds the covariance subproblem at V0 = v v^H on the stack's
+    interference model ``model(channels, state, gamma0)`` (see
+    ``subsolver.CovarianceSubproblem``) and solves it once with ``solve``:
+    the AO loop revisits the block on every loop, so one minorize-maximize
+    step on the tight surrogate is an inexact block update, as a capped
+    position visit is.  Returns (v, rank_ratio, flags), v the leading
+    eigenvector (``eigpair``) of the solved covariance at unit norm.  Its
+    SINR deficit is not checked here: the scaled vector sqrt(beta_max) chi,
+    beta_max <= 1, is never more feasible than the unit one, and the block
+    gate rejects an infeasible beam.
     """
-    interference = model(channels, state, gamma0)
-
-    def make_sub(V):
-        return subsolver.CovarianceSubproblem(channels, V, weights, gamma0, state.u,
-                                              zeta, interference)
-
-    V, _ = sca(np.outer(state.v, state.v.conj()), make_sub, solve,
-               lambda sub, V: float(np.asarray(weights) @ sub.bound_values(V)), params)
+    V = solve(subsolver.CovarianceSubproblem(
+        channels, np.outer(state.v, state.v.conj()), weights, gamma0, state.u, zeta,
+        model(channels, state, gamma0)))
     beta_max, chi = eigpair(V)
     tr = float(np.real(np.trace(V)))
     ratio = beta_max / tr if tr > 0 else 1.0
@@ -151,11 +148,12 @@ def sense_beam(channels, state, weights, gamma0, zeta, params, model, solve, eig
 # adds.  Over the mc-trend pool (tools/ls_trials.py), the first step of a
 # descent, whose first trial is the fixed step0, adopts mostly at trials
 # 19-21 on the BS array (474 of 817) and 5-10 on a user's (789 of 1,252):
-# COLD_STACK covers that head in one stack.  A later step starts at the
-# spectral step and adopts at trial 1 in 1,658 of 2,277 BS and 1,959 of
-# 2,373 user searches, and by trial 3 in 85% and 92%: FIRST_STACK.
+# COLD_STACK and USER_COLD_STACK cover those heads in one stack.  A later
+# step starts at the spectral step and adopts at trial 1 in 1,658 of 2,277 BS
+# and 1,959 of 2,373 user searches, by trial 3 in 85% and 92%: FIRST_STACK.
 FIRST_STACK = 3
 COLD_STACK = 24
+USER_COLD_STACK = 12
 
 
 def descend(scenario, k, x, grad, move, stop, max_steps, params):
@@ -171,8 +169,9 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
 
     Each step is one ``subsolver.line_search`` on the negated objective
     (exact in IEEE), with at most max_ls trials projected onto the array's
-    region, in stacks of 24, 48, ... on the first step (``COLD_STACK``)
-    and of 3, 6, 12, ... on later ones (``FIRST_STACK``); the stack sizes
+    region, in stacks of 24, 48, ... on the BS array's first step
+    (``COLD_STACK``), of 12, 24, ... on a user's (``USER_COLD_STACK``) and
+    of 3, 6, 12, ... on later ones (``FIRST_STACK``); the stack sizes
     never change which trial is adopted.  A spacing violation rejects a
     trial unevaluated, and the other trials of a stack are evaluated
     together (see ``_evaluate`` for errors).  A trial that projects to no
@@ -184,6 +183,7 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
     all its trials: max_ls of them, or every one before its step vanished.
     """
     region = scenario.tx_region if k is None else scenario.user_regions[k]
+    cold = COLD_STACK if k is None else USER_COLD_STACK
 
     def project(points):
         return geometry.project_points_to_region(points, region)
@@ -204,7 +204,7 @@ def descend(scenario, k, x, grad, move, stop, max_steps, params):
         s, x_new, tried = subsolver.line_search(
             pos, -x[-1], d, step, params.max_ls, params.tau, params.delta,
             functools.partial(_evaluate, move, x, scenario.d_min), project,
-            FIRST_STACK if steps else COLD_STACK)
+            FIRST_STACK if steps else cold)
         if x_new is None:
             return x, steps, tried == params.max_ls or tried > 0
         x_prev, x = x, x_new

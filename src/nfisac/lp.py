@@ -136,14 +136,13 @@ def optimize_precoders(channels, state, weights, p_max, gamma0, params=None):
                   params or AlgoParams())
 
 
-def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta, params=None):
-    """SCA + rank-1 penalty update of the sensing transmit beamformer.
+def optimize_sense_beam_lp(channels, state, weights, gamma0, zeta):
+    """One SCA round with the rank-1 penalty on the sensing transmit beamformer.
 
     Returns (v, rank_ratio, flags); see ``ao.sense_beam``.
     """
-    return ao.sense_beam(channels, state, weights, gamma0, zeta, params or AlgoParams(),
-                         interference_model, solve_covariance_subproblem,
-                         leading_eigpair)
+    return ao.sense_beam(channels, state, weights, gamma0, zeta, interference_model,
+                         solve_covariance_subproblem, leading_eigpair)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def _blocks(scenario, params, zeta, fixed_positions):
         return pl, ch, metrics.LpState(W=W, v=st.v, u=st.u), ()
 
     def beam(pl, ch, st):
-        v, _, flags = optimize_sense_beam_lp(ch, st, weights, gamma0, zeta, params)
+        v, _, flags = optimize_sense_beam_lp(ch, st, weights, gamma0, zeta)
         return pl, ch, metrics.LpState(W=st.W, v=v, u=st.u), flags
 
     def user(k):

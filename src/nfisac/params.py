@@ -3,10 +3,10 @@
 ``AlgoParams`` holds the values a caller sets; the module constants are the
 fixed ones of the evaluation setup: ALM seed p0 = 1 with growth theta = 10,
 eps_L = 1e-3 (relative, inner loop), eps_f = 1e-2 (outer WSR), eps_s = 1e-2
-(SCA surrogate improvement).  P0, THETA, P_CAP and EPS_ALM serve only the
-position ALM (``ao.alm_positions``): neither subproblem solver has a
-multiplier loop.  EPS_ALM, the ALM's WSR stop, has eps_f's value but is its
-own name, so the AO stop can be moved alone.
+(surrogate improvement of the precoder SCA).  P0, THETA, P_CAP and EPS_ALM
+serve only the position ALM (``ao.alm_positions``): neither subproblem
+solver has a multiplier loop.  EPS_ALM, the ALM's WSR stop, has eps_f's
+value but is its own name, so the AO stop can be moved alone.
 TOL_FEAS bounds the scaled SINR deficit of both subproblem solvers.  An LP
 user-position visit takes at most PGM_MAX_STEPS = 5 descent steps and stops
 earlier once a step gains less than PGM_TOL (relative): each adopted step
@@ -15,9 +15,10 @@ a capped visit is an inexact block update that still descends.  The
 precoder subproblem is solved in closed form; the covariance subproblem by
 one feasible projected gradient ascent, with the subsolver constants from
 PGA_STEP0 on, stopped when two consecutive iterations gain less than
-COV_REL_TOL = 1e-6 (relative).  The SCA loop around a covariance solve stops
-at a surrogate gain of EPS_S, and it stays monotone at any tolerance, since
-every iterate of a solve is feasible and none lowers the surrogate.
+COV_REL_TOL = 1e-6 (relative).  EPS_S and sca_max serve only the LP
+precoder SCA: a sensing-beam visit is one SCA round, one covariance solve,
+whose output never has less surrogate than the expansion point at any
+tolerance, since every iterate of the ascent is feasible and none loses.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ PGA_TAU = 0.5                # subsolver backtrack factor
 ARMIJO = 1e-4                # subsolver Armijo constant
 PGA_ITERS = 200              # iterations per covariance ascent
 COV_REL_TOL = 1e-6           # relative improvement stop of the covariance
-                             # ascent: four decades under EPS_S, the SCA
-                             # round's own stop
+                             # ascent, the one solve of a sensing-beam visit
 MAX_BACKTRACKS = 80          # gradient-step trials per ascent iteration
 
 
@@ -61,7 +61,7 @@ class AlgoParams:
     tau: float = 0.5             # backtrack factor
     step0: float = 1.0           # initial PGM step of every position block
     max_ls: int = 60             # line-search trials
-    sca_max: int = 30            # SCA rounds per block
+    sca_max: int = 30            # SCA rounds per precoder block
     alm_max_outer: int = 8       # multiplier updates per position-ALM block
     inner_pgm_max: int = 120     # PGM steps per ALM round
 

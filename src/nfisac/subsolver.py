@@ -10,9 +10,9 @@ only ever adopts feasible points, with no multiplier: its Frank-Wolfe
 oracle returns the best point of the whole feasible set, rank one since
 the sensing constraint is affine in V (``_sensing_fw_direction``), so the
 ascent moves along the sensing boundary.  The output never loses surrogate
-objective relative to a feasible expansion point, which is all the SCA loop
-around a solve needs to stay monotone.  Neither solver runs an
-augmented-Lagrangian loop.
+objective relative to a feasible expansion point, which is all the one SCA
+round of a sensing-beam visit needs to be an ascent step.  Neither solver
+runs an augmented-Lagrangian loop.
 
 The deficit carries physical power units; all feasibility logic here
 operates on its value divided by the natural scale
@@ -586,8 +586,8 @@ def solve_covariance_subproblem(sub):
     ascent starts at the projected expansion point, or at the oracle's
     point there if that breaks the constraint; the oracle raises
     InfeasibleSubproblemError where no point meets it.  Every iterate is
-    feasible and none lowers the surrogate, so the SCA loop around the
-    solve stays monotone.
+    feasible and none lowers the surrogate, so the one SCA round of a
+    sensing-beam visit (``ao.sense_beam``) is an ascent step.
     """
     scale = sub.sinr_deficit_scale
     c = sub._deficit_offset - 0.5 * TOL_FEAS * scale

@@ -156,11 +156,11 @@ def interference_model(channels, state, gamma0):
     return noise * eye, (float(state.gain) ** 2 + noise) * eye, offset
 
 
-def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta, params=None):
-    """SCA + rank-1 penalty update of v for the ZF scheme; see ``ao.sense_beam``."""
-    return ao.sense_beam(channels, state, weights, gamma0, zeta, params or AlgoParams(),
-                         interference_model, solve_covariance_subproblem,
-                         leading_eigpair)
+def optimize_sense_beam_zf(channels, state, weights, gamma0, zeta):
+    """One SCA round with the rank-1 penalty on v for the ZF scheme; see
+    ``ao.sense_beam``."""
+    return ao.sense_beam(channels, state, weights, gamma0, zeta, interference_model,
+                         solve_covariance_subproblem, leading_eigpair)
 
 
 def _alm_positions_zf(scenario, placement, channels, state, weights, gamma0,
@@ -218,7 +218,7 @@ def _blocks(scenario, params, zeta, fixed_positions):
     weights, gamma0 = scenario.weights, scenario.gamma0
 
     def beam(pl, ch, st):
-        v, _, flags = optimize_sense_beam_zf(ch, st, weights, gamma0, zeta, params)
+        v, _, flags = optimize_sense_beam_zf(ch, st, weights, gamma0, zeta)
         cand = st.copy()
         cand.v = v
         return pl, ch, cand, flags

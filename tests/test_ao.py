@@ -1,8 +1,8 @@
 """The AO loop's block gate and failure abort, driven through run_lp and
 run_zf with one block replaced by a stub that misbehaves, its stop rule on
-stub blocks and states, the shared projected-gradient descent and SCA loop
-on stub objectives, the ALM position loop on stub rates and gradients, and
-the one parameter set."""
+stub blocks and states, the shared projected-gradient descent, the SCA loop
+and the one-round sensing-beam update on stub objectives, the ALM position
+loop on stub rates and gradients, and the one parameter set."""
 
 import dataclasses
 import pathlib
@@ -255,15 +255,15 @@ class TestDescend:
             self, scenario, placement):
         params = AlgoParams(step0=1e-4, tau=0.25, delta=1e-12)
         # the first search rejects 1e-4 and 2.5e-5 and adopts the third
-        # trial of its cold stack, which ends before the first trial that
-        # does not move; the next search starts at twice it and adopts the
-        # second trial of its stack of FIRST_STACK
-        moving = self._moving(placement, params)
-        assert 3 < moving < ao.COLD_STACK
+        # trial of its cold stack, which ends at its size or before the
+        # first trial that does not move; the next search starts at twice
+        # it and adopts the second trial of its stack of FIRST_STACK
+        first = min(self._moving(placement, params), ao.USER_COLD_STACK)
+        assert first > 3
         x, steps, exhausted, stacks = self._run(
             scenario, placement, self._near(6.25e-6, 1.5625e-6, 3.125e-6), params,
             max_steps=2)
-        expect = [self._schedule(params, range(moving)),
+        expect = [self._schedule(params, range(first)),
                   [1.25e-5, 3.125e-6, 7.8125e-7]]
         self._assert_steps(placement, stacks, expect)
         assert steps == 2 and not exhausted
@@ -312,12 +312,12 @@ class TestDescend:
         monkeypatch.setattr(geometry, "min_spacing_ok", spacing)
         # move never sees the vetoed trial; the second trial cannot be
         # evaluated (NaN), which fails the Armijo test like any reject
-        assert self._moving(placement, params) > ao.COLD_STACK
+        assert self._moving(placement, params) > ao.USER_COLD_STACK
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: True, params, max_steps=1,
             unevaluable=self._near(5e-5))
-        assert checks == [ao.COLD_STACK]             # one check per stack
-        expect = [self._schedule(params, range(1, ao.COLD_STACK))]
+        assert checks == [ao.USER_COLD_STACK]        # one check per stack
+        expect = [self._schedule(params, range(1, ao.USER_COLD_STACK))]
         self._assert_steps(placement, stacks, expect)
         assert steps == 1 and not exhausted
         np.testing.assert_allclose(
@@ -326,9 +326,10 @@ class TestDescend:
 
     def test_veto_inside_a_stack(self, scenario, placement, monkeypatch):
         # tau = 0.8 keeps all max_ls trials moving, so the second stack is
-        # cut only by max_ls: trials 25-60
+        # cut only by its doubled size or by max_ls: trials 13-36
         params = AlgoParams(step0=1e-4, tau=0.8, delta=1e-12)
-        n = ao.COLD_STACK
+        n = ao.USER_COLD_STACK
+        m = min(2 * n, params.max_ls - n)
         assert self._moving(placement, params) > params.max_ls
         checks = []
 
@@ -342,9 +343,9 @@ class TestDescend:
         x, steps, _, stacks = self._run(
             scenario, placement, lambda s: s < params.step0 * params.tau ** (n - 0.5), params,
             max_steps=1)
-        assert checks == [n, params.max_ls - n]
+        assert checks == [n, m]
         expect = [self._schedule(params, range(n)),
-                  self._schedule(params, range(n + 1, params.max_ls))]
+                  self._schedule(params, range(n + 1, n + m))]
         self._assert_steps(placement, stacks, expect)
         # the vetoed trial would pass; the next one is adopted
         assert steps == 1
@@ -366,7 +367,7 @@ class TestDescend:
         x, steps, _, stacks = self._run(
             scenario, placement, lambda s: s < 8e-5, params, max_steps=1)
         self._assert_steps(placement, stacks,
-                           [self._schedule(params, [0, *range(2, ao.COLD_STACK)])])
+                           [self._schedule(params, [0, *range(2, ao.USER_COLD_STACK)])])
         # the vetoed trial would pass; the trial after the gap is adopted
         assert steps == 1 and x[1] == -1.0
         np.testing.assert_allclose(
@@ -402,7 +403,7 @@ class TestDescend:
         # the stack that raised is evaluated again one trial at a time, in
         # step order, up to the first that passes: the trials ahead of the
         # raising one fail the Armijo test, the raising one is rejected
-        expect = [self._schedule(params, range(ao.COLD_STACK)),
+        expect = [self._schedule(params, range(ao.USER_COLD_STACK)),
                   [1e-4], [5e-5], [2.5e-5], [1.25e-5], [6.25e-6], [3.125e-6]]
         self._assert_steps(placement, stacks, expect)
         assert steps == 1 and not exhausted
@@ -421,7 +422,7 @@ class TestDescend:
         _, steps, _, stacks = self._run(
             scenario, placement, self._near(1.25e-5), params, max_steps=1,
             raises=raises)
-        assert [len(st) for st in stacks] == [ao.COLD_STACK, 1, 1, 1, 1]
+        assert [len(st) for st in stacks] == [ao.USER_COLD_STACK, 1, 1, 1, 1]
         assert steps == 1
         with pytest.raises(NumericalError):
             self._run(scenario, placement, lambda s: False, params, max_steps=1,
@@ -443,13 +444,13 @@ class TestDescend:
         # positions' resolution before max_ls trials, in the second stack
         params = AlgoParams(step0=1e-4, tau=0.5)
         first_still = self._moving(placement, params)
-        assert ao.COLD_STACK < first_still < params.max_ls
+        assert ao.USER_COLD_STACK < first_still < params.max_ls
         x, steps, exhausted, stacks = self._run(
             scenario, placement, lambda s: False, params)
         sizes = [len(st) for st in stacks]
         assert sum(sizes) == first_still
-        assert sizes[:-1] == [ao.COLD_STACK * 2 ** j for j in range(len(sizes) - 1)]
-        assert 0 < sizes[-1] <= ao.COLD_STACK * 2 ** (len(sizes) - 1)
+        assert sizes[:-1] == [ao.USER_COLD_STACK * 2 ** j for j in range(len(sizes) - 1)]
+        assert 0 < sizes[-1] <= ao.USER_COLD_STACK * 2 ** (len(sizes) - 1)
         assert (steps, exhausted) == (0, True)
         assert x[0] is placement
 
@@ -473,7 +474,7 @@ class TestDescend:
             scenario, placement, lambda s: True, params, stop=stop)
         assert seen == [(0.0, -1.0)]
         assert (steps, exhausted) == (1, False)
-        assert [len(st) for st in stacks] == [ao.COLD_STACK]
+        assert [len(st) for st in stacks] == [ao.USER_COLD_STACK]
 
 
 def _reference_descend(scenario, k, x, grad, move, stop, max_steps, params):
@@ -696,6 +697,40 @@ class TestAlmPositions:
         assert all(ch_tag == st_tag for ch_tag, st_tag in seen)
         assert st.channel_tag == ch.tag
         pl.validate(scenario)
+
+
+class TestSenseBeam:
+    """``ao.sense_beam`` on stubs: the subproblem class records how it is
+    built, ``solve`` records what it is given and returns a fixed
+    covariance of unit trace whose leading eigenvalue is ``lead``."""
+
+    @pytest.mark.parametrize("lead, flags", [(0.995, []), (0.985, ["rank1_ratio_low"])])
+    def test_one_subproblem_at_vvh_and_one_solve(self, monkeypatch, lead, flags):
+        built, solved = [], []
+
+        class Sub:                             # no bound_values: none is taken
+            def __init__(self, *args):
+                built.append(args)
+
+        def solve(sub):
+            solved.append(sub)
+            return np.diag([1.0 - lead, lead, 0.0]).astype(complex)
+
+        def model(channels, state, gamma0):
+            return ("model", channels, gamma0)
+
+        monkeypatch.setattr(subsolver, "CovarianceSubproblem", Sub)
+        state = metrics.LpState(W=(), v=np.array([0.6, 0.8j, 0.0]), u=np.array([1.0, 0.0]))
+        v, ratio, got = ao.sense_beam("channels", state, "weights", 0.5, 2.0, model,
+                                      solve, subsolver.leading_eigpair)
+        assert len(built) == 1 and len(solved) == 1 and isinstance(solved[0], Sub)
+        channels, V0, weights, gamma0, u, zeta, interference = built[0]
+        np.testing.assert_array_equal(V0, np.outer(state.v, state.v.conj()))
+        assert (channels, weights, gamma0, zeta) == ("channels", "weights", 0.5, 2.0)
+        assert u is state.u
+        assert interference == ("model", "channels", 0.5)
+        assert ratio == pytest.approx(lead) and got == flags
+        np.testing.assert_allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 class TestSca:

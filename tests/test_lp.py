@@ -83,11 +83,10 @@ class TestSenseBeamBlock:
         assert align == pytest.approx(1.0, rel=1e-12)
 
     def test_output_feasible_and_unit(self, scenario, channels, lp_state):
-        params = AlgoParams()
         state = lp_state.copy()
         state.u = channels.f_r / math.sqrt(scenario.n_r)
         v_new, _, _ = lp.optimize_sense_beam_lp(
-            channels, state, scenario.weights, scenario.gamma0, 1.0, params)
+            channels, state, scenario.weights, scenario.gamma0, 1.0)
         assert abs(np.linalg.norm(v_new) - 1.0) <= 1e-12
         scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)
         kap = metrics.sinr_deficit(channels, state.W, v_new, state.u, scenario.gamma0)
@@ -96,7 +95,6 @@ class TestSenseBeamBlock:
     def test_constraint_forces_alignment(self, scenario, channels):
         # weights zero, gamma0 near the achievable maximum: the solution must
         # align with the target response
-        params = AlgoParams()
         u = channels.f_r / math.sqrt(scenario.n_r)
         v0 = channels.f_t / math.sqrt(scenario.n_t)
         W = [np.zeros((scenario.n_t, scenario.n_u), dtype=complex)
@@ -105,7 +103,7 @@ class TestSenseBeamBlock:
             / channels.noise_radar
         state = LpState(W=W, v=v0, u=u)
         v_new, _, _ = lp.optimize_sense_beam_lp(
-            channels, state, np.zeros(scenario.n_users), gamma0, 1.0, params)
+            channels, state, np.zeros(scenario.n_users), gamma0, 1.0)
         align = abs(np.vdot(channels.f_t, v_new)) / math.sqrt(scenario.n_t)
         assert align >= 0.97
 

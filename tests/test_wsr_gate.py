@@ -1,7 +1,7 @@
 """tools/wsr_gate.py's core on two stub units, in-process: the record of a
 unit on a shifted pool and at a patched AO stop, the paired comparison of
-two runs, and the sorting of moved units by a reference stop.  No process
-is started."""
+two runs with the AO loop cap's headroom, the sorting of moved units by a
+reference stop, and the workload choice.  No process is started."""
 
 import importlib.util
 import json
@@ -192,3 +192,95 @@ def test_reference_sorts_moved_units(tool):
     assert " ".join(rows["ZF-MA"][7:]) == "failed 1, flips 1, persists 1, plateau 1"
     assert rows["LP-MA"][1:] == ["1", "4.0000", "4.0000", "4.0000", "4.0000",
                                  "+0.0000", "none"]
+
+
+class _Workloads:
+    """Stands in for a checkout's ``perfbench/workloads.py``: two units per
+    workload, and a Bench that records the workload it is built for."""
+
+    def __init__(self):
+        self.benches = []
+        outer = self
+
+        class Bench:
+            def __init__(self, name):
+                outer.benches.append(name)
+
+        self.Bench = Bench
+
+    @staticmethod
+    def pool_units(name):
+        return [(0, f"{name}-A"), (1, f"{name}-A")]
+
+    @staticmethod
+    def use_checkout_source():
+        pass
+
+
+@pytest.mark.parametrize("argv, workload", [([], "mc-trend"),
+                                            (["--workload", "mc-desk"], "mc-desk")])
+def test_workload_reaches_units_workers_and_record(tool, monkeypatch, tmp_path,
+                                                   argv, workload):
+    stub, calls = _Workloads(), []
+    monkeypatch.setattr(tool, "_workloads", lambda checkout: stub)
+
+    def collect(checkout, units, workers, workload):
+        calls.append((units, workload))
+        return [dict(unit=list(u), problem=None) for u in units]
+
+    monkeypatch.setattr(tool, "collect", collect)
+    out = tmp_path / "run.json"
+    tool.main([*argv, "--pools", "1", "--out", str(out)])
+    units = [(pool, trial, f"{workload}-A") for pool in (0, 1) for trial in (0, 1)]
+    assert calls == [(units, workload)]
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["max_outer"], doc["pools"]) == (workload, ao.MAX_OUTER, 1)
+    assert len(doc["units"]) == 4
+    # a worker builds its Bench for the workload it is given; monkeypatch
+    # restores the stdout that _init_worker redirects
+    monkeypatch.setattr(tool.sys, "stdout", tool.sys.stdout)
+    tool._init_worker("checkout", workload)
+    assert stub.benches == [workload]
+
+
+def test_reference_runs_on_the_recorded_workload(tool, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def collect(checkout, units, workers, workload="mc-trend"):
+        calls.append((checkout, workload))
+        return [dict(pool=p, trial=t, scheme=s, wsr_bits=3.0, cpu_s=1.0,
+                     converged=True, problem=None) for p, t, s, _ in units]
+
+    monkeypatch.setattr(tool, "collect", collect)
+    files = []
+    for name, wsr, workload in (("p", [3.0], "mc-desk"), ("c", [3.5], None)):
+        doc = dict(_units(wsr), checkout=name)
+        if workload:
+            doc["workload"] = workload
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc))
+    tool.main(["--compare", *map(str, files), "--reference-eps", "1e-3"])
+    # a record without a workload is an mc-trend run
+    assert calls == [("p", "mc-desk"), ("c", "mc-trend")]
+    assert "ZF-MA pool 0 trial 0: +0.5000 -> +0.0000" in capsys.readouterr().out
+
+
+def test_compare_shows_the_loop_cap_headroom(tool):
+    # the change's ZF-MA units end at 26 and 28 of the 30-loop cap, two
+    # within 5 loops of it; a run recorded without its cap counts none
+    parent, change = _doc(tool, _Bench(per_nm=0.0)), _doc(tool, _Bench(per_nm=0.0))
+    for doc, its in ((parent, [3, 12, 4, 25]), (change, [26, 28, 5, 6])):
+        doc["max_outer"] = 30
+        for r, n in zip(doc["units"], its):
+            r["outer_iters"] = n
+    lines, _ = tool.compare(parent, change)
+    head = lines.index("AO loops: largest outer_iters parent / change, units within "
+                       "5 loops of MAX_OUTER 30 / 30")
+    assert lines[head + 1].split() == ["ZF-MA", "largest", "25", "/", "28",
+                                       "near", "the", "cap", "1", "/", "2"]
+    assert lines[head + 2].startswith("totals over all pools")
+    del parent["max_outer"]
+    lines, _ = tool.compare(parent, change)
+    assert "MAX_OUTER None / 30" in "\n".join(lines)
+    assert [line.split()[-3:] for line in lines if "near the cap" in line] == [
+        ["-", "/", "2"]]

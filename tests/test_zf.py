@@ -38,12 +38,11 @@ class TestCombinerZf:
 
 class TestSenseBeamZf:
     def test_output_unit_and_feasible(self, scenario, channels, zf_state):
-        params = AlgoParams()
         state = zf_state.copy()
         state.u = channels.f_r / math.sqrt(scenario.n_r)
         state.v = channels.f_t / math.sqrt(scenario.n_t)
         v_new, _, _ = zf.optimize_sense_beam_zf(
-            channels, state, scenario.weights, scenario.gamma0, 1.0, params)
+            channels, state, scenario.weights, scenario.gamma0, 1.0)
         assert abs(np.linalg.norm(v_new) - 1.0) <= 1e-12
         kap = metrics.sinr_deficit(channels, (state.P,), v_new, state.u, scenario.gamma0)
         scale = metrics.sinr_deficit_scale(channels, scenario.gamma0)

@@ -1,11 +1,13 @@
-"""WSR gate: every ``mc-trend`` unit on the base pool and on pools whose BS
-array is shifted by 1, 2, ... nm in x.
+"""WSR gate: every unit of an AO workload (``mc-trend`` by default, or
+``mc-desk``) on the base pool and on pools whose BS array is shifted by
+1, 2, ... nm in x.
 
-Runs each unit of ``perfbench.workloads.pool_units("mc-trend")`` through
+Runs each unit of ``perfbench.workloads.pool_units(WORKLOAD)`` through
 ``Bench.run_unit`` of a checkout; the shifted pools wrap the Bench's
 ``_placement`` in-process, and the benchmark code is imported, never
 modified.  The units are spread over ``--workers`` processes (never more
-than the units).  It writes one JSON with one record per unit: WSR in bits,
+than the units).  It writes one JSON with the workload, the checkout's
+``ao.MAX_OUTER`` and one record per unit: WSR in bits,
 ``outer_iters``, ``converged``, process CPU, the per-block reject counts
 read from the ``<block>_block_rejected`` flags of the trace records, and
 the unit's problem (None when clean).
@@ -17,18 +19,22 @@ every unit that moved by more than 0.05 bits; the CPU ratio (parent /
 change: above 1 means the change is faster); and the units that ended
 ``converged=False`` or failed.  Per scheme it then totals, over all pools,
 the CPU seconds of both sides with their ratio, which is steadier than one
-pool's, and the block rejects of both sides per block.
+pool's, and the block rejects of both sides per block.  Before those
+totals it shows the AO loop cap's headroom per scheme and side: the largest
+``outer_iters`` and how many units end within HEADROOM_LOOPS loops of that
+side's ``ao.MAX_OUTER``.
 
 ``--reference-eps EPS`` with ``--compare`` tells plateau stops from real
 moves: it runs the units of every scheme with a moved unit again, on both
-recorded checkouts, with ``ao.EPS_F``, the AO stop, patched to EPS in the
-worker processes, and prints for each moved unit whether its move persists
-at that reference stop, then per scheme the mean WSR of both sides at the
-run stop and at the reference.  The position ALM stops on its own
+recorded checkouts and workloads, with ``ao.EPS_F``, the AO stop, patched to
+EPS in the worker processes, and prints for each moved unit whether its
+move persists at that reference stop, then per scheme the mean WSR of both
+sides at the run stop and at the reference.  The position ALM stops on its own
 ``ao.EPS_ALM``, which is not patched, and the library's own EPS_F is left
 as it is.  From anywhere:
 
     python3 tools/wsr_gate.py --pools 3 --out change.json
+    python3 tools/wsr_gate.py --workload mc-desk --pools 3 --out change-desk.json
     python3 tools/wsr_gate.py /path/to/parent --pools 3 --out parent.json
     python3 tools/wsr_gate.py --compare parent.json change.json
     python3 tools/wsr_gate.py --compare parent.json change.json --reference-eps 1e-3
@@ -52,10 +58,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-WORKLOAD = "mc-trend"
+WORKLOAD = "mc-trend"       # the default workload
+WORKLOADS = ("mc-trend", "mc-desk")
 SHIFT_M = 1e-9              # one pool step: the BS array moves 1 nm in x
 MOVED_BITS = 0.05           # a unit's paired WSR change worth listing
 FLOOR_PCT = 0.1             # least verdict threshold, in percent of the mean
+HEADROOM_LOOPS = 5          # a unit this close to the AO loop cap is listed
 
 _BENCH = None               # a worker's Bench
 
@@ -104,25 +112,25 @@ def measure(bench, pool, trial, scheme, eps=None):
                 problem=outcome.problem)
 
 
-def _init_worker(checkout):
+def _init_worker(checkout, workload):
     global _BENCH
     sys.stdout = sys.stderr                  # library prints stay off the report
     workloads = _workloads(checkout)
     workloads.use_checkout_source()
-    _BENCH = workloads.Bench(WORKLOAD)
+    _BENCH = workloads.Bench(workload)
 
 
 def _run_task(unit):
     return measure(_BENCH, *unit)
 
 
-def collect(checkout, units, workers):
-    """Records of ``units`` (``measure``'s (pool, trial, scheme[, eps])) in
-    unit order, run by ``workers`` processes on the checkout."""
+def collect(checkout, units, workers, workload=WORKLOAD):
+    """Records of ``units`` (``measure``'s (pool, trial, scheme[, eps])) of
+    the workload in unit order, run by ``workers`` processes on the checkout."""
     workers = max(1, min(workers, len(units)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                              initializer=_init_worker,
-                             initargs=(str(checkout),)) as ex:
+                             initargs=(str(checkout), workload)) as ex:
         return list(ex.map(_run_task, units))
 
 
@@ -204,6 +212,7 @@ def compare(parent, change):
         lines.append(f"  {c['scheme']} pool {c['pool']} trial {c['trial']}: "
                      f"{p['wsr_bits']:.4f} -> {c['wsr_bits']:.4f} "
                      f"({c['wsr_bits'] - p['wsr_bits']:+.4f})")
+    lines += headroom(parent, change)
     lines.append("totals over all pools: CPU s parent / change (ratio), "
                  "block rejects parent -> change")
     for scheme in sorted({s for s, _ in cells}):
@@ -217,6 +226,27 @@ def compare(parent, change):
                      f"{cpu[1]:9.2f} ({cpu[0] / max(cpu[1], 1e-12):.3f}x)  "
                      f"rejects {blocks}")
     return lines, stats
+
+
+def headroom(parent, change):
+    """Per scheme over all pools, the largest ``outer_iters`` of both sides
+    and how many units end within HEADROOM_LOOPS loops of the side's
+    recorded ``max_outer`` (``-`` for a run recorded without it)."""
+    caps = [doc.get("max_outer") for doc in (parent, change)]
+    lines = [f"AO loops: largest outer_iters parent / change, units within "
+             f"{HEADROOM_LOOPS} loops of MAX_OUTER {caps[0]} / {caps[1]}"]
+    schemes = defaultdict(lambda: ([], []))
+    for side, doc in enumerate((parent, change)):
+        for r in doc["units"]:
+            if r.get("outer_iters") is not None:
+                schemes[r["scheme"]][side].append(r["outer_iters"])
+    for scheme, sides in sorted(schemes.items()):
+        top = [max(its, default="-") for its in sides]
+        near = ["-" if cap is None else sum(n >= cap - HEADROOM_LOOPS for n in its)
+                for cap, its in zip(caps, sides)]
+        lines.append(f"  {scheme:8} largest {top[0]:>3} / {top[1]:<3}  "
+                     f"near the cap {near[0]:>3} / {near[1]}")
+    return lines
 
 
 def reference(parent, change, ref_parent, ref_change, eps):
@@ -270,6 +300,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", nargs="?", default=str(HERE),
                     help="checkout to run (default: this one)")
+    ap.add_argument("--workload", choices=WORKLOADS, default=WORKLOAD,
+                    help=f"AO workload whose pool is run (default: {WORKLOAD})")
     ap.add_argument("--pools", type=int, default=3,
                     help="shifted pools beside the base pool (1..P nm)")
     ap.add_argument("--workers", type=int, default=2,
@@ -288,7 +320,8 @@ def main(argv=None):
             schemes = {key[2] for key, pair in _paired(*docs).items() if _moved(*pair)}
             refs = [dict(units=collect(doc["checkout"], [
                 (r["pool"], r["trial"], r["scheme"], args.reference_eps)
-                for r in doc["units"] if r["scheme"] in schemes], args.workers))
+                for r in doc["units"] if r["scheme"] in schemes], args.workers,
+                doc.get("workload", WORKLOAD)))
                 for doc in docs]
             lines += reference(*docs, *refs, args.reference_eps)
         print("\n".join(lines))
@@ -297,13 +330,16 @@ def main(argv=None):
         ap.error("--reference-eps needs --compare")
     if not args.out:
         ap.error("--out is required unless --compare is given")
+    workloads = _workloads(args.checkout)
     units = [(pool, trial, scheme)
              for pool in range(args.pools + 1)
-             for trial, scheme in _workloads(args.checkout).pool_units(WORKLOAD)]
-    records = collect(args.checkout, units, args.workers)
+             for trial, scheme in workloads.pool_units(args.workload)]
+    records = collect(args.checkout, units, args.workers, args.workload)
+    workloads.use_checkout_source()
     Path(args.out).write_text(json.dumps(
-        dict(checkout=str(Path(args.checkout).resolve()), pools=args.pools,
-             units=records), indent=1) + "\n")
+        dict(checkout=str(Path(args.checkout).resolve()), workload=args.workload,
+             max_outer=importlib.import_module("nfisac.ao").MAX_OUTER,
+             pools=args.pools, units=records), indent=1) + "\n")
     bad = sum(r["problem"] is not None for r in records)
     print(f"{len(records)} units, {bad} with a problem, written to {args.out}")
     return records
